@@ -15,13 +15,7 @@
 // Tightening trades subscription churn (two Control trees) against
 // notification traffic from the now-too-wide box; `tighten_factor`
 // controls the trade (re-register when new_dist < factor * sub_dist).
-//
-// DEPRECATION NOTE: the one-shot nearest-event search that used to be
-// this module's entry point is now a first-class query class — issue a
-// KNearestQuery through DcsSystem::execute() (any system, any k). The
-// monitor remains for the CONTINUOUS semantics only; its initial resolve
-// goes through that same k-NN path, and PoolSystem::nearest_event
-// survives purely as a k = 1 forwarding shim for legacy call sites.
+// The initial resolve is an ordinary KNearestQuery through execute().
 #pragma once
 
 #include <optional>

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 
@@ -37,6 +39,7 @@ PoolSystem::PoolSystem(net::Network& network,
       router_(router),
       dims_(dims),
       config_(config),
+      legs_(*this, fault_stats_, network, router, dims),
       grid_(network, config.cell_size),
       layout_(std::move(layout)) {
   if (dims == 0 || dims > storage::kMaxDims)
@@ -92,11 +95,13 @@ net::NodeId PoolSystem::directory_home(std::size_t pool_dim) const {
       {f.min_x + u * f.width(), f.min_y + v * f.height()});
 }
 
-void PoolSystem::charge_pivot_lookup(net::NodeId node, std::size_t pool_dim) {
-  if (!config_.charge_dht_lookup) return;
+std::uint64_t PoolSystem::charge_pivot_lookup(net::NodeId node,
+                                              std::size_t pool_dim) {
+  if (!config_.charge_dht_lookup) return 0;
   char& cached = pivot_cache_[node * dims_ + pool_dim];
-  if (cached) return;
+  if (cached) return 0;
   cached = 1;
+  const auto before = net_.traffic().total;
   const net::NodeId home = directory_home(pool_dim);
   router_.route_to_node_into(node, home, route_scratch_);
   net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
@@ -104,6 +109,7 @@ void PoolSystem::charge_pivot_lookup(net::NodeId node, std::size_t pool_dim) {
   router_.route_to_node_into(home, node, route_scratch_);
   net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
                      net_.sizes().control_bits);
+  return net_.traffic().total - before;
 }
 
 std::size_t PoolSystem::cell_key(std::size_t pool_dim,
@@ -149,20 +155,6 @@ net::NodeId PoolSystem::pick_delegate(net::NodeId index_node) const {
     }
   }
   return best;
-}
-
-const routing::LegOutcome& PoolSystem::send_leg(net::NodeId from,
-                                                net::NodeId to,
-                                                net::MessageKind kind,
-                                                std::uint64_t bits) {
-  routing::send_reliable_into(net_, router_, from, to, kind, bits, {},
-                              leg_scratch_);
-  fault_stats_.retries += leg_scratch_.retries;
-  if (!leg_scratch_.delivered) ++fault_stats_.failed_legs;
-  // handle_node_failure never re-enters send_leg (its repair traffic uses
-  // send_reliable directly), so iterating the scratch here is safe.
-  for (const net::NodeId d : leg_scratch_.dead_found) handle_node_failure(d);
-  return leg_scratch_;
 }
 
 void PoolSystem::absorb_dead_holders(std::size_t key) {
@@ -281,20 +273,11 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
   // index node (nearest the center) receives it. If delivery exposes a
   // dead index node, failover re-elects the nearest survivor and the
   // source retries once toward the new election.
-  net::NodeId target = choice.index_node;
-  bool leg_delivered = send_leg(source, target, net::MessageKind::Insert,
-                                net_.sizes().event_bits(dims_))
-                           .delivered;
-  if (!leg_delivered && net_.has_failures()) {
-    const net::NodeId reelected = grid_.index_node(choice.coord);
-    if (reelected != target && reelected != net::kNoNode) {
-      target = reelected;
-      leg_delivered = send_leg(source, target, net::MessageKind::Insert,
-                               net_.sizes().event_bits(dims_))
-                          .delivered;
-    }
-  }
-  if (!leg_delivered) {
+  const std::uint64_t bits = net_.sizes().event_bits(dims_);
+  const net::NodeId target =
+      legs_.reach(source, net::MessageKind::Insert, bits,
+                  [&] { return grid_.index_node(choice.coord); });
+  if (target == net::kNoNode) {
     // Event lost in transit (unreachable cell under heavy failure).
     ++fault_stats_.events_lost;
     InsertReceipt receipt;
@@ -310,8 +293,7 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
         net_.node(delegate).stored_events <
             net_.node(holder).stored_events) {
       // One-hop handoff to the delegate (Section 4.2's workload transfer).
-      if (net_.transmit(holder, delegate, net::MessageKind::Insert,
-                        net_.sizes().event_bits(dims_)))
+      if (net_.transmit(holder, delegate, net::MessageKind::Insert, bits))
         holder = delegate;
     }
   }
@@ -332,22 +314,10 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
     const CellOffset mirror_off{config_.side - 1 - choice.offset.ho,
                                 config_.side - 1 - choice.offset.vo};
     const CellCoord mirror_coord = layout_.cell(mirror_pool, mirror_off);
-    net::NodeId mirror_idx = grid_.index_node(mirror_coord);
-    bool mirror_delivered =
-        send_leg(source, mirror_idx, net::MessageKind::Insert,
-                 net_.sizes().event_bits(dims_))
-            .delivered;
-    if (!mirror_delivered && net_.has_failures()) {
-      const net::NodeId reelected = grid_.index_node(mirror_coord);
-      if (reelected != mirror_idx && reelected != net::kNoNode) {
-        mirror_idx = reelected;
-        mirror_delivered = send_leg(source, mirror_idx,
-                                    net::MessageKind::Insert,
-                                    net_.sizes().event_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!mirror_delivered) continue;  // this mirror copy just isn't made
+    const net::NodeId mirror_idx =
+        legs_.reach(source, net::MessageKind::Insert, bits,
+                    [&] { return grid_.index_node(mirror_coord); });
+    if (mirror_idx == net::kNoNode) continue;  // this copy just isn't made
     cells_[cell_key(mirror_pool, mirror_off)].append(event, mirror_idx,
                                                      /*is_replica=*/true);
     ++net_.node_mut(mirror_idx).stored_events;
@@ -397,126 +367,177 @@ net::NodeId PoolSystem::splitter_for(std::size_t pool_dim,
   return best;
 }
 
+PoolSystem::Plan PoolSystem::range_plan(const RangeQuery& q) const {
+  Plan plan;
+  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim)
+    for (const CellOffset off : relevant_cells(q, pool_dim, config_.side))
+      plan.push_back({pool_dim, off});
+  return plan;
+}
+
 std::size_t PoolSystem::relevant_cell_count(const RangeQuery& q) const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < dims_; ++i)
-    total += relevant_cells(q, i, config_.side).size();
-  return total;
+  return range_plan(q).size();
+}
+
+namespace {
+
+/// The rows a visited cell replies with, counted per holder: the index
+/// node itself, or a delegate one hop away that the walk must poll.
+struct HolderTally {
+  net::NodeId index_node;
+  std::uint32_t here = 0;
+  std::unordered_map<net::NodeId, std::uint32_t> delegates;
+
+  void add(net::NodeId holder) {
+    if (holder == index_node) {
+      ++here;
+    } else {
+      ++delegates[holder];
+    }
+  }
+};
+
+/// What the walk hands a visitor at a reached cell.
+struct CellVisit {
+  std::size_t step;  ///< index into the plan
+  std::size_t key;   ///< the cell's slot in the per-cell tables
+  const storage::column::ColumnStore& rows;
+  net::NodeId index_node;
+};
+
+/// Legs the walk reports back to visitors that account for transport
+/// (query_batch replays serial cost from their hop counts).
+enum class Leg { Lookup, Splitter, Cell, CellReply, PoolReply };
+
+/// The visitor contract, with every variation point at its default. A
+/// query class derives, supplies visit(const CellVisit&, HolderTally&) —
+/// its cell-local operation, tallying the holder of every row it replies
+/// with — and overrides only what it varies.
+struct CellVisitor {
+  /// Message kinds of the sink → splitter and splitter → cell legs.
+  static constexpr net::MessageKind to_splitter() {
+    return net::MessageKind::Query;
+  }
+  static constexpr net::MessageKind to_cell() {
+    return net::MessageKind::SubQuery;
+  }
+  /// Replies carry one fixed-size aggregate partial, not event batches.
+  static constexpr bool partial_replies() { return false; }
+  /// Rows go on to the sink after every cell instead of being packed at
+  /// the splitter until the pool's steps end.
+  static constexpr bool flush_each_cell() { return false; }
+
+  /// Checked just before a step; false skips it without any traffic.
+  bool admit(std::size_t /*step*/) const { return true; }
+  /// A leg the walk just sent, with its hop count (Lookup: messages).
+  void leg(std::size_t /*step*/, Leg, std::uint64_t /*hops*/) {}
+  /// The pool's run of steps ended; `rows` went on to the sink.
+  void pool_done(std::size_t /*pool_dim*/, std::uint32_t /*rows*/) {}
+};
+
+}  // namespace
+
+template <class Visitor>
+std::size_t PoolSystem::visit_relevant(net::NodeId sink, const Plan& plan,
+                                       Visitor& v) {
+  constexpr bool partial = Visitor::partial_replies();
+  const std::uint64_t qbits = net_.sizes().query_bits(dims_);
+  const auto hops = [&] {
+    return static_cast<std::uint64_t>(legs_.last().route.hops());
+  };
+  // Per pool: contacted yet, the splitter reached (kNoNode: unreachable
+  // this walk), and the rows packed at it so far.
+  std::vector<char> contacted(dims_, 0);
+  std::vector<net::NodeId> splitters(dims_, net::kNoNode);
+  std::vector<std::uint32_t> packed(dims_, 0);
+  std::size_t reached = 0;
+
+  // One admitted step below a reached splitter: the cell leg, the cell's
+  // local operation, delegate polls and the reply up the tree.
+  const auto visit_cell = [&](std::size_t i, net::NodeId splitter) {
+    const PlanStep& s = plan[i];
+    const std::size_t key = cell_key(s.pool_dim, s.off);
+    if (net_.has_failures()) absorb_dead_holders(key);
+    const CellCoord coord = layout_.cell(s.pool_dim, s.off);
+    const net::NodeId idx =
+        legs_.reach(splitter, Visitor::to_cell(), qbits,
+                    [&] { return grid_.index_node(coord); });
+    if (idx == net::kNoNode) return;  // cell unreachable this walk
+    ++reached;
+    v.leg(i, Leg::Cell, hops());
+    HolderTally tally{idx, 0, {}};
+    v.visit(CellVisit{i, key, cells_[key], idx}, tally);
+    std::uint32_t rows = tally.here;
+    for (const auto& [delegate, found] : tally.delegates) {
+      // Poll the delegate one hop out; its rows come back one hop.
+      net_.transmit(idx, delegate, net::MessageKind::SubQuery, qbits);
+      const auto shape = legs_.shape(found, partial);
+      for (std::uint64_t b = 0; b < shape.batches; ++b)
+        net_.transmit(delegate, idx, net::MessageKind::Reply, shape.bits);
+      rows += found;
+    }
+    // Cell replies travel back to the splitter along the tree.
+    if (rows > 0 && idx != splitter) {
+      legs_.reply(idx, splitter, rows, partial);
+      v.leg(i, Leg::CellReply, hops());
+    }
+    if (Visitor::flush_each_cell()) {
+      legs_.reply(splitter, sink, rows, partial);
+    } else {
+      packed[s.pool_dim] += rows;
+    }
+  };
+
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const std::size_t pool = plan[i].pool_dim;
+    if (v.admit(i)) {
+      if (!contacted[pool]) {
+        contacted[pool] = 1;
+        v.leg(i, Leg::Lookup, charge_pivot_lookup(sink, pool));
+        splitters[pool] =
+            legs_.reach(sink, Visitor::to_splitter(), qbits,
+                        [&] { return splitter_for(pool, sink); });
+        if (splitters[pool] != net::kNoNode) v.leg(i, Leg::Splitter, hops());
+      }
+      if (splitters[pool] != net::kNoNode) visit_cell(i, splitters[pool]);
+    }
+    // The pool's run of steps ends: its splitter packs the rows (and
+    // would apply aggregate operators; Section 3.2.3) for the sink.
+    const bool pool_ends =
+        i + 1 == plan.size() || plan[i + 1].pool_dim != pool;
+    if (pool_ends && splitters[pool] != net::kNoNode) {
+      const std::uint32_t rows = std::exchange(packed[pool], 0);
+      if (rows > 0 && splitters[pool] != sink) {
+        legs_.reply(splitters[pool], sink, rows, partial);
+        v.leg(i, Leg::PoolReply, hops());
+      }
+      v.pool_done(pool, rows);
+    }
+  }
+  return reached;
 }
 
 QueryReceipt PoolSystem::query(net::NodeId sink, const RangeQuery& q) {
   if (q.dims() != dims_)
     throw ConfigError("PoolSystem: query dimensionality mismatch");
 
+  // Query resolving (Algorithm 2) is pure arithmetic on the predefined
+  // layout, so the plan already skips pools without relevant cells.
+  struct Visitor : CellVisitor {
+    const RangeQuery& q;
+    std::vector<Event>& events;
+    void visit(const CellVisit& c, HolderTally& tally) {
+      c.rows.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
+        events.push_back(c.rows.event_at(row));
+        tally.add(c.rows.holder_at(row));
+      });
+    }
+  };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    // Query resolving (Algorithm 2) is pure arithmetic on the predefined
-    // layout, so the sink can already tell which pools are empty of
-    // relevant cells and skip their splitters entirely.
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    net::NodeId splitter = splitter_for(pool_dim, sink);
-    bool splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                     net_.sizes().query_bits(dims_))
-                                .delivered;
-    if (!splitter_reached && net_.has_failures()) {
-      // The splitter died: failover re-picked it (splitter_cache_ entry
-      // was reset); retry once toward the new election.
-      const net::NodeId repicked = splitter_for(pool_dim, sink);
-      if (repicked != splitter) {
-        splitter = repicked;
-        splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                    net_.sizes().query_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!splitter_reached) continue;  // pool unreachable this query
-
-    std::uint32_t pool_matches = 0;
-    for (const CellOffset off : cells) {
-      const std::size_t key = cell_key(pool_dim, off);
-      if (net_.has_failures()) absorb_dead_holders(key);
-      net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                   net_.sizes().query_bits(dims_))
-                              .delivered;
-      if (!cell_reached && net_.has_failures()) {
-        const net::NodeId reelected =
-            grid_.index_node(layout_.cell(pool_dim, off));
-        if (reelected != idx && reelected != net::kNoNode) {
-          idx = reelected;
-          cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                  net_.sizes().query_bits(dims_))
-                             .delivered;
-        }
-      }
-      if (!cell_reached) continue;  // cell unreachable this query
-      ++receipt.index_nodes_visited;
-
-      // Scan the cell; with workload sharing some events sit one hop away
-      // at delegates, which must be polled and must reply through the
-      // index node.
-      std::uint32_t here = 0;
-      std::unordered_map<net::NodeId, std::uint32_t> at_delegate;
-      const auto& cell = cells_[key];
-      cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
-        receipt.events.push_back(cell.event_at(row));
-        const net::NodeId holder = cell.holder_at(row);
-        if (holder == idx) {
-          ++here;
-        } else {
-          ++at_delegate[holder];
-        }
-      });
-      for (const auto& [delegate, found] : at_delegate) {
-        // Forward the query one hop and bring batches back one hop.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        const std::uint64_t batches = sizes.reply_batches(found);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit(delegate, idx, net::MessageKind::Reply,
-                        sizes.reply_bits(dims_, sizes.reply_payload(found)));
-        }
-        here += found;
-      }
-
-      // Cell replies travel back to the splitter along the tree.
-      if (here > 0 && idx != splitter) {
-        const std::uint64_t bits =
-            sizes.reply_bits(dims_, sizes.reply_payload(here));
-        const auto& back = send_leg(idx, splitter, net::MessageKind::Reply,
-                                    bits);
-        if (back.delivered) {
-          const std::uint64_t batches = sizes.reply_batches(here);
-          for (std::uint64_t b = 1; b < batches; ++b)
-            net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-        }
-      }
-      pool_matches += here;
-    }
-
-    // The splitter aggregates the pool's events and returns them to the
-    // sink (and would apply aggregate operators here; Section 3.2.3).
-    if (pool_matches > 0 && splitter != sink) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(pool_matches));
-      const auto& back = send_leg(splitter, sink, net::MessageKind::Reply,
-                                  bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(pool_matches);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-      }
-    }
-  }
-
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  Visitor v{{}, q, receipt.events};
+  receipt.index_nodes_visited = visit_relevant(sink, range_plan(q), v);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -525,10 +546,6 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   if (q.dims() != dims_)
     throw ConfigError("PoolSystem: skyline dimensionality mismatch");
 
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
   // Equation 1 gives every cell's best-possible corner without any
   // messages: events in cell (HO,VO) of pool d1 have their d1 value
   // below (HO+1)/l and every OTHER attribute below the second-greatest
@@ -536,8 +553,7 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   // skyline points prune the rest.
   struct Candidate {
     double key;  ///< Σ corner over selected attrs (descending visit order)
-    std::size_t pool_dim;
-    CellOffset off;
+    PlanStep step;
     storage::Values corner;
   };
   std::vector<Candidate> cands;
@@ -545,7 +561,7 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
     for (std::uint32_t vo = 0; vo < config_.side; ++vo) {
       for (std::uint32_t ho = 0; ho < config_.side; ++ho) {
-        Candidate c{0.0, pool_dim, {ho, vo}, {}};
+        Candidate c{0.0, {pool_dim, {ho, vo}}, {}};
         const double top_h = range_h(ho, config_.side).hi;
         const double top_v = range_v(ho, vo, config_.side).hi;
         for (std::size_t d = 0; d < dims_; ++d)
@@ -559,134 +575,60 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   std::sort(cands.begin(), cands.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.key != b.key) return a.key > b.key;
-              if (a.pool_dim != b.pool_dim) return a.pool_dim < b.pool_dim;
-              if (a.off.ho != b.off.ho) return a.off.ho < b.off.ho;
-              return a.off.vo < b.off.vo;
+              if (a.step.pool_dim != b.step.pool_dim)
+                return a.step.pool_dim < b.step.pool_dim;
+              if (a.step.off.ho != b.step.off.ho)
+                return a.step.off.ho < b.step.off.ho;
+              return a.step.off.vo < b.step.off.vo;
             });
+  Plan plan;
+  plan.reserve(cands.size());
+  for (const Candidate& c : cands) plan.push_back(c.step);
 
-  // Per-pool splitter contact happens lazily on the first visited cell;
-  // kNoNode after a contact attempt means the pool is unreachable.
-  std::vector<char> contacted(dims_, 0);
-  std::vector<net::NodeId> splitters(dims_, net::kNoNode);
-  std::vector<Event> collected;
+  struct Visitor : CellVisitor {
+    // Candidates flow back cell → splitter → sink immediately: the sink
+    // needs them to prune the NEXT visit.
+    static constexpr bool flush_each_cell() { return true; }
+    const storage::SkylineQuery& q;
+    const std::vector<Candidate>& cands;
+    std::vector<Event> collected;
 
-  for (const Candidate& c : cands) {
     // The pruning rule: a cell whose corner is dominated by an already-
     // collected point can only hold dominated events (strictness against
-    // the corner carries to every event at or below it) — skip it
-    // without transmitting anything.
-    if (!skyline_admits(q, collected, c.corner)) continue;
-
-    if (!contacted[c.pool_dim]) {
-      contacted[c.pool_dim] = 1;
-      charge_pivot_lookup(sink, c.pool_dim);
-      net::NodeId splitter = splitter_for(c.pool_dim, sink);
-      bool reached = send_leg(sink, splitter, net::MessageKind::Query,
-                              sizes.query_bits(dims_))
-                         .delivered;
-      if (!reached && net_.has_failures()) {
-        const net::NodeId repicked = splitter_for(c.pool_dim, sink);
-        if (repicked != splitter) {
-          splitter = repicked;
-          reached = send_leg(sink, splitter, net::MessageKind::Query,
-                             sizes.query_bits(dims_))
-                        .delivered;
-        }
-      }
-      splitters[c.pool_dim] = reached ? splitter : net::kNoNode;
+    // the corner carries to every event at or below it).
+    bool admit(std::size_t step) const {
+      return storage::skyline_admits(q, collected, cands[step].corner);
     }
-    const net::NodeId splitter = splitters[c.pool_dim];
-    if (splitter == net::kNoNode) continue;  // pool unreachable this query
-
-    const std::size_t key = cell_key(c.pool_dim, c.off);
-    if (net_.has_failures()) absorb_dead_holders(key);
-    net::NodeId idx = grid_.index_node(layout_.cell(c.pool_dim, c.off));
-    bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                 sizes.query_bits(dims_))
-                            .delivered;
-    if (!cell_reached && net_.has_failures()) {
-      const net::NodeId reelected =
-          grid_.index_node(layout_.cell(c.pool_dim, c.off));
-      if (reelected != idx && reelected != net::kNoNode) {
-        idx = reelected;
-        cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                sizes.query_bits(dims_))
-                           .delivered;
-      }
-    }
-    if (!cell_reached) continue;
-    ++receipt.index_nodes_visited;
-
     // The cell reduces its residents to their LOCAL skyline before
-    // replying — reply volume shrinks, correctness is untouched (an
-    // event dominated within its own cell is dominated globally).
-    struct RowCand {
-      Event e;
-      net::NodeId holder;
-    };
-    std::vector<RowCand> rows;
-    const auto& cell = cells_[key];
-    for (std::size_t row = 0; row < cell.size(); ++row) {
-      if (cell.replica_at(row)) continue;
-      rows.push_back({cell.event_at(row), cell.holder_at(row)});
-    }
-    std::vector<RowCand> local;
-    std::unordered_map<net::NodeId, std::uint32_t> at_delegate;
-    for (const RowCand& r : rows) {
-      bool dominated = false;
-      for (const RowCand& other : rows)
-        if (q.dominates(other.e.values, r.e.values)) {
-          dominated = true;
-          break;
-        }
-      if (dominated) continue;
-      if (r.holder != idx) ++at_delegate[r.holder];
-      local.push_back(r);
-    }
-    for (const auto& [delegate, found] : at_delegate) {
-      // Poll the delegate one hop out; its candidates come back packed.
-      net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                    sizes.query_bits(dims_));
-      const std::uint64_t batches = sizes.reply_batches(found);
-      for (std::uint64_t b = 0; b < batches; ++b)
-        net_.transmit(delegate, idx, net::MessageKind::Reply,
-                      sizes.reply_bits(dims_, sizes.reply_payload(found)));
-    }
-
-    const std::uint32_t here = static_cast<std::uint32_t>(local.size());
-    if (here == 0) continue;
-    // Candidates flow back cell → splitter → sink immediately (the sink
-    // needs them to prune the NEXT visit, so no pool-end aggregation).
-    if (idx != splitter) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(here));
-      const auto& back = send_leg(idx, splitter, net::MessageKind::Reply, bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(here);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
+    // replying — an event dominated within its own cell is dominated
+    // globally, so reply volume shrinks with correctness untouched.
+    void visit(const CellVisit& c, HolderTally& tally) {
+      std::vector<Event> rows;
+      std::vector<net::NodeId> holders;
+      for (std::size_t row = 0; row < c.rows.size(); ++row) {
+        if (c.rows.replica_at(row)) continue;
+        rows.push_back(c.rows.event_at(row));
+        holders.push_back(c.rows.holder_at(row));
+      }
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const auto& values = rows[r].values;
+        if (std::any_of(rows.begin(), rows.end(), [&](const Event& other) {
+              return q.dominates(other.values, values);
+            }))
+          continue;
+        tally.add(holders[r]);
+        if (storage::skyline_admits(q, collected, values))
+          collected.push_back(rows[r]);
       }
     }
-    if (splitter != sink) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(here));
-      const auto& back =
-          send_leg(splitter, sink, net::MessageKind::Reply, bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(here);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-      }
-    }
-    for (RowCand& r : local)
-      if (skyline_admits(q, collected, r.e.values))
-        collected.push_back(std::move(r.e));
-  }
-
-  storage::skyline_filter(q, collected);
-  receipt.events = std::move(collected);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  };
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
+  Visitor v{{}, q, cands, {}};
+  receipt.index_nodes_visited = visit_relevant(sink, plan, v);
+  storage::skyline_filter(q, v.collected);
+  receipt.events = std::move(v.collected);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -697,97 +639,57 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
   if (q.initial_radius < 0.0)
     throw ConfigError("PoolSystem: k-NN initial radius must be positive");
 
+  struct Visitor : CellVisitor {
+    const storage::KNearestQuery& q;
+    std::vector<Event> cand;
+
+    // The cell answers with its local top-k, box or not — the box only
+    // chooses WHICH cells to visit; reporting the true local optimum
+    // means a visited cell never needs re-querying when the box grows.
+    void visit(const CellVisit& c, HolderTally& tally) {
+      std::vector<Event> local;
+      for (std::size_t row = 0; row < c.rows.size(); ++row)
+        if (!c.rows.replica_at(row)) local.push_back(c.rows.event_at(row));
+      storage::knn_filter(q, local);
+      for (Event& e : local) {
+        std::size_t row = 0;
+        while (c.rows.replica_at(row) || c.rows.id_at(row) != e.id) ++row;
+        tally.add(c.rows.holder_at(row));
+        cand.push_back(std::move(e));
+      }
+    }
+    // The sink keeps only the running top-k.
+    void pool_done(std::size_t, std::uint32_t rows) {
+      if (rows > 0) storage::knn_filter(q, cand);
+    }
+  };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  // (pool, cell-offset) pairs already queried; the sink can track these
-  // because resolving is pure arithmetic on the predefined layout.
+  Visitor v{{}, q, {}};
+  // Cells already queried; the sink can track these because resolving is
+  // pure arithmetic on the predefined layout.
   std::vector<char> visited(cells_.size(), 0);
-  std::vector<Event> cand;
-
   double radius = q.initial_radius > 0.0 ? q.initial_radius : 0.05;
   while (true) {
     ++receipt.rounds;
-    const RangeQuery box = storage::box_around(q.target, radius);
-
-    for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-      const auto cells = relevant_cells(box, pool_dim, config_.side);
-      // Only contact the splitter when the round adds unvisited cells.
-      std::vector<CellOffset> fresh;
-      for (const CellOffset off : cells) {
-        if (!visited[cell_key(pool_dim, off)]) fresh.push_back(off);
-      }
-      if (fresh.empty()) continue;
-      charge_pivot_lookup(sink, pool_dim);
-
-      const net::NodeId splitter = splitter_for(pool_dim, sink);
-      router_.route_to_node_into(sink, splitter, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::Query,
-                         sizes.query_bits(dims_));
-
-      std::uint32_t pool_found = 0;
-      for (const CellOffset off : fresh) {
-        visited[cell_key(pool_dim, off)] = 1;
-        const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-        router_.route_to_node_into(splitter, idx, route_scratch_);
-        net_.transmit_path(route_scratch_.path, net::MessageKind::SubQuery,
-                           sizes.query_bits(dims_));
-        ++receipt.index_nodes_visited;
-
-        // The cell answers with its local top-k, box or not — the box
-        // only chooses WHICH cells to visit; reporting the true local
-        // optimum means a visited cell never needs re-querying when the
-        // box later grows.
-        std::vector<Event> local;
-        const auto& cell = cells_[cell_key(pool_dim, off)];
-        for (std::size_t row = 0; row < cell.size(); ++row) {
-          if (cell.replica_at(row)) continue;
-          local.push_back(cell.event_at(row));
-        }
-        storage::knn_filter(q, local);
-        const auto found = static_cast<std::uint32_t>(local.size());
-        if (found > 0) {
-          if (idx != splitter) {
-            const std::uint64_t bits =
-                sizes.reply_bits(dims_, sizes.reply_payload(found));
-            router_.route_to_node_into(idx, splitter, route_scratch_);
-            const std::uint64_t batches = sizes.reply_batches(found);
-            for (std::uint64_t b = 0; b < batches; ++b)
-              net_.transmit_path(route_scratch_.path, net::MessageKind::Reply,
-                                 bits);
-          }
-          pool_found += found;
-          for (Event& e : local) cand.push_back(std::move(e));
-        }
-      }
-      if (pool_found > 0) {
-        storage::knn_filter(q, cand);  // sink keeps only the running top-k
-        if (splitter != sink) {
-          const std::uint64_t bits =
-              sizes.reply_bits(dims_, sizes.reply_payload(pool_found));
-          router_.route_to_node_into(splitter, sink, route_scratch_);
-          const std::uint64_t batches = sizes.reply_batches(pool_found);
-          for (std::uint64_t b = 0; b < batches; ++b)
-            net_.transmit_path(route_scratch_.path, net::MessageKind::Reply,
-                               bits);
-        }
-      }
-    }
+    Plan fresh;
+    for (const PlanStep& s : range_plan(storage::box_around(q.target, radius)))
+      if (!std::exchange(visited[cell_key(s.pool_dim, s.off)], 1))
+        fresh.push_back(s);
+    receipt.index_nodes_visited += visit_relevant(sink, fresh, v);
 
     // Complete when the k-th candidate lies within the proven-covered
     // radius, or the box already spans the whole value space.
-    if (cand.size() >= q.k &&
-        std::sqrt(storage::knn_kth_distance2(q, cand)) <= radius)
+    if (v.cand.size() >= q.k &&
+        std::sqrt(storage::knn_kth_distance2(q, v.cand)) <= radius)
       break;
     if (radius >= 1.0) break;  // whole space searched
     radius = std::min(1.0, radius * 2.0);
   }
 
-  storage::knn_filter(q, cand);
-  receipt.events = std::move(cand);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  storage::knn_filter(q, v.cand);
+  receipt.events = std::move(v.cand);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -808,170 +710,128 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  const auto hops = [](const routing::RouteResult& r) -> std::uint64_t {
-    return static_cast<std::uint64_t>(r.hops());
-  };
-  // What issuing each query alone would have charged, accumulated from
-  // the hop counts of the legs the merged walk computes (every serial
-  // leg is also a union leg, so the routes are already at hand).
-  std::uint64_t serial_cost = 0;
 
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    std::vector<std::vector<CellOffset>> qcells(queries.size());
-    std::vector<std::size_t> users;  // queries with relevant cells here
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      qcells[qi] = relevant_cells(queries[qi], pool_dim, config_.side);
-      if (!qcells[qi].empty()) users.push_back(qi);
-    }
-    if (users.empty()) continue;
+  // What issuing each query alone would have charged, replayed from the
+  // hop counts of the legs the merged walk sends (every serial leg is
+  // also a union leg, so the routes are already at hand).
+  struct Visitor : CellVisitor {
+    const std::vector<RangeQuery>& queries;
+    const net::MessageSizes& sizes;
+    const Plan& plan;
+    std::vector<std::size_t> users;  ///< per pool: queries with cells there
+    std::vector<std::vector<std::size_t>> members;  ///< per step: askers
+    std::vector<std::uint32_t> member_total;  ///< current step, per member
+    std::vector<std::uint32_t> pool_matches;  ///< current pool, per query
+    std::uint64_t serial_cost = 0;
 
-    {
-      // The pivot lookup is cached per (node, pool), so serial execution
-      // would charge exactly the same first-use round trip.
-      const auto t0 = net_.traffic().total;
-      charge_pivot_lookup(sink, pool_dim);
-      serial_cost += net_.traffic().total - t0;
-    }
-
-    const net::NodeId splitter = splitter_for(pool_dim, sink);
-    router_.route_to_node_into(sink, splitter, route_scratch_);
-    net_.transmit_path(route_scratch_.path, net::MessageKind::Query,
-                       sizes.query_bits(dims_));
-    serial_cost += users.size() * hops(route_scratch_);
-
-    // Union of relevant cells in first-seen order, with the member
-    // queries that asked for each cell.
-    struct Visit {
-      CellOffset off;
-      std::vector<std::size_t> members;
-    };
-    std::vector<Visit> visits;
-    std::unordered_map<std::size_t, std::size_t> visit_at;  // key → index
-    for (const std::size_t qi : users) {
-      for (const CellOffset off : qcells[qi]) {
-        const auto [it, fresh] =
-            visit_at.try_emplace(cell_key(pool_dim, off), visits.size());
-        if (fresh) visits.push_back({off, {}});
-        visits[it->second].members.push_back(qi);
+    void leg(std::size_t step, Leg kind, std::uint64_t hops) {
+      switch (kind) {
+        case Leg::Lookup:  // cached per (node, pool): serial pays it once too
+          serial_cost += hops;
+          break;
+        case Leg::Splitter:
+          serial_cost += users[plan[step].pool_dim] * hops;
+          break;
+        case Leg::Cell:
+          serial_cost += members[step].size() * hops;
+          break;
+        case Leg::CellReply:
+          for (const std::uint32_t n : member_total)
+            serial_cost += sizes.reply_batches(n) * hops;
+          break;
+        case Leg::PoolReply:
+          for (const std::uint32_t n : pool_matches)
+            serial_cost += sizes.reply_batches(n) * hops;
+          break;
       }
-      batch.serial_cell_visits += qcells[qi].size();
-      batch.per_query[qi].index_nodes_visited += qcells[qi].size();
     }
-    batch.unique_cell_visits += visits.size();
-    batch.index_nodes_visited += visits.size();
-
-    std::map<std::size_t, std::uint32_t> pool_matches;  // per member query
-    std::uint32_t pool_union = 0;
-
-    for (const Visit& v : visits) {
-      const std::size_t key = cell_key(pool_dim, v.off);
-      const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, v.off));
-      router_.route_to_node_into(splitter, idx, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::SubQuery,
-                         sizes.query_bits(dims_));
-      serial_cost += v.members.size() * hops(route_scratch_);
-
-      // One scan of the cell serves every member: count each member's
-      // matches (split by holder, for the delegate economics) and the
-      // DISTINCT matching events that actually travel back.
-      std::uint32_t union_here = 0;
-      std::map<net::NodeId, std::uint32_t> union_at_delegate;
-      std::vector<std::uint32_t> member_total(v.members.size(), 0);
+    // One scan of the cell serves every member: count each member's
+    // matches (split by holder, for the delegate economics) and tally the
+    // DISTINCT matching events that actually travel back.
+    void visit(const CellVisit& c, HolderTally& tally) {
+      const auto& m = members[c.step];
+      member_total.assign(m.size(), 0);
       std::map<net::NodeId, std::vector<std::uint32_t>> member_at_delegate;
-      const auto& cell = cells_[key];
-      for (std::size_t row = 0; row < cell.size(); ++row) {
-        if (cell.replica_at(row)) continue;
-        const net::NodeId holder = cell.holder_at(row);
+      for (std::size_t row = 0; row < c.rows.size(); ++row) {
+        if (c.rows.replica_at(row)) continue;
+        const net::NodeId holder = c.rows.holder_at(row);
         bool any = false;
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          if (!cell.row_matches(queries[v.members[mi]], row)) continue;
+        for (std::size_t mi = 0; mi < m.size(); ++mi) {
+          if (!c.rows.row_matches(queries[m[mi]], row)) continue;
           any = true;
           ++member_total[mi];
-          if (holder != idx) {
+          if (holder != c.index_node) {
             auto& per = member_at_delegate[holder];
-            if (per.empty()) per.assign(v.members.size(), 0);
+            if (per.empty()) per.assign(m.size(), 0);
             ++per[mi];
           }
         }
-        if (!any) continue;
-        if (holder == idx) {
-          ++union_here;
-        } else {
-          ++union_at_delegate[holder];
-        }
+        if (any) tally.add(holder);
       }
-
-      std::uint32_t union_total = union_here;
-      for (const auto& [delegate, found] : union_at_delegate) {
-        // The index node polls the delegate once for all members.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        const std::uint64_t batches = sizes.reply_batches(found);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit(delegate, idx, net::MessageKind::Reply,
-                        sizes.reply_bits(dims_, sizes.reply_payload(found)));
-        }
-        union_total += found;
-        // Serial: each member with matches at this delegate would poll it
-        // and pull its own reply batches, all single-hop.
-        const auto& per = member_at_delegate.at(delegate);
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          if (per[mi] > 0) serial_cost += 1 + sizes.reply_batches(per[mi]);
-        }
-      }
-
-      if (union_total > 0 && idx != splitter) {
-        router_.route_to_node_into(idx, splitter, route_scratch_);
-        const std::uint64_t batches = sizes.reply_batches(union_total);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit_path(
-              route_scratch_.path, net::MessageKind::Reply,
-              sizes.reply_bits(dims_, sizes.reply_payload(union_total)));
-        }
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          serial_cost +=
-              sizes.reply_batches(member_total[mi]) * hops(route_scratch_);
-        }
-      }
-      for (std::size_t mi = 0; mi < v.members.size(); ++mi)
-        pool_matches[v.members[mi]] += member_total[mi];
-      pool_union += union_total;
+      // Serial: each member with matches at a delegate would poll it and
+      // pull its own reply batches, all single-hop.
+      for (const auto& [delegate, per] : member_at_delegate)
+        for (const std::uint32_t n : per)
+          if (n > 0) serial_cost += 1 + sizes.reply_batches(n);
+      for (std::size_t mi = 0; mi < m.size(); ++mi)
+        pool_matches[m[mi]] += member_total[mi];
     }
-
-    if (pool_union > 0 && splitter != sink) {
-      router_.route_to_node_into(splitter, sink, route_scratch_);
-      const std::uint64_t batches = sizes.reply_batches(pool_union);
-      for (std::uint64_t b = 0; b < batches; ++b) {
-        net_.transmit_path(
-            route_scratch_.path, net::MessageKind::Reply,
-            sizes.reply_bits(dims_, sizes.reply_payload(pool_union)));
-      }
-      for (const auto& [qi, matched] : pool_matches)
-        serial_cost += sizes.reply_batches(matched) * hops(route_scratch_);
+    void pool_done(std::size_t, std::uint32_t) {
+      std::fill(pool_matches.begin(), pool_matches.end(), 0);
     }
+  };
 
-    // Demultiplex: each query collects its events by walking ITS OWN
-    // relevant-cell list in resolver order — exactly the order serial
-    // query() appends in, so the per-query result is identical even
-    // though the union visited the cells in a different order.
-    for (const std::size_t qi : users) {
-      auto& events = batch.per_query[qi].events;
-      for (const CellOffset off : qcells[qi]) {
-        const auto& cell = cells_[cell_key(pool_dim, off)];
-        cell.scan(queries[qi], /*skip_replicas=*/true, [&](std::size_t row) {
-          events.push_back(cell.event_at(row));
-        });
+  // Per pool, the union of the queries' relevant cells in first-seen
+  // order, with the member queries that asked for each cell.
+  std::vector<Plan> own(queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    own[qi] = range_plan(queries[qi]);
+    batch.serial_cell_visits += own[qi].size();
+    batch.per_query[qi].index_nodes_visited = own[qi].size();
+  }
+  Plan plan;
+  Visitor v{{}, queries, net_.sizes(), plan, std::vector<std::size_t>(dims_),
+            {}, {}, std::vector<std::uint32_t>(queries.size()), 0};
+  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
+    std::unordered_map<std::size_t, std::size_t> step_at;  // key → step
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      bool uses = false;
+      for (const PlanStep& s : own[qi]) {
+        if (s.pool_dim != pool_dim) continue;
+        uses = true;
+        const auto [it, fresh] =
+            step_at.try_emplace(cell_key(pool_dim, s.off), plan.size());
+        if (fresh) {
+          plan.push_back(s);
+          v.members.emplace_back();
+        }
+        v.members[it->second].push_back(qi);
       }
+      v.users[pool_dim] += uses;
+    }
+  }
+  batch.unique_cell_visits = batch.index_nodes_visited =
+      visit_relevant(sink, plan, v);
+
+  // Demultiplex: each query collects its events by walking ITS OWN
+  // relevant-cell list in resolver order — exactly the order serial
+  // query() appends in, so the per-query result is identical even
+  // though the union visited the cells in a different order.
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    for (const PlanStep& s : own[qi]) {
+      const auto& cell = cells_[cell_key(s.pool_dim, s.off)];
+      cell.scan(queries[qi], /*skip_replicas=*/true, [&](std::size_t row) {
+        batch.per_query[qi].events.push_back(cell.event_at(row));
+      });
     }
   }
 
   const auto delta = net_.traffic() - before;
   batch.cost() = storage::cost_of(delta);
   if (net_.loss_model().loss_probability == 0.0 && net_.extra_loss() == 0.0)
-    POOLNET_ASSERT(serial_cost >= delta.total);
+    POOLNET_ASSERT(v.serial_cost >= delta.total);
   batch.messages_saved =
-      serial_cost >= delta.total ? serial_cost - delta.total : 0;
+      v.serial_cost >= delta.total ? v.serial_cost - delta.total : 0;
   return batch;
 }
 
@@ -984,114 +844,68 @@ storage::AggregateReceipt PoolSystem::aggregate(net::NodeId sink,
   if (value_dim >= dims_)
     throw ConfigError("PoolSystem: aggregate dimension out of range");
 
-  storage::AggregateReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  storage::PartialAggregate total;
-
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    net::NodeId splitter = splitter_for(pool_dim, sink);
-    bool splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                     sizes.query_bits(dims_))
-                                .delivered;
-    if (!splitter_reached && net_.has_failures()) {
-      const net::NodeId repicked = splitter_for(pool_dim, sink);
-      if (repicked != splitter) {
-        splitter = repicked;
-        splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                    sizes.query_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!splitter_reached) continue;
-
+  // Every reply is one fixed-size partial: cells reduce their matches,
+  // each splitter merges its pool's partials for the sink.
+  struct Visitor : CellVisitor {
+    static constexpr bool partial_replies() { return true; }
+    const RangeQuery& q;
+    std::size_t value_dim;
     storage::PartialAggregate pool_partial;
-    for (const CellOffset off : cells) {
-      const std::size_t key = cell_key(pool_dim, off);
-      if (net_.has_failures()) absorb_dead_holders(key);
-      net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                   sizes.query_bits(dims_))
-                              .delivered;
-      if (!cell_reached && net_.has_failures()) {
-        const net::NodeId reelected =
-            grid_.index_node(layout_.cell(pool_dim, off));
-        if (reelected != idx && reelected != net::kNoNode) {
-          idx = reelected;
-          cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                  sizes.query_bits(dims_))
-                             .delivered;
-        }
-      }
-      if (!cell_reached) continue;
-      ++receipt.index_nodes_visited;
+    storage::PartialAggregate total;
 
+    void visit(const CellVisit& c, HolderTally& tally) {
       storage::PartialAggregate cell_partial;
       std::unordered_map<net::NodeId, storage::PartialAggregate> at_delegate;
-      const auto& cell = cells_[key];
-      cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
-        const double v = cell.value_at(row, value_dim);
-        const net::NodeId holder = cell.holder_at(row);
-        if (holder == idx) {
+      c.rows.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
+        const double v = c.rows.value_at(row, value_dim);
+        const net::NodeId holder = c.rows.holder_at(row);
+        tally.add(holder);
+        if (holder == c.index_node) {
           cell_partial.add(v);
         } else {
           at_delegate[holder].add(v);
         }
       });
-      for (const auto& [delegate, partial] : at_delegate) {
-        // One hop out, one fixed-size partial back.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        net_.transmit(delegate, idx, net::MessageKind::Reply,
-                      sizes.aggregate_bits());
+      for (const auto& [delegate, partial] : at_delegate)
         cell_partial.merge(partial);
-      }
-
-      if (!cell_partial.empty()) {
-        pool_partial.merge(cell_partial);
-        if (idx != splitter)
-          send_leg(idx, splitter, net::MessageKind::Reply,
-                   sizes.aggregate_bits());
-      }
+      pool_partial.merge(cell_partial);
     }
-
-    if (!pool_partial.empty()) {
-      total.merge(pool_partial);
-      if (splitter != sink)
-        send_leg(splitter, sink, net::MessageKind::Reply,
-                 sizes.aggregate_bits());
+    void pool_done(std::size_t, std::uint32_t) {
+      total.merge(std::exchange(pool_partial, {}));
     }
-  }
-
-  receipt.result = total.finalize(kind);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  };
+  storage::AggregateReceipt receipt;
+  const auto before = net_.traffic();
+  Visitor v{{}, q, value_dim, {}, {}};
+  receipt.index_nodes_visited = visit_relevant(sink, range_plan(q), v);
+  receipt.result = v.total.finalize(kind);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
-void PoolSystem::walk_registration_tree(
-    net::NodeId sink, const RangeQuery& q,
-    const std::function<void(std::size_t)>& per_cell) {
-  const auto& sizes = net_.sizes();
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    const net::NodeId splitter = splitter_for(pool_dim, sink);
-    router_.route_to_node_into(sink, splitter, route_scratch_);
-    net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
-                       sizes.query_bits(dims_));
-    for (const CellOffset off : cells) {
-      const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      router_.route_to_node_into(splitter, idx, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
-                         sizes.query_bits(dims_));
-      per_cell(cell_key(pool_dim, off));
+void PoolSystem::register_cells(net::NodeId sink, const RangeQuery& q,
+                                SubscriptionId id, bool add) {
+  struct Visitor : CellVisitor {
+    static constexpr net::MessageKind to_splitter() {
+      return net::MessageKind::Control;
+    }
+    static constexpr net::MessageKind to_cell() {
+      return net::MessageKind::Control;
+    }
+    void visit(const CellVisit&, HolderTally&) {}
+  };
+  const Plan plan = range_plan(q);
+  Visitor v;
+  visit_relevant(sink, plan, v);
+  // The cell tables change whether or not each Control leg arrived: an
+  // unsubscribe deletes the subscription record outright, so no cell may
+  // keep notifying its id, and subscribe stays its exact inverse.
+  for (const PlanStep& s : plan) {
+    auto& subs = cell_subs_[cell_key(s.pool_dim, s.off)];
+    if (add) {
+      subs.push_back(id);
+    } else {
+      std::erase(subs, id);
     }
   }
 }
@@ -1102,20 +916,14 @@ PoolSystem::SubscriptionId PoolSystem::subscribe(net::NodeId sink,
     throw ConfigError("PoolSystem: subscription dimensionality mismatch");
   const SubscriptionId id = next_subscription_++;
   subscriptions_.emplace(id, Subscription{sink, q, {}});
-  walk_registration_tree(sink, q, [&](std::size_t key) {
-    cell_subs_[key].push_back(id);
-  });
+  register_cells(sink, q, id, /*add=*/true);
   return id;
 }
 
 void PoolSystem::unsubscribe(SubscriptionId id) {
   const auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) return;
-  walk_registration_tree(it->second.sink, it->second.query,
-                         [&](std::size_t key) {
-                           auto& subs = cell_subs_[key];
-                           std::erase(subs, id);
-                         });
+  register_cells(it->second.sink, it->second.query, id, /*add=*/false);
   subscriptions_.erase(it);
 }
 
@@ -1128,32 +936,6 @@ std::vector<PoolSystem::Notification> PoolSystem::take_notifications(
     out.push_back({id, std::move(e)});
   it->second.pending.clear();
   return out;
-}
-
-PoolSystem::NnReceipt PoolSystem::nearest_event(net::NodeId sink,
-                                                const storage::Values& target,
-                                                double initial_radius) {
-  // Legacy k = 1 shim over the k-NN query class (same expanding-box
-  // search, same traffic pattern).
-  if (initial_radius <= 0.0)
-    throw ConfigError("PoolSystem: NN initial radius must be positive");
-
-  storage::KNearestQuery q;
-  q.target = target;
-  q.k = 1;
-  q.initial_radius = initial_radius;
-  QueryReceipt r = k_nearest(sink, q);
-
-  NnReceipt receipt;
-  receipt.messages = r.messages;
-  receipt.index_nodes_visited = r.index_nodes_visited;
-  receipt.rounds = r.rounds;
-  if (!r.events.empty()) {
-    receipt.distance =
-        std::sqrt(storage::squared_distance(target, r.events.front().values));
-    receipt.nearest = std::move(r.events.front());
-  }
-  return receipt;
 }
 
 std::size_t PoolSystem::expire_before(double cutoff) {

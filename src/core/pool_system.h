@@ -13,6 +13,12 @@
 //    index node closest to the sink); the splitter unicasts a copy to each
 //    relevant cell; qualifying events flow back cell → splitter → sink,
 //    aggregated (packed) at the splitter.
+//  * one walk (visit_relevant, DESIGN.md §16): that dissemination exists
+//    once. Range, skyline, k-NN, aggregate, merged batches and
+//    subscription registration are visitors over a plan of (pool, cell)
+//    steps; each supplies only its cell-local operation and reply size,
+//    and the walk owns splitter/index-node failover, dead-holder
+//    absorption, delegate polling and reply batching.
 //  * workload sharing (Section 4.2): an index node whose resident load
 //    reaches a threshold delegates subsequent storage to its least-loaded
 //    radio neighbor; queries follow the delegation (one extra hop each
@@ -21,19 +27,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "core/grid.h"
 #include "core/pool_geometry.h"
 #include "core/pool_layout.h"
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/leg_sender.h"
 
 namespace poolnet::core {
 
@@ -98,8 +102,7 @@ class PoolSystem final : public storage::DcsSystem {
   /// event within Euclidean distance r). Each visited cell answers with
   /// its local top-k regardless of the box, so a visited cell is never
   /// re-queried as the box grows; the search completes once the k-th
-  /// best distance is inside the proven-covered radius. Generalizes
-  /// nearest_event (which now forwards here with k = 1).
+  /// best distance is inside the proven-covered radius.
   storage::QueryReceipt k_nearest(net::NodeId sink,
                                   const storage::KNearestQuery& query) override;
 
@@ -134,21 +137,6 @@ class PoolSystem final : public storage::DcsSystem {
   /// (replicas > 0) — charged as Insert traffic from the mirror holder to
   /// the new index node — or counted lost. Idempotent per node.
   void handle_node_failure(net::NodeId dead) override;
-
-  /// Nearest-neighbor query in ATTRIBUTE space (the paper's stated future
-  /// work: "continuous monitoring of the nearest neighbor queries").
-  /// LEGACY k = 1 entry point: since the k-NN query class landed this is
-  /// a thin shim over k_nearest() (same expanding-box search, same
-  /// traffic); prefer execute() with a KNearestQuery in new code.
-  struct NnReceipt {
-    std::optional<storage::Event> nearest;
-    double distance = 0.0;  ///< Euclidean, attribute space; valid if nearest
-    std::uint64_t messages = 0;
-    std::size_t index_nodes_visited = 0;
-    std::size_t rounds = 0;  ///< box expansions performed
-  };
-  NnReceipt nearest_event(net::NodeId sink, const storage::Values& target,
-                          double initial_radius = 0.05);
 
   // --- continuous queries (Section 6 future work) -----------------------
   //
@@ -229,16 +217,32 @@ class PoolSystem final : public storage::DcsSystem {
   }
 
  private:
+  /// One step of a dissemination plan: a relevant cell of one pool.
+  struct PlanStep {
+    std::size_t pool_dim;
+    CellOffset off;
+  };
+  using Plan = std::vector<PlanStep>;
+
+  /// The one dissemination walk. Steps run in plan order; each pool's
+  /// splitter is contacted on the pool's first admitted step, and its
+  /// packed rows go on to the sink when the pool's run of steps ends.
+  /// Returns the number of cells reached. The visitor contract is
+  /// CellVisitor in pool_system.cpp (and DESIGN.md §16).
+  template <class Visitor>
+  std::size_t visit_relevant(net::NodeId sink, const Plan& plan, Visitor& v);
+
+  /// The Theorem 3.2 relevant cells of `q`, pool by pool in resolver order.
+  Plan range_plan(const storage::RangeQuery& q) const;
+
+  /// Registers (`add`) or cancels subscription `id` at every relevant cell
+  /// of `q`: one Control forwarding tree, no replies. The cell tables
+  /// change even where a Control leg was lost.
+  void register_cells(net::NodeId sink, const storage::RangeQuery& q,
+                      SubscriptionId id, bool add);
+
   std::size_t cell_key(std::size_t pool_dim, CellOffset offset) const;
   net::NodeId pick_delegate(net::NodeId index_node) const;
-
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
 
   /// Repairs a cell whose holders include silently-dead nodes (the index
   /// node's beacon table exposes them) so a query never fabricates
@@ -246,8 +250,9 @@ class PoolSystem final : public storage::DcsSystem {
   void absorb_dead_holders(std::size_t key);
 
   /// Charges the DHT round trip for `node`'s first use of `pool_dim`'s
-  /// pivot (no-op when lookups are free or already cached).
-  void charge_pivot_lookup(net::NodeId node, std::size_t pool_dim);
+  /// pivot (no-op when lookups are free or already cached). Returns the
+  /// messages charged.
+  std::uint64_t charge_pivot_lookup(net::NodeId node, std::size_t pool_dim);
 
   /// Directory home node of a pool's pivot record (GHT-style hash).
   net::NodeId directory_home(std::size_t pool_dim) const;
@@ -257,9 +262,8 @@ class PoolSystem final : public storage::DcsSystem {
   std::size_t dims_;
   PoolConfig config_;
 
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
+  storage::LegSender legs_;
+  /// Reused by the bare routes (DHT lookups, notifications).
   routing::RouteResult route_scratch_;
   Grid grid_;
   PoolLayout layout_;
@@ -290,11 +294,6 @@ class PoolSystem final : public storage::DcsSystem {
     storage::RangeQuery query;
     std::vector<storage::Event> pending;
   };
-  /// Walks the registration tree for `q`, charging Control messages, and
-  /// applies `per_cell` to each relevant cell key.
-  void walk_registration_tree(net::NodeId sink, const storage::RangeQuery& q,
-                              const std::function<void(std::size_t)>& per_cell);
-
   std::map<SubscriptionId, Subscription> subscriptions_;
   std::vector<std::vector<SubscriptionId>> cell_subs_;  // per cell key
   SubscriptionId next_subscription_ = 1;

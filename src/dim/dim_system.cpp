@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/error.h"
 
@@ -17,6 +18,7 @@ DimSystem::DimSystem(net::Network& network,
                      const routing::Router& router, std::size_t dims)
     : net_(network),
       router_(router),
+      legs_(*this, fault_stats_, network, router, dims),
       tree_(network, dims),
       store_(tree_.size(), storage::column::ColumnStore(dims)),
       rep_cache_(tree_.size(), net::kNoNode) {
@@ -37,31 +39,6 @@ net::NodeId DimSystem::representative(ZoneIndex zidx) const {
     memo = z.is_leaf() ? z.owner : net_.nearest_alive_node(z.region.center());
   }
   return memo;
-}
-
-const routing::LegOutcome& DimSystem::send_leg(net::NodeId from,
-                                               net::NodeId to,
-                                               net::MessageKind kind,
-                                               std::uint64_t bits) {
-  if (from == to) {
-    // Mirror the historical bare leg exactly (self-routes still pay a
-    // router lookup and a no-op path transmit) so fault-free ledgers and
-    // route-cache stats stay byte-identical.
-    router_.route_to_node_into(from, to, leg_scratch_.route);
-    net_.transmit_path(leg_scratch_.route.path, kind, bits);
-    leg_scratch_.delivered = true;
-    leg_scratch_.reached = to;
-    leg_scratch_.retries = 0;
-    leg_scratch_.backoff_ticks = 0;
-    leg_scratch_.dead_found.clear();
-    return leg_scratch_;
-  }
-  routing::send_reliable_into(net_, router_, from, to, kind, bits, {},
-                              leg_scratch_);
-  fault_stats_.retries += leg_scratch_.retries;
-  if (!leg_scratch_.delivered) ++fault_stats_.failed_legs;
-  for (const net::NodeId d : leg_scratch_.dead_found) handle_node_failure(d);
-  return leg_scratch_;
 }
 
 void DimSystem::handle_node_failure(net::NodeId dead) {
@@ -99,43 +76,96 @@ InsertReceipt DimSystem::insert(net::NodeId source, const Event& event) {
     throw ConfigError("DIM: event dimensionality mismatch");
 
   const ZoneIndex leaf = tree_.leaf_for_event(event);
-  net::NodeId owner = tree_.zone(leaf).owner;
-
   const auto before = net_.traffic().total;
-  InsertReceipt receipt;
-  if (owner == net::kNoNode) {  // every candidate owner already dead
-    ++fault_stats_.events_lost;
-    receipt.stored_at = net::kNoNode;
-    return receipt;
-  }
-
   const std::uint64_t bits = net_.sizes().event_bits(dims());
-  bool delivered =
-      send_leg(source, owner, net::MessageKind::Insert, bits).delivered;
-  if (!delivered) {
-    // The failed delivery triggered failover; retry once toward the
-    // zone's adopted owner.
-    const net::NodeId adopted = tree_.zone(leaf).owner;
-    if (adopted != owner && adopted != net::kNoNode) {
-      owner = adopted;
-      delivered =
-          send_leg(source, owner, net::MessageKind::Insert, bits).delivered;
-    }
-  }
-  if (!delivered) {
+  // A dead owner is adopted on the failed leg and retried once.
+  const net::NodeId owner =
+      legs_.reach(source, net::MessageKind::Insert, bits,
+                  [&] { return representative(leaf); });
+  InsertReceipt receipt;
+  receipt.messages = net_.traffic().total - before;
+  if (owner == net::kNoNode) {  // unreachable, or every owner already dead
     ++fault_stats_.events_lost;
-    receipt.stored_at = net::kNoNode;
-    receipt.messages = net_.traffic().total - before;
     return receipt;
   }
 
   store_[leaf].append(event);
   ++stored_count_;
   ++net_.node_mut(owner).stored_events;
-
   receipt.stored_at = owner;
-  receipt.messages = net_.traffic().total - before;
   return receipt;
+}
+
+template <typename LegFn, typename LeafFn>
+void DimSystem::walk_subtree(net::NodeId carrier, ZoneIndex zidx,
+                             const RangeQuery& q, LegFn& leg,
+                             LeafFn& on_leaf) {
+  // One forwarding step: the carrier hands the query to the zone's node
+  // (nothing travels when it already is that node).
+  const auto forward = [&](ZoneIndex to_zone) {
+    return legs_.reach([&] { return representative(to_zone); },
+                       [&](net::NodeId to) {
+                         return to == carrier || leg(carrier, to);
+                       });
+  };
+  const ZoneNode& z = tree_.zone(zidx);
+  if (z.is_leaf()) {
+    // Final leg to the zone owner, then the leaf-local action.
+    if (forward(zidx) != net::kNoNode) on_leaf(zidx);
+    return;
+  }
+
+  const bool lower_hit = ZoneTree::zone_intersects(tree_.zone(z.lower), q);
+  const bool upper_hit = ZoneTree::zone_intersects(tree_.zone(z.upper), q);
+  if (lower_hit && upper_hit) {
+    // The query splits here: one subquery message per child region.
+    for (const ZoneIndex child : {z.lower, z.upper}) {
+      const net::NodeId next = forward(child);
+      if (next != net::kNoNode) walk_subtree(next, child, q, leg, on_leaf);
+    }
+  } else if (lower_hit) {
+    walk_subtree(carrier, z.lower, q, leg, on_leaf);
+  } else if (upper_hit) {
+    walk_subtree(carrier, z.upper, q, leg, on_leaf);
+  }
+}
+
+template <typename LeafFn>
+void DimSystem::disseminate(net::NodeId sink, const RangeQuery& q,
+                            LeafFn&& on_leaf) {
+  // The sink addresses the query to the deepest zone that encloses it and
+  // routes it there; refinement then happens inside the zone.
+  const ZoneIndex start = tree_.enclosing_zone(q);
+  if (!ZoneTree::zone_intersects(tree_.zone(start), q)) return;
+  const std::uint64_t qbits = net_.sizes().query_bits(dims());
+  const net::NodeId entry =
+      legs_.reach(sink, net::MessageKind::Query, qbits,
+                  [&] { return representative(start); });
+  if (entry == net::kNoNode) return;
+  auto subquery = [&](net::NodeId from, net::NodeId to) {
+    return legs_.send(from, to, net::MessageKind::SubQuery, qbits).delivered;
+  };
+  walk_subtree(entry, start, q, subquery, on_leaf);
+}
+
+template <typename Reduce>
+std::vector<Event> DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
+                                         QueryReceipt& receipt,
+                                         Reduce&& reduce) {
+  // The sink addresses the leaf's owner directly (the zone tree is global
+  // knowledge, like insert's event-to-zone addressing); best-first and
+  // ring orders have no use for the recursive split walk.
+  const std::uint64_t qbits = net_.sizes().query_bits(dims());
+  const net::NodeId owner =
+      legs_.reach(sink, net::MessageKind::Query, qbits,
+                  [&] { return representative(leaf); });
+  if (owner == net::kNoNode) return {};
+  ++receipt.index_nodes_visited;
+  std::vector<Event> local = zone_store(leaf);
+  reduce(local);
+  if (!legs_.reply(owner, sink, static_cast<std::uint32_t>(local.size())))
+    local.clear();
+  return local;
 }
 
 QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
@@ -144,31 +174,19 @@ QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
 
   QueryReceipt receipt;
   const auto before = net_.traffic();
-
-  // The sink addresses the query to the deepest zone that encloses it and
-  // routes it there; refinement then happens inside the zone.
-  const ZoneIndex start = tree_.enclosing_zone(q);
-  if (ZoneTree::zone_intersects(tree_.zone(start), q)) {
-    const std::uint64_t qbits = net_.sizes().query_bits(dims());
-    net::NodeId entry = representative(start);
-    bool arrived = entry != net::kNoNode;
-    if (arrived) {
-      arrived = send_leg(sink, entry, net::MessageKind::Query, qbits).delivered;
-      if (!arrived) {
-        // Failover just re-elected the zone's representative; retry once.
-        const net::NodeId re = representative(start);
-        if (re != entry && re != net::kNoNode) {
-          entry = re;
-          arrived =
-              send_leg(sink, entry, net::MessageKind::Query, qbits).delivered;
-        }
-      }
-    }
-    if (arrived) process_subtree(entry, start, q, sink, receipt);
-  }
-
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  std::vector<Event> matched;
+  disseminate(sink, q, [&](ZoneIndex leaf) {
+    ++receipt.index_nodes_visited;
+    matched.clear();
+    store_[leaf].matching_into(q, matched);
+    // Answers only count once they actually reach the sink — a reply leg
+    // that dies en route must show up as recall loss, not as data.
+    if (legs_.reply(tree_.zone(leaf).owner, sink,
+                    static_cast<std::uint32_t>(matched.size())))
+      receipt.events.insert(receipt.events.end(), matched.begin(),
+                            matched.end());
+  });
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -176,11 +194,6 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
                                 const storage::SkylineQuery& q) {
   if (q.dims() != dims())
     throw ConfigError("DIM: skyline dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  const std::uint64_t qbits = sizes.query_bits(dims());
 
   // The zone code fixes every leaf's value-range box, so the sink knows
   // each zone's best possible point — the top of its box — without a
@@ -208,59 +221,26 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
               return a.leaf < b.leaf;
             });
 
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
   std::vector<Event> collected;
   for (const Candidate& c : cands) {
     // A zone whose corner is dominated can only hold dominated events
     // (strictness against the corner carries down to every event at or
     // below it) — prune it before any transmission.
     if (!storage::skyline_admits(q, collected, c.corner)) continue;
-
-    // The sink addresses the leaf's owner directly (the zone tree is
-    // global knowledge, like insert's event-to-zone addressing); the
-    // best-first visit order has no use for the recursive split walk.
-    net::NodeId owner = tree_.zone(c.leaf).owner;
-    if (owner == net::kNoNode) continue;
-    bool arrived =
-        send_leg(sink, owner, net::MessageKind::Query, qbits).delivered;
-    if (!arrived) {
-      // Failover may have handed the zone to an adopter; retry once.
-      const net::NodeId adopted = tree_.zone(c.leaf).owner;
-      if (adopted != owner && adopted != net::kNoNode) {
-        owner = adopted;
-        arrived =
-            send_leg(sink, owner, net::MessageKind::Query, qbits).delivered;
-      }
-    }
-    if (!arrived) continue;
-    ++receipt.index_nodes_visited;
-
-    // The owner reduces its residents to their LOCAL skyline before
-    // replying — an event dominated within its own zone is dominated
-    // globally, so reply volume shrinks with correctness untouched.
-    std::vector<Event> local = zone_store(c.leaf);
-    storage::skyline_filter(q, local);
-    const auto found = static_cast<std::uint32_t>(local.size());
-    if (found == 0) continue;
-    bool returned = true;
-    if (owner != sink) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims(), sizes.reply_payload(found));
-      const auto& first = send_leg(owner, sink, net::MessageKind::Reply, bits);
-      returned = first.delivered;
-      const std::uint64_t batches = sizes.reply_batches(found);
-      for (std::uint64_t b = 1; returned && b < batches; ++b)
-        net_.transmit_path(first.route.path, net::MessageKind::Reply, bits);
-    }
-    if (!returned) continue;
-    for (Event& e : local)
+    // The owner replies with its LOCAL skyline: an event dominated within
+    // its own zone is dominated globally.
+    for (Event& e : visit_leaf(sink, c.leaf, receipt, [&](auto& local) {
+           storage::skyline_filter(q, local);
+         }))
       if (storage::skyline_admits(q, collected, e.values))
         collected.push_back(std::move(e));
   }
 
   storage::skyline_filter(q, collected);
   receipt.events = std::move(collected);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -273,9 +253,6 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
 
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  const std::uint64_t qbits = sizes.query_bits(dims());
-
   std::vector<char> visited(tree_.size(), 0);  // by leaf ZoneIndex
   std::vector<Event> cand;
 
@@ -283,36 +260,16 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
   while (true) {
     ++receipt.rounds;
     const RangeQuery box = storage::box_around(q.target, radius);
-
     for (const ZoneIndex leaf : tree_.leaves_overlapping(box)) {
-      if (visited[leaf]) continue;
-      visited[leaf] = 1;
-      const net::NodeId owner = tree_.zone(leaf).owner;
-      if (owner == net::kNoNode) continue;
-      if (!send_leg(sink, owner, net::MessageKind::Query, qbits).delivered)
-        continue;
-      ++receipt.index_nodes_visited;
-
+      if (std::exchange(visited[leaf], 1)) continue;
       // The owner answers with its local top-k, box or not — the box
       // only picks WHICH zones to visit, so a visited zone never needs
       // re-querying when the ring later grows.
-      std::vector<Event> local = zone_store(leaf);
-      storage::knn_filter(q, local);
-      const auto found = static_cast<std::uint32_t>(local.size());
-      if (found == 0) continue;
-      bool returned = true;
-      if (owner != sink) {
-        const std::uint64_t bits =
-            sizes.reply_bits(dims(), sizes.reply_payload(found));
-        const auto& first =
-            send_leg(owner, sink, net::MessageKind::Reply, bits);
-        returned = first.delivered;
-        const std::uint64_t batches = sizes.reply_batches(found);
-        for (std::uint64_t b = 1; returned && b < batches; ++b)
-          net_.transmit_path(first.route.path, net::MessageKind::Reply, bits);
-      }
-      if (!returned) continue;
-      for (Event& e : local) cand.push_back(std::move(e));
+      const auto local = visit_leaf(sink, leaf, receipt, [&](auto& events) {
+        storage::knn_filter(q, events);
+      });
+      if (local.empty()) continue;
+      cand.insert(cand.end(), local.begin(), local.end());
       storage::knn_filter(q, cand);  // sink keeps only the running top-k
     }
 
@@ -327,130 +284,8 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
 
   storage::knn_filter(q, cand);
   receipt.events = std::move(cand);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
-}
-
-template <typename LeafFn>
-void DimSystem::walk_subtree(net::NodeId carrier, ZoneIndex zidx,
-                             const RangeQuery& q, LeafFn&& on_leaf) {
-  const ZoneNode& z = tree_.zone(zidx);
-  const std::uint64_t qbits = net_.sizes().query_bits(dims());
-  if (z.is_leaf()) {
-    // Final leg to the zone owner, then the leaf-local action. Note that
-    // a failed leg runs failover, which rewrites z.owner in place — fetch
-    // the adopted owner through the tree, not the (stale) local binding.
-    const net::NodeId owner = z.owner;
-    if (owner == net::kNoNode) return;
-    if (carrier != owner) {
-      if (!send_leg(carrier, owner, net::MessageKind::SubQuery, qbits)
-               .delivered) {
-        const net::NodeId adopted = tree_.zone(zidx).owner;
-        if (adopted == owner || adopted == net::kNoNode ||
-            !net_.alive(adopted))
-          return;
-        if (carrier != adopted) {
-          if (!send_leg(carrier, adopted, net::MessageKind::SubQuery, qbits)
-                   .delivered)
-            return;
-        }
-      }
-    }
-    on_leaf(zidx);
-    return;
-  }
-
-  const bool lower_hit = ZoneTree::zone_intersects(tree_.zone(z.lower), q);
-  const bool upper_hit = ZoneTree::zone_intersects(tree_.zone(z.upper), q);
-  if (lower_hit && upper_hit) {
-    // The query splits here: one subquery message per child region.
-    for (const ZoneIndex child : {z.lower, z.upper}) {
-      net::NodeId next = representative(child);
-      if (next == net::kNoNode) continue;
-      if (next != carrier) {
-        if (!send_leg(carrier, next, net::MessageKind::SubQuery, qbits)
-                 .delivered) {
-          // Failover re-elected the child's representative; retry once.
-          const net::NodeId re = representative(child);
-          if (re == next || re == net::kNoNode) continue;
-          next = re;
-          if (next != carrier) {
-            if (!send_leg(carrier, next, net::MessageKind::SubQuery, qbits)
-                     .delivered)
-              continue;
-          }
-        }
-      }
-      walk_subtree(next, child, q, on_leaf);
-    }
-  } else if (lower_hit) {
-    walk_subtree(carrier, z.lower, q, on_leaf);
-  } else if (upper_hit) {
-    walk_subtree(carrier, z.upper, q, on_leaf);
-  }
-}
-
-void DimSystem::process_subtree(net::NodeId carrier, ZoneIndex zidx,
-                                const RangeQuery& q, net::NodeId sink,
-                                QueryReceipt& receipt) {
-  walk_subtree(carrier, zidx, q, [&](ZoneIndex leaf) {
-    ++receipt.index_nodes_visited;
-    std::vector<Event> matched;
-    store_[leaf].matching_into(q, matched);
-    const auto found = static_cast<std::uint32_t>(matched.size());
-    const net::NodeId owner = tree_.zone(leaf).owner;
-    bool returned = true;
-    if (found > 0 && owner != sink) {
-      const auto& sizes = net_.sizes();
-      const std::uint64_t n_msgs = sizes.reply_batches(found);
-      const std::uint64_t bits =
-          sizes.reply_bits(dims(), sizes.reply_payload(found));
-      // First batch travels reliably; the remaining batches reuse the
-      // acked path (identical traffic to the historical one-route loop
-      // on a fault-free network).
-      const auto& first = send_leg(owner, sink, net::MessageKind::Reply, bits);
-      returned = first.delivered;
-      for (std::uint64_t i = 1; returned && i < n_msgs; ++i)
-        net_.transmit_path(first.route.path, net::MessageKind::Reply, bits);
-    }
-    // Answers only count once they actually reach the sink — a reply leg
-    // that dies en route must show up as recall loss, not as data.
-    if (returned)
-      receipt.events.insert(receipt.events.end(), matched.begin(),
-                            matched.end());
-  });
-}
-
-void DimSystem::serial_probe(
-    net::NodeId carrier, ZoneIndex zidx, const RangeQuery& q,
-    std::map<std::pair<net::NodeId, net::NodeId>, routing::RouteResult>& legs,
-    std::uint64_t& cost,
-    const std::function<void(ZoneIndex)>& on_leaf) const {
-  const auto take_leg = [&](net::NodeId from, net::NodeId to) {
-    const auto [it, fresh] = legs.try_emplace({from, to});
-    if (fresh) it->second = router_.route_to_node(from, to);
-    cost += it->second.hops();
-  };
-  const ZoneNode& z = tree_.zone(zidx);
-  if (z.is_leaf()) {
-    if (carrier != z.owner) take_leg(carrier, z.owner);
-    on_leaf(zidx);
-    return;
-  }
-  const bool lower_hit = ZoneTree::zone_intersects(tree_.zone(z.lower), q);
-  const bool upper_hit = ZoneTree::zone_intersects(tree_.zone(z.upper), q);
-  if (lower_hit && upper_hit) {
-    for (const ZoneIndex child : {z.lower, z.upper}) {
-      const net::NodeId next = representative(child);
-      if (next != carrier) take_leg(carrier, next);
-      serial_probe(next, child, q, legs, cost, on_leaf);
-    }
-  } else if (lower_hit) {
-    serial_probe(carrier, z.lower, q, legs, cost, on_leaf);
-  } else if (upper_hit) {
-    serial_probe(carrier, z.upper, q, legs, cost, on_leaf);
-  }
 }
 
 storage::BatchQueryReceipt DimSystem::query_batch(
@@ -470,10 +305,23 @@ storage::BatchQueryReceipt DimSystem::query_batch(
   const auto& sizes = net_.sizes();
   std::uint64_t serial_cost = 0;
 
+  // Each query's serial walk is replayed WITHOUT charging the ledger: the
+  // leg action records every leg it would send (computing each route
+  // once) and adds the leg's hops to the serial cost.
   using LegMap =
       std::map<std::pair<net::NodeId, net::NodeId>, routing::RouteResult>;
   LegMap entry_legs;  // sink → enclosing-zone representative (Query kind)
   LegMap walk_legs;   // split-and-forward legs (SubQuery kind)
+  const auto recorder = [&](LegMap& legs) {
+    return [&legs, &serial_cost, this](net::NodeId from, net::NodeId to) {
+      const auto [it, fresh] = legs.try_emplace({from, to});
+      if (fresh) it->second = router_.route_to_node(from, to);
+      serial_cost += it->second.hops();
+      return true;
+    };
+  };
+  auto to_entry = recorder(entry_legs);
+  auto to_walk = recorder(walk_legs);
   // Per visited leaf: this batch's match count per query (visits with no
   // matches still count as visits, like serial index_nodes_visited).
   std::map<ZoneIndex, std::vector<std::uint32_t>> leaf_found;
@@ -482,13 +330,10 @@ storage::BatchQueryReceipt DimSystem::query_batch(
     const RangeQuery& q = queries[qi];
     const ZoneIndex start = tree_.enclosing_zone(q);
     if (!ZoneTree::zone_intersects(tree_.zone(start), q)) continue;
-    const net::NodeId entry = representative(start);
-    {
-      const auto [it, fresh] = entry_legs.try_emplace({sink, entry});
-      if (fresh) it->second = router_.route_to_node(sink, entry);
-      serial_cost += it->second.hops();
-    }
-    serial_probe(entry, start, q, walk_legs, serial_cost, [&](ZoneIndex leaf) {
+    const net::NodeId entry =
+        legs_.reach([&] { return representative(start); },
+                    [&](net::NodeId to) { return to_entry(sink, to); });
+    auto on_leaf = [&](ZoneIndex leaf) {
       auto [it, fresh] = leaf_found.try_emplace(leaf);
       if (fresh) it->second.assign(queries.size(), 0);
       ++batch.per_query[qi].index_nodes_visited;
@@ -498,7 +343,8 @@ storage::BatchQueryReceipt DimSystem::query_batch(
         batch.per_query[qi].events.push_back(cs.event_at(row));
         ++it->second[qi];
       });
-    });
+    };
+    walk_subtree(entry, start, q, to_walk, on_leaf);
   }
   batch.unique_cell_visits = leaf_found.size();
   batch.index_nodes_visited = leaf_found.size();
@@ -525,18 +371,12 @@ storage::BatchQueryReceipt DimSystem::query_batch(
         }
       }
     }
-    if (union_found == 0) continue;
-    const ZoneNode& z = tree_.zone(leaf);
-    if (z.owner == sink) continue;
-    router_.route_to_node_into(z.owner, sink, route_scratch_);
-    const std::uint64_t batches = sizes.reply_batches(union_found);
-    for (std::uint64_t b = 0; b < batches; ++b) {
-      net_.transmit_path(
-          route_scratch_.path, net::MessageKind::Reply,
-          sizes.reply_bits(dims(), sizes.reply_payload(union_found)));
-    }
+    const net::NodeId owner = tree_.zone(leaf).owner;
+    if (union_found == 0 || owner == sink) continue;
+    legs_.reply(owner, sink, union_found);
     for (std::size_t qi = 0; qi < queries.size(); ++qi)
-      serial_cost += sizes.reply_batches(counts[qi]) * route_scratch_.hops();
+      serial_cost +=
+          sizes.reply_batches(counts[qi]) * legs_.last().route.hops();
   }
 
   const auto delta = net_.traffic() - before;
@@ -560,51 +400,22 @@ storage::AggregateReceipt DimSystem::aggregate(net::NodeId sink,
   storage::AggregateReceipt receipt;
   const auto before = net_.traffic();
   storage::PartialAggregate total;
-
-  const ZoneIndex start = tree_.enclosing_zone(q);
-  if (ZoneTree::zone_intersects(tree_.zone(start), q)) {
-    const std::uint64_t qbits = net_.sizes().query_bits(dims());
-    net::NodeId entry = representative(start);
-    bool arrived = entry != net::kNoNode;
-    if (arrived) {
-      arrived = send_leg(sink, entry, net::MessageKind::Query, qbits).delivered;
-      if (!arrived) {
-        const net::NodeId re = representative(start);
-        if (re != entry && re != net::kNoNode) {
-          entry = re;
-          arrived =
-              send_leg(sink, entry, net::MessageKind::Query, qbits).delivered;
-        }
-      }
-    }
-    if (arrived) {
-      walk_subtree(entry, start, q, [&](ZoneIndex leaf) {
-        ++receipt.index_nodes_visited;
-        storage::PartialAggregate partial;
-        const auto& cs = store_[leaf];
-        cs.scan(q, false, [&](std::size_t row) {
-          partial.add(cs.value_at(row, value_dim));
-        });
-        if (!partial.empty()) {
-          const net::NodeId owner = tree_.zone(leaf).owner;
-          if (owner == sink) {
-            total.merge(partial);
-          } else {
-            // One fixed-size partial straight to the sink; it only joins
-            // the aggregate if the leg actually delivers.
-            if (send_leg(owner, sink, net::MessageKind::Reply,
-                         net_.sizes().aggregate_bits())
-                    .delivered)
-              total.merge(partial);
-          }
-        }
-      });
-    }
-  }
-
+  disseminate(sink, q, [&](ZoneIndex leaf) {
+    ++receipt.index_nodes_visited;
+    storage::PartialAggregate partial;
+    const auto& cs = store_[leaf];
+    cs.scan(q, false, [&](std::size_t row) {
+      partial.add(cs.value_at(row, value_dim));
+    });
+    // One fixed-size partial straight to the sink; it only joins the
+    // aggregate if the leg actually delivers.
+    if (legs_.reply(tree_.zone(leaf).owner, sink,
+                    static_cast<std::uint32_t>(partial.count),
+                    /*partial=*/true))
+      total.merge(partial);
+  });
   receipt.result = total.finalize(kind);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 

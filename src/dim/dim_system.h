@@ -5,20 +5,27 @@
 // hashed to zones via the zone tree; queries are addressed to the deepest
 // zone enclosing them and then recursively split toward every overlapping
 // leaf zone; leaf owners return qualifying events directly to the sink.
+//
+// One walk (DESIGN.md §16): range queries, aggregates and merged batches
+// all ride walk_subtree's split recursion, which differs per class only in
+// its leg action (send, or record for a batch's serial replay) and its
+// leaf action. Skyline and k-NN address leaf owners directly through one
+// visit_leaf. Every zone re-election or adoption goes through
+// LegSender::reach() over representative(), and every reply through the
+// same storage::LegSender.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "dim/zone_tree.h"
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/leg_sender.h"
 
 namespace poolnet::dim {
 
@@ -98,42 +105,29 @@ class DimSystem final : public storage::DcsSystem {
   /// Node a (sub)query is addressed to when targeting this zone.
   net::NodeId representative(ZoneIndex zidx) const;
 
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
-
-  /// Shared recursive split-and-forward walk. `on_leaf(zidx)` runs at the
-  /// owner of every relevant leaf after the subquery legs are charged.
-  template <typename LeafFn>
+  /// The recursive split-and-forward walk. `leg(from, to)` forwards one
+  /// subquery and reports delivery; `on_leaf(zidx)` runs at the owner of
+  /// every relevant leaf the walk reached.
+  template <typename LegFn, typename LeafFn>
   void walk_subtree(net::NodeId carrier, ZoneIndex zidx,
-                    const storage::RangeQuery& q, LeafFn&& on_leaf);
+                    const storage::RangeQuery& q, LegFn& leg, LeafFn& on_leaf);
 
-  void process_subtree(net::NodeId carrier, ZoneIndex zidx,
-                       const storage::RangeQuery& q, net::NodeId sink,
-                       storage::QueryReceipt& receipt);
+  /// Sink → enclosing zone, then walk_subtree with real subquery legs.
+  template <typename LeafFn>
+  void disseminate(net::NodeId sink, const storage::RangeQuery& q,
+                   LeafFn&& on_leaf);
 
-  /// Replays one query's serial walk WITHOUT charging the ledger: records
-  /// every leg walk_subtree would transmit into `legs` (computing each
-  /// route once), adds the legs' hop counts to `cost`, and fires on_leaf
-  /// at every relevant leaf in serial visit order.
-  void serial_probe(net::NodeId carrier, ZoneIndex zidx,
-                    const storage::RangeQuery& q,
-                    std::map<std::pair<net::NodeId, net::NodeId>,
-                             routing::RouteResult>& legs,
-                    std::uint64_t& cost,
-                    const std::function<void(ZoneIndex)>& on_leaf) const;
+  /// Skyline's and k-NN's direct visit: query leg sink → leaf owner, the
+  /// owner applies `reduce` to its residents, the reduced events reply.
+  /// Returns them once they reached the sink (empty otherwise).
+  template <typename Reduce>
+  std::vector<storage::Event> visit_leaf(net::NodeId sink, ZoneIndex leaf,
+                                         storage::QueryReceipt& receipt,
+                                         Reduce&& reduce);
 
   net::Network& net_;
   const routing::Router& router_;
-
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
-  routing::RouteResult route_scratch_;
+  storage::LegSender legs_;
 
   ZoneTree tree_;
   std::vector<storage::column::ColumnStore> store_;  // indexed by ZoneIndex

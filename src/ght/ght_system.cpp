@@ -19,15 +19,23 @@ std::uint64_t mix(std::uint64_t z) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+/// Every event a home node holds, in insertion order.
+std::vector<Event> all_events(const storage::column::ColumnStore& cs) {
+  std::vector<Event> out;
+  out.reserve(cs.size());
+  cs.for_each([&](std::size_t row) { out.push_back(cs.event_at(row)); });
+  return out;
+}
 }  // namespace
 
 GhtSystem::GhtSystem(net::Network& network,
                      const routing::Router& router, std::size_t dims,
                      GhtConfig config)
     : net_(network),
-      router_(router),
       dims_(dims),
-      config_(config) {
+      config_(config),
+      legs_(*this, fault_stats_, network, router, dims) {
   if (dims == 0 || dims > storage::kMaxDims)
     throw ConfigError("GHT: bad dimensionality");
   if (config.quantum <= 0.0 || config.quantum > 1.0)
@@ -70,31 +78,6 @@ net::NodeId GhtSystem::home_node(const storage::Values& values) const {
   return it->second;
 }
 
-const routing::LegOutcome& GhtSystem::send_leg(net::NodeId from,
-                                               net::NodeId to,
-                                               net::MessageKind kind,
-                                               std::uint64_t bits) {
-  if (from == to) {
-    // Mirror the historical bare leg exactly (self-routes still pay a
-    // router lookup and a no-op path transmit) so fault-free ledgers and
-    // route-cache stats stay byte-identical.
-    router_.route_to_node_into(from, to, leg_scratch_.route);
-    net_.transmit_path(leg_scratch_.route.path, kind, bits);
-    leg_scratch_.delivered = true;
-    leg_scratch_.reached = to;
-    leg_scratch_.retries = 0;
-    leg_scratch_.backoff_ticks = 0;
-    leg_scratch_.dead_found.clear();
-    return leg_scratch_;
-  }
-  routing::send_reliable_into(net_, router_, from, to, kind, bits, {},
-                              leg_scratch_);
-  fault_stats_.retries += leg_scratch_.retries;
-  if (!leg_scratch_.delivered) ++fault_stats_.failed_legs;
-  for (const net::NodeId d : leg_scratch_.dead_found) handle_node_failure(d);
-  return leg_scratch_;
-}
-
 void GhtSystem::handle_node_failure(net::NodeId dead) {
   if (dead >= net_.size()) return;
   if (known_dead_.empty()) known_dead_.assign(net_.size(), 0);
@@ -126,41 +109,24 @@ InsertReceipt GhtSystem::insert(net::NodeId source, const Event& event) {
   if (event.dims() != dims_)
     throw ConfigError("GHT: event dimensionality mismatch");
 
-  net::NodeId home = home_node(event.values);
   const auto before = net_.traffic().total;
-  InsertReceipt receipt;
-  if (home == net::kNoNode) {  // nobody left to store at
-    ++fault_stats_.events_lost;
-    receipt.stored_at = net::kNoNode;
-    return receipt;
-  }
-
   const std::uint64_t bits = net_.sizes().event_bits(dims_);
-  bool delivered = send_leg(source, home, net::MessageKind::Insert, bits)
-                       .delivered;
-  if (!delivered) {
-    // The failed delivery evicted the dead home from the cache; retry
-    // once toward the re-homed survivor.
-    const net::NodeId rehomed = home_node(event.values);
-    if (rehomed != home && rehomed != net::kNoNode) {
-      home = rehomed;
-      delivered =
-          send_leg(source, home, net::MessageKind::Insert, bits).delivered;
-    }
-  }
-  if (!delivered) {
+  // A failed leg evicts the dead home from the cache; the retry goes to
+  // the re-homed survivor.
+  const net::NodeId home =
+      legs_.reach(source, net::MessageKind::Insert, bits,
+                  [&] { return home_node(event.values); });
+  InsertReceipt receipt;
+  receipt.messages = net_.traffic().total - before;
+  if (home == net::kNoNode) {  // unreachable, or nobody left to store at
     ++fault_stats_.events_lost;
-    receipt.stored_at = net::kNoNode;
-    receipt.messages = net_.traffic().total - before;
     return receipt;
   }
 
   store_[home].append(event);
   ++stored_count_;
   ++net_.node_mut(home).stored_events;
-
   receipt.stored_at = home;
-  receipt.messages = net_.traffic().total - before;
   return receipt;
 }
 
@@ -193,107 +159,11 @@ std::size_t GhtSystem::charge_flood(net::NodeId sink) {
   return reached;
 }
 
-QueryReceipt GhtSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: query dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  if (q.type() == storage::QueryType::ExactMatchPoint) {
-    // Hash the queried point; only its home node can hold exact matches.
-    storage::Values point;
-    for (std::size_t d = 0; d < dims_; ++d) point.push_back(q.bound(d).lo);
-    net::NodeId home = home_node(point);
-    bool arrived = home != net::kNoNode;
-    if (arrived) {
-      arrived = send_leg(sink, home, net::MessageKind::Query,
-                         sizes.query_bits(dims_))
-                    .delivered;
-      if (!arrived) {
-        // The dead home was evicted from the cache; retry once toward
-        // the re-homed survivor (which now holds nothing for this key).
-        const net::NodeId rehomed = home_node(point);
-        if (rehomed != home && rehomed != net::kNoNode) {
-          home = rehomed;
-          arrived = send_leg(sink, home, net::MessageKind::Query,
-                             sizes.query_bits(dims_))
-                        .delivered;
-        }
-      }
-    }
-    if (arrived) {
-      receipt.index_nodes_visited = 1;
-      std::vector<Event> matched;
-      store_[home].matching_into(q, matched);
-      const auto found = static_cast<std::uint32_t>(matched.size());
-      bool returned = true;
-      if (found > 0 && home != sink) {
-        const std::uint64_t batches = sizes.reply_batches(found);
-        const std::uint64_t bits =
-            sizes.reply_bits(dims_, sizes.reply_payload(found));
-        const auto& back = send_leg(home, sink, net::MessageKind::Reply, bits);
-        returned = back.delivered;
-        for (std::uint64_t b = 1; returned && b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-      }
-      if (returned)
-        receipt.events.insert(receipt.events.end(), matched.begin(),
-                              matched.end());
-    }
-  } else {
-    // No value locality: flood, then every holder replies directly.
-    charge_flood(sink);
-    for (net::NodeId n = 0; n < net_.size(); ++n) {
-      if (store_[n].empty()) continue;
-      if (!net_.alive(n)) {
-        // The flood just exposed a silently-dead holder: absorb the loss
-        // so no later query fabricates answers from destroyed storage.
-        handle_node_failure(n);
-        continue;
-      }
-      std::vector<Event> matched;
-      store_[n].matching_into(q, matched);
-      const auto found = static_cast<std::uint32_t>(matched.size());
-      if (found > 0) {
-        ++receipt.index_nodes_visited;
-        bool returned = true;
-        if (n != sink) {
-          const std::uint64_t batches = sizes.reply_batches(found);
-          const std::uint64_t bits =
-              sizes.reply_bits(dims_, sizes.reply_payload(found));
-          const auto& back = send_leg(n, sink, net::MessageKind::Reply, bits);
-          returned = back.delivered;
-          for (std::uint64_t b = 1; returned && b < batches; ++b)
-            net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-        }
-        if (returned)
-          receipt.events.insert(receipt.events.end(), matched.begin(),
-                                matched.end());
-      }
-    }
-  }
-
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
-  return receipt;
-}
-
-QueryReceipt GhtSystem::skyline(net::NodeId sink,
-                                const storage::SkylineQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: skyline dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  // Value hashing scatters dominance-adjacent events across the whole
-  // network, so there is nothing to prune toward: flood, then every
-  // holder replies with its LOCAL skyline (an event dominated at its own
-  // home is dominated globally) and the sink merges.
+template <class Local, class Keep>
+std::size_t GhtSystem::flood_collect(net::NodeId sink, bool partial,
+                                     Local&& local, Keep&& keep) {
   charge_flood(sink);
+  std::size_t replied = 0;
   for (net::NodeId n = 0; n < net_.size(); ++n) {
     if (store_[n].empty()) continue;
     if (!net_.alive(n)) {
@@ -302,31 +172,77 @@ QueryReceipt GhtSystem::skyline(net::NodeId sink,
       handle_node_failure(n);
       continue;
     }
-    const auto& cs = store_[n];
-    std::vector<Event> local;
-    local.reserve(cs.size());
-    cs.for_each([&](std::size_t row) { local.push_back(cs.event_at(row)); });
-    storage::skyline_filter(q, local);
-    const auto found = static_cast<std::uint32_t>(local.size());
-    if (found == 0) continue;
-    ++receipt.index_nodes_visited;
-    bool returned = true;
-    if (n != sink) {
-      const std::uint64_t batches = sizes.reply_batches(found);
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(found));
-      const auto& back = send_leg(n, sink, net::MessageKind::Reply, bits);
-      returned = back.delivered;
-      for (std::uint64_t b = 1; returned && b < batches; ++b)
-        net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-    }
-    if (returned)
-      receipt.events.insert(receipt.events.end(), local.begin(), local.end());
+    const auto rows = static_cast<std::uint32_t>(local(store_[n]));
+    if (rows == 0) continue;
+    ++replied;
+    if (legs_.reply(n, sink, rows, partial)) keep();
   }
+  return replied;
+}
 
+QueryReceipt GhtSystem::query(net::NodeId sink, const RangeQuery& q) {
+  if (q.dims() != dims_)
+    throw ConfigError("GHT: query dimensionality mismatch");
+
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
+  std::vector<Event> matched;
+  if (q.type() == storage::QueryType::ExactMatchPoint) {
+    // Hash the queried point; only its home node can hold exact matches.
+    storage::Values point;
+    for (std::size_t d = 0; d < dims_; ++d) point.push_back(q.bound(d).lo);
+    const std::uint64_t qbits = net_.sizes().query_bits(dims_);
+    const net::NodeId home = legs_.reach(sink, net::MessageKind::Query, qbits,
+                                         [&] { return home_node(point); });
+    if (home != net::kNoNode) {
+      receipt.index_nodes_visited = 1;
+      store_[home].matching_into(q, matched);
+      if (legs_.reply(home, sink, static_cast<std::uint32_t>(matched.size())))
+        receipt.events = std::move(matched);
+    }
+  } else {
+    // No value locality: flood, then every holder replies directly.
+    receipt.index_nodes_visited = flood_collect(
+        sink, false,
+        [&](const auto& cs) {
+          matched.clear();
+          cs.matching_into(q, matched);
+          return matched.size();
+        },
+        [&] {
+          receipt.events.insert(receipt.events.end(), matched.begin(),
+                                matched.end());
+        });
+  }
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
+  return receipt;
+}
+
+QueryReceipt GhtSystem::skyline(net::NodeId sink,
+                                const storage::SkylineQuery& q) {
+  if (q.dims() != dims_)
+    throw ConfigError("GHT: skyline dimensionality mismatch");
+
+  // Value hashing scatters dominance-adjacent events across the whole
+  // network, so there is nothing to prune toward: flood, then every
+  // holder replies with its LOCAL skyline (an event dominated at its own
+  // home is dominated globally) and the sink merges.
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
+  std::vector<Event> local;
+  receipt.index_nodes_visited = flood_collect(
+      sink, false,
+      [&](const auto& cs) {
+        local = all_events(cs);
+        storage::skyline_filter(q, local);
+        return local.size();
+      },
+      [&] {
+        receipt.events.insert(receipt.events.end(), local.begin(),
+                              local.end());
+      });
   storage::skyline_filter(q, receipt.events);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -337,47 +253,27 @@ QueryReceipt GhtSystem::k_nearest(net::NodeId sink,
   if (q.initial_radius < 0.0)
     throw ConfigError("GHT: k-NN initial radius must be positive");
 
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
   // No distance locality either: nearby values hash to unrelated homes,
   // so an expanding ring cannot be routed. One flood; each holder
   // replies with its local top-k and the sink keeps the best k.
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
   receipt.rounds = 1;
-  charge_flood(sink);
-  for (net::NodeId n = 0; n < net_.size(); ++n) {
-    if (store_[n].empty()) continue;
-    if (!net_.alive(n)) {
-      handle_node_failure(n);
-      continue;
-    }
-    const auto& cs = store_[n];
-    std::vector<Event> local;
-    local.reserve(cs.size());
-    cs.for_each([&](std::size_t row) { local.push_back(cs.event_at(row)); });
-    storage::knn_filter(q, local);
-    const auto found = static_cast<std::uint32_t>(local.size());
-    if (found == 0) continue;
-    ++receipt.index_nodes_visited;
-    bool returned = true;
-    if (n != sink) {
-      const std::uint64_t batches = sizes.reply_batches(found);
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(found));
-      const auto& back = send_leg(n, sink, net::MessageKind::Reply, bits);
-      returned = back.delivered;
-      for (std::uint64_t b = 1; returned && b < batches; ++b)
-        net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-    }
-    if (!returned) continue;
-    receipt.events.insert(receipt.events.end(), local.begin(), local.end());
-    storage::knn_filter(q, receipt.events);  // keep only the running top-k
-  }
-
+  std::vector<Event> local;
+  receipt.index_nodes_visited = flood_collect(
+      sink, false,
+      [&](const auto& cs) {
+        local = all_events(cs);
+        storage::knn_filter(q, local);
+        return local.size();
+      },
+      [&] {
+        receipt.events.insert(receipt.events.end(), local.begin(),
+                              local.end());
+        storage::knn_filter(q, receipt.events);  // the running top-k
+      });
   storage::knn_filter(q, receipt.events);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -397,6 +293,36 @@ storage::BatchQueryReceipt GhtSystem::query_batch(
   const auto before = net_.traffic();
   const auto& sizes = net_.sizes();
   std::uint64_t serial_cost = 0;
+
+  // One scan of a store serves every member: each member's matches land
+  // in its own receipt in row order. Returns the DISTINCT matching rows —
+  // the one reply that travels — and charges it, accounting what every
+  // member's own reply would have cost serially.
+  std::vector<std::uint32_t> member_found;
+  const auto answer = [&](net::NodeId holder,
+                          const std::vector<std::size_t>& members) {
+    member_found.assign(members.size(), 0);
+    std::uint32_t union_found = 0;
+    const auto& cs = store_[holder];
+    for (std::size_t row = 0; row < cs.size(); ++row) {
+      bool any = false;
+      Event e;
+      for (std::size_t mi = 0; mi < members.size(); ++mi) {
+        if (!cs.row_matches(queries[members[mi]], row)) continue;
+        if (!any) e = cs.event_at(row);
+        any = true;
+        ++member_found[mi];
+        batch.per_query[members[mi]].events.push_back(e);
+      }
+      union_found += any;
+    }
+    if (union_found > 0 && holder != sink) {
+      legs_.reply(holder, sink, union_found);
+      for (const std::uint32_t n : member_found)
+        serial_cost += sizes.reply_batches(n) * legs_.last().route.hops();
+    }
+    return union_found;
+  };
 
   std::vector<std::size_t> points, floods;
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
@@ -423,44 +349,14 @@ storage::BatchQueryReceipt GhtSystem::query_batch(
     groups[it->second].members.push_back(qi);
   }
   for (const HomeGroup& g : groups) {
-    router_.route_to_node_into(sink, g.home, route_scratch_);
-    net_.transmit_path(route_scratch_.path, net::MessageKind::Query,
-                       sizes.query_bits(dims_));
-    serial_cost += g.members.size() * route_scratch_.hops();
+    legs_.send(sink, g.home, net::MessageKind::Query, sizes.query_bits(dims_));
+    serial_cost += g.members.size() * legs_.last().route.hops();
     ++batch.unique_cell_visits;
     ++batch.index_nodes_visited;
     batch.serial_cell_visits += g.members.size();
-
-    std::vector<std::uint32_t> member_found(g.members.size(), 0);
-    std::uint32_t union_found = 0;
-    const auto& cs = store_[g.home];
-    for (std::size_t row = 0; row < cs.size(); ++row) {
-      bool any = false;
-      Event e;
-      for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-        if (cs.row_matches(queries[g.members[mi]], row)) {
-          if (!any) e = cs.event_at(row);
-          any = true;
-          ++member_found[mi];
-          batch.per_query[g.members[mi]].events.push_back(e);
-        }
-      }
-      if (any) ++union_found;
-    }
     for (const std::size_t qi : g.members)
       batch.per_query[qi].index_nodes_visited = 1;
-    if (union_found > 0 && g.home != sink) {
-      router_.route_to_node_into(g.home, sink, route_scratch_);
-      const std::uint64_t batches = sizes.reply_batches(union_found);
-      for (std::uint64_t b = 0; b < batches; ++b) {
-        net_.transmit_path(
-            route_scratch_.path, net::MessageKind::Reply,
-            sizes.reply_bits(dims_, sizes.reply_payload(union_found)));
-      }
-      for (std::size_t mi = 0; mi < g.members.size(); ++mi)
-        serial_cost +=
-            sizes.reply_batches(member_found[mi]) * route_scratch_.hops();
-    }
+    answer(g.home, g.members);
   }
 
   // Range/partial queries: one flood serves every member — serial
@@ -471,43 +367,12 @@ storage::BatchQueryReceipt GhtSystem::query_batch(
         floods.size() * static_cast<std::uint64_t>(reached - 1);
     for (net::NodeId n = 0; n < net_.size(); ++n) {
       if (store_[n].empty()) continue;
-      std::vector<std::uint32_t> member_found(floods.size(), 0);
-      std::uint32_t union_found = 0;
-      const auto& cs = store_[n];
-      for (std::size_t row = 0; row < cs.size(); ++row) {
-        bool any = false;
-        Event e;
-        for (std::size_t mi = 0; mi < floods.size(); ++mi) {
-          if (cs.row_matches(queries[floods[mi]], row)) {
-            if (!any) e = cs.event_at(row);
-            any = true;
-            ++member_found[mi];
-            batch.per_query[floods[mi]].events.push_back(e);
-          }
-        }
-        if (any) ++union_found;
-      }
-      for (std::size_t mi = 0; mi < floods.size(); ++mi) {
-        if (member_found[mi] > 0)
-          ++batch.per_query[floods[mi]].index_nodes_visited;
-      }
       batch.serial_cell_visits += floods.size();
       ++batch.unique_cell_visits;
-      if (union_found > 0) {
-        ++batch.index_nodes_visited;
-        if (n != sink) {
-          router_.route_to_node_into(n, sink, route_scratch_);
-          const std::uint64_t batches = sizes.reply_batches(union_found);
-          for (std::uint64_t b = 0; b < batches; ++b) {
-            net_.transmit_path(
-                route_scratch_.path, net::MessageKind::Reply,
-                sizes.reply_bits(dims_, sizes.reply_payload(union_found)));
-          }
-          for (std::size_t mi = 0; mi < floods.size(); ++mi)
-            serial_cost +=
-                sizes.reply_batches(member_found[mi]) * route_scratch_.hops();
-        }
-      }
+      if (answer(n, floods) > 0) ++batch.index_nodes_visited;
+      for (std::size_t mi = 0; mi < floods.size(); ++mi)
+        if (member_found[mi] > 0)
+          ++batch.per_query[floods[mi]].index_nodes_visited;
     }
   }
 
@@ -542,41 +407,24 @@ storage::AggregateReceipt GhtSystem::aggregate(net::NodeId sink,
   if (value_dim >= dims_)
     throw ConfigError("GHT: aggregate dimension out of range");
 
+  // Aggregates have the same locality problem as ranges: flood, and each
+  // holder sends one fixed-size partial home — which only joins the
+  // aggregate if its leg delivers.
   storage::AggregateReceipt receipt;
   const auto before = net_.traffic();
-  storage::PartialAggregate total;
-
-  // Aggregates have the same locality problem as ranges: flood, and each
-  // holder sends one fixed-size partial home.
-  charge_flood(sink);
-  for (net::NodeId n = 0; n < net_.size(); ++n) {
-    if (store_[n].empty()) continue;
-    if (!net_.alive(n)) {
-      handle_node_failure(n);
-      continue;
-    }
-    storage::PartialAggregate partial;
-    const auto& cs = store_[n];
-    cs.scan(q, false, [&](std::size_t row) {
-      partial.add(cs.value_at(row, value_dim));
-    });
-    if (!partial.empty()) {
-      ++receipt.index_nodes_visited;
-      if (n == sink) {
-        total.merge(partial);
-      } else {
-        // The partial only joins the aggregate if its leg delivers.
-        if (send_leg(n, sink, net::MessageKind::Reply,
-                     net_.sizes().aggregate_bits())
-                .delivered)
-          total.merge(partial);
-      }
-    }
-  }
-
+  storage::PartialAggregate partial, total;
+  receipt.index_nodes_visited = flood_collect(
+      sink, true,
+      [&](const auto& cs) {
+        partial = {};
+        cs.scan(q, false, [&](std::size_t row) {
+          partial.add(cs.value_at(row, value_dim));
+        });
+        return partial.count;
+      },
+      [&] { total.merge(partial); });
   receipt.result = total.finalize(kind);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 

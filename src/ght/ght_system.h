@@ -16,6 +16,11 @@
 // `quantum` (GHT named events by type; a quantized tuple is the natural
 // multi-attribute analogue — two readings agreeing to the quantum share a
 // home node).
+//
+// One walk (DESIGN.md §16): every non-point query class — range,
+// skyline, k-NN, aggregate — is a local operation over flood_collect().
+// Point queries and inserts reach a home through LegSender::reach(), the
+// one place a key re-homes; replies go through the same storage::LegSender.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +28,10 @@
 #include <vector>
 
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/leg_sender.h"
 
 namespace poolnet::ght {
 
@@ -104,13 +109,14 @@ class GhtSystem final : public storage::DcsSystem {
   std::uint64_t key_of(const storage::Values& values) const;
   Point location_of(std::uint64_t key) const;
 
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
+  /// The flood every non-point query rides: one flood from `sink`, dead
+  /// holders absorbed, then every holder runs `local` on its store — which
+  /// returns the rows it replies with — and replies straight to the sink
+  /// (one fixed-size partial when `partial`). `keep()` runs once a reply
+  /// arrived. Returns the number of holders that replied.
+  template <class Local, class Keep>
+  std::size_t flood_collect(net::NodeId sink, bool partial, Local&& local,
+                            Keep&& keep);
 
   /// Charges a network-wide flood rooted at `sink` (each node rebroadcasts
   /// once: n-1 Query transmissions over a BFS tree) and returns per-node
@@ -118,14 +124,10 @@ class GhtSystem final : public storage::DcsSystem {
   std::size_t charge_flood(net::NodeId sink);
 
   net::Network& net_;
-  const routing::Router& router_;
   std::size_t dims_;
   GhtConfig config_;
 
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
-  routing::RouteResult route_scratch_;
+  storage::LegSender legs_;
   std::vector<storage::column::ColumnStore> store_;  // per home node
   mutable storage::column::ScanStats scan_stats_;
   std::size_t stored_count_ = 0;

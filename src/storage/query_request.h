@@ -58,8 +58,7 @@ class SkylineQuery {
 };
 
 /// k-nearest-event query: the k stored events closest to `target` in
-/// attribute space (Euclidean). Generalizes the PR-0 nearest_monitor
-/// entry point (k = 1, monitors) to stored events.
+/// attribute space (Euclidean).
 struct KNearestQuery {
   Values target;       ///< query point, each coordinate in [0, 1]
   std::size_t k = 1;   ///< how many neighbors to return

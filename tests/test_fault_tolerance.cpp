@@ -338,6 +338,71 @@ TEST(Failover, PoolWithoutMirrorsLosesExactlyTheDeadNodesEvents) {
   EXPECT_EQ(r.events.size(), total - held);
 }
 
+TEST(Failover, PoolKNearestNeverAnswersFromSilentlyDeadHolders) {
+  benchsup::TestbedConfig config;
+  config.nodes = 250;
+  config.seed = 11;
+  benchsup::Testbed tb(config);
+  tb.insert_workload();
+  core::PoolSystem& pool = tb.pool();
+
+  NodeId dead = 0;
+  for (const auto& node : tb.pool_network().nodes())
+    if (node.stored_events > tb.pool_network().node(dead).stored_events)
+      dead = node.id;
+  // Without sharing, every event sits at its cell's index node.
+  std::vector<storage::Event> survivors, lost;
+  for (const auto& e : tb.oracle().all())
+    (pool.choose_cell(e.source, e).index_node == dead ? lost : survivors)
+        .push_back(e);
+  ASSERT_FALSE(lost.empty());
+  // Crash the node WITHOUT telling the system: the query must find out.
+  tb.pool_network().kill(dead);
+  const NodeId sink = dead == 0 ? NodeId{1} : NodeId{0};
+
+  for (const auto& target : lost) {
+    const storage::KNearestQuery q{target.values, 5, 0.0};
+    const auto r = pool.execute(sink, q);
+    auto expected = survivors;
+    storage::knn_filter(q, expected);
+    ASSERT_EQ(r.events.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(r.events[i].id, expected[i].id) << "rank " << i;
+  }
+  // The whole store: the oracle minus exactly what failover counted lost.
+  const storage::KNearestQuery all{{0.5, 0.5, 0.5}, tb.oracle().all().size(),
+                                   0.0};
+  const auto r = pool.execute(sink, all);
+  EXPECT_EQ(pool.fault_stats().events_lost, lost.size());
+  EXPECT_EQ(sorted_ids(r.events), sorted_ids(survivors));
+}
+
+TEST(Failover, PoolUnsubscribeFromCutOffSinkLeavesNoStaleRegistration) {
+  benchsup::TestbedConfig config;
+  config.nodes = 200;
+  config.seed = 13;
+  benchsup::Testbed tb(config);
+  core::PoolSystem& pool = tb.pool();
+  Network& net = tb.pool_network();
+
+  const NodeId sink = 0;
+  const auto id = pool.subscribe(sink, whole_space());
+  // Cut the sink off: every Control leg of the unsubscribe dies on its
+  // first hop, so no splitter and no cell hears of it.
+  for (const NodeId nb : net.neighbors(sink)) net.kill(nb);
+  pool.unsubscribe(id);
+
+  storage::Event e;
+  e.id = 1;
+  e.values = {0.7, 0.2, 0.3};
+  NodeId source = 1;
+  while (!net.alive(source) || net.are_neighbors(source, sink)) ++source;
+  e.source = source;
+  ASSERT_NE(pool.choose_cell(source, e).index_node, sink);
+  EXPECT_NO_THROW(pool.insert(source, e));
+  EXPECT_TRUE(pool.take_notifications(id).empty());
+}
+
 TEST(Failover, HandleNodeFailureIsIdempotent) {
   benchsup::TestbedConfig config;
   config.nodes = 200;

@@ -1,0 +1,268 @@
+// Golden receipts: one hash per (system configuration, query class) over
+// seeds 1-3. Each hash folds every receipt a class returns — result ids
+// in order, the message triple, visits, k-NN rounds, batch savings and
+// visit counts, aggregate answers as raw bits, subscription notification
+// ids — so any change to what a dissemination walk transmits or returns
+// shows up here. Route-cache counters are deliberately left out: they
+// describe how routes were looked up, not what the walk charged.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bench_support/testbed.h"
+#include "fingerprint.h"
+#include "ght/ght_system.h"
+#include "query/query_gen.h"
+#include "routing/gpsr.h"
+
+namespace poolnet {
+namespace {
+
+using benchsup::Testbed;
+using benchsup::TestbedConfig;
+using Prints = std::map<std::string, Fingerprint>;  // query class → print
+
+constexpr std::size_t kNodes = 200;
+
+/// Every query class of the DcsSystem surface against one system.
+void run_classes(storage::DcsSystem& sys, std::uint64_t seed, Prints& out) {
+  query::QueryGenerator qgen({.dims = 3}, seed * 101 + 7);
+  Rng rng(seed * 13 + 5);
+  const auto sink = [&] {
+    return static_cast<net::NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+  };
+
+  for (int i = 0; i < 10; ++i)
+    out["range"].add_receipt(sys.query(sink(), qgen.exact_range()));
+  for (int i = 0; i < 10; ++i)
+    out["range"].add_receipt(
+        sys.query(sink(), qgen.partial_range(1 + i % 2)));
+  for (int i = 0; i < 6; ++i)
+    out["skyline"].add_receipt(sys.skyline(sink(), qgen.skyline_query()));
+  for (int i = 0; i < 8; ++i)
+    out["knn"].add_receipt(sys.k_nearest(sink(), qgen.knn_query(12)));
+
+  for (const auto kind :
+       {storage::AggregateKind::Count, storage::AggregateKind::Sum,
+        storage::AggregateKind::Min, storage::AggregateKind::Max,
+        storage::AggregateKind::Average}) {
+    const auto q = static_cast<int>(kind) % 2 ? qgen.partial_range(1)
+                                              : qgen.exact_range();
+    const auto r =
+        sys.aggregate(sink(), q, kind, static_cast<std::size_t>(kind) % 3);
+    out["aggregate"].add_cost(r);
+    out["aggregate"].add_bits(r.result.value);
+    out["aggregate"].add(r.result.count);
+    out["aggregate"].add(r.result.valid);
+  }
+
+  for (const int size : {8, 12}) {
+    std::vector<storage::RangeQuery> batch_queries;
+    for (int i = 0; i < size; ++i)
+      batch_queries.push_back(i % 3 ? qgen.exact_range()
+                                    : qgen.partial_range(1 + i % 2));
+    const auto b = sys.query_batch(sink(), batch_queries);
+    Fingerprint& fb = out["batch"];
+    fb.add_cost(b);
+    fb.add(b.messages_saved);
+    fb.add(b.serial_cell_visits);
+    fb.add(b.unique_cell_visits);
+    for (const auto& r : b.per_query) fb.add_receipt(r);
+  }
+}
+
+/// Registration and cancellation trees plus the notifications they cause.
+void run_subscriptions(Testbed& tb, std::uint64_t seed, Fingerprint& fp) {
+  core::PoolSystem& pool = tb.pool();
+  const net::Network& net = tb.pool_network();
+  query::QueryGenerator qgen({.dims = 3}, seed * 71 + 3);
+  query::EventGenerator gen({.dims = 3}, seed * 7 + 1);
+  Rng rng(seed * 19 + 2);
+
+  const auto charged = [&](auto&& action) {
+    const auto before = net.traffic().total;
+    action();
+    fp.add(net.traffic().total - before);
+  };
+  const auto insert_some = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const auto src = tb.random_node(rng);
+      const auto e = gen.next(src);
+      fp.add(pool.insert(src, e).messages);
+    }
+  };
+  const auto notified = [&](core::PoolSystem::SubscriptionId id) {
+    for (const auto& n : pool.take_notifications(id)) fp.add(n.event.id);
+  };
+
+  core::PoolSystem::SubscriptionId wide = 0, narrow = 0;
+  charged([&] { wide = pool.subscribe(tb.random_node(rng),
+                                      qgen.partial_range(1)); });
+  charged([&] { narrow = pool.subscribe(tb.random_node(rng),
+                                        qgen.exact_range()); });
+  insert_some(60);
+  notified(wide);
+  notified(narrow);
+  charged([&] { pool.unsubscribe(wide); });
+  insert_some(20);
+  notified(wide);
+  notified(narrow);
+}
+
+enum class PoolVariant { Default, Replicas, DhtLookup, Sharing };
+
+TestbedConfig testbed_config(std::uint64_t seed, PoolVariant variant) {
+  TestbedConfig config;
+  config.nodes = kNodes;
+  config.seed = seed;
+  switch (variant) {
+    case PoolVariant::Default:
+      break;
+    case PoolVariant::Replicas:
+      config.pool.replicas = 1;
+      break;
+    case PoolVariant::DhtLookup:
+      config.pool.charge_dht_lookup = true;
+      break;
+    case PoolVariant::Sharing:
+      // Low enough that hot index nodes hand rows to delegates.
+      config.pool.workload_sharing = true;
+      config.pool.share_threshold = 6;
+      break;
+  }
+  return config;
+}
+
+Prints pool_prints(PoolVariant variant) {
+  Prints out;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Testbed tb(testbed_config(seed, variant));
+    tb.insert_workload();
+    out["insert"].add(tb.pool_insert_traffic().total);
+    out["insert"].add(tb.pool().stored_count());
+    run_classes(tb.pool(), seed, out);
+    run_subscriptions(tb, seed, out["subscribe"]);
+  }
+  return out;
+}
+
+Prints dim_prints() {
+  Prints out;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Testbed tb(testbed_config(seed, PoolVariant::Default));
+    tb.insert_workload();
+    out["insert"].add(tb.dim_insert_traffic().total);
+    run_classes(tb.dim(), seed, out);
+  }
+  return out;
+}
+
+Prints ght_prints() {
+  Prints out;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Testbed tb(testbed_config(seed, PoolVariant::Default));
+    tb.insert_workload();
+    std::vector<Point> pts;
+    for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
+    net::Network net(std::move(pts), tb.pool_network().field(), 40.0);
+    routing::Gpsr gpsr(net);
+    ght::GhtSystem ght(net, gpsr, 3);
+    for (const auto& e : tb.oracle().all())
+      out["insert"].add(ght.insert(e.source, e).messages);
+    run_classes(ght, seed, out);
+  }
+  return out;
+}
+
+/// The hashes each (configuration, class) produced with one hand-written
+/// walk per query class; the one entry that has moved since says why.
+const std::map<std::string, std::map<std::string, std::uint64_t>> kGolden = {
+    {"pool",
+     {{"aggregate", 0x9c88bf7c2459a3d0},
+      {"batch", 0x562e8fb37bda8df6},
+      {"insert", 0x564051af8951b08f},
+      {"knn", 0xa3f27ddaa4e0b1cb},
+      {"range", 0x825da3e822c0f81e},
+      {"skyline", 0x259927ebdf0664b9},
+      {"subscribe", 0x41c8e53c94ce4c12}}},
+    {"pool-replicas",
+     {{"aggregate", 0x9c88bf7c2459a3d0},
+      {"batch", 0x562e8fb37bda8df6},
+      {"insert", 0x2b3bd946998ad2d3},
+      {"knn", 0xa3f27ddaa4e0b1cb},
+      {"range", 0x825da3e822c0f81e},
+      {"skyline", 0x259927ebdf0664b9},
+      {"subscribe", 0xb7120016f2719871}}},
+    {"pool-dht",
+     {{"aggregate", 0x76d8e31398020eac},
+      {"batch", 0xf15d04296b96fdcf},
+      {"insert", 0x326892a4d5a78aef},
+      {"knn", 0x2a63c8b5ed02f4c0},
+      {"range", 0x7af61c3b2416abec},
+      {"skyline", 0xcc42938cd5abcdcd},
+      {"subscribe", 0x61cc5e41318e609a}}},
+    {"pool-sharing",
+     {{"aggregate", 0x7c249215ddaaac5a},
+      {"batch", 0xe7f48926b4b78727},
+      {"insert", 0x2d06f5324547ee69},
+      // k-NN polls the delegates holding its reply rows (one SubQuery
+      // out, reply batches back), as range and skyline always did; it
+      // used to return their events without charging those legs
+      // (0xa3f27ddaa4e0b1cb).
+      {"knn", 0x35061b83918869},
+      {"range", 0x839bc431e8cfaa2d},
+      {"skyline", 0x89b1eb5a76054b7c},
+      {"subscribe", 0xbd35062944d6ed94}}},
+    {"dim",
+     {{"aggregate", 0x9e93c759e7b87134},
+      {"batch", 0xeab2b4388b596e71},
+      {"insert", 0x9a4c13aec219b093},
+      {"knn", 0x6ed4da99be53abe7},
+      {"range", 0x8be66d6b357d4047},
+      {"skyline", 0xddf641caab3e1690}}},
+    {"ght",
+     {{"aggregate", 0xf934b70f07b82198},
+      {"batch", 0x843249eecae7e08},
+      {"insert", 0x6547df980272f62},
+      {"knn", 0x2410112e06b98f28},
+      {"range", 0x5a7a33fa4fc7175a},
+      {"skyline", 0xc3d4a9ce858d3d0d}}},
+};
+
+void expect_golden(const std::string& config, const Prints& prints) {
+  const auto& want = kGolden.at(config);
+  for (const auto& [cls, fp] : prints) {
+    const std::uint64_t got = fp.hash();
+    const auto it = want.find(cls);
+    EXPECT_TRUE(it != want.end() && it->second == got)
+        << config << "/" << cls << ": got 0x" << std::hex << got;
+  }
+  EXPECT_EQ(want.size(), prints.size()) << config;
+}
+
+TEST(GoldenReceipts, PoolDefault) {
+  expect_golden("pool", pool_prints(PoolVariant::Default));
+}
+
+TEST(GoldenReceipts, PoolReplicas) {
+  expect_golden("pool-replicas", pool_prints(PoolVariant::Replicas));
+}
+
+TEST(GoldenReceipts, PoolDhtLookup) {
+  expect_golden("pool-dht", pool_prints(PoolVariant::DhtLookup));
+}
+
+TEST(GoldenReceipts, PoolWorkloadSharing) {
+  expect_golden("pool-sharing", pool_prints(PoolVariant::Sharing));
+}
+
+TEST(GoldenReceipts, Dim) { expect_golden("dim", dim_prints()); }
+
+TEST(GoldenReceipts, Ght) { expect_golden("ght", ght_prints()); }
+
+}  // namespace
+}  // namespace poolnet

@@ -10,7 +10,6 @@
 // free-list mechanics (reuse-after-clear, high-water accounting).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -23,36 +22,13 @@
 #include "query/workload.h"
 #include "routing/gpsr.h"
 #include "routing/route_cache.h"
+#include "fingerprint.h"
 
 namespace poolnet {
 namespace {
 
 using benchsup::Testbed;
 using benchsup::TestbedConfig;
-
-/// Every observable of a run flattened into comparable words. Doubles go
-/// in as raw bits — equality here means BYTE equality, not tolerance.
-struct Fingerprint {
-  std::vector<std::uint64_t> words;
-
-  void add(std::uint64_t w) { words.push_back(w); }
-  void add_bits(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    words.push_back(bits);
-  }
-  void add_receipt(const storage::QueryReceipt& r) {
-    add(r.messages);
-    add(r.query_messages);
-    add(r.reply_messages);
-    add(r.index_nodes_visited);
-    // Result CONTENT AND ORDER: a pooled buffer must not reorder replies.
-    for (const auto& e : r.events) add(e.id);
-  }
-
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-};
 
 /// One full Pool+DIM testbed run under the given allocation strategy.
 Fingerprint run_testbed(std::uint64_t seed, bool pooled) {

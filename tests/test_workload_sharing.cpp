@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 
 #include "core/pool_system.h"
 #include "net/deployment.h"
+#include "obs/trace.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
 #include "storage/brute_force_store.h"
@@ -120,6 +122,56 @@ TEST(WorkloadSharing, DisabledKeepsEverythingAtIndexNodes) {
   const auto r1 = fx.pool->query(0, hot);
   const auto r2 = fx.pool->query(0, hot);
   EXPECT_EQ(r1.messages, r2.messages);
+}
+
+/// Nodes that ORIGINATED a Reply (the first hop of a reply message);
+/// relaying someone else's reply does not count.
+struct ReplyOrigins final : obs::TraceSink {
+  std::set<std::uint32_t> nodes;
+  void on_hop(const obs::HopRecord& hop) override {
+    if (hop.hop_index == 0 &&
+        hop.kind == static_cast<std::uint8_t>(net::MessageKind::Reply))
+      nodes.insert(hop.src);
+  }
+};
+
+TEST(WorkloadSharing, KNearestPollsDelegates) {
+  Fixture fx(3, sharing_config(true, 10));
+  fx.insert_skewed(1000, 9);
+  // Pure delegates: nodes holding rows without being any cell's index
+  // node, so the only replies they can originate are delegate polls.
+  std::set<NodeId> index_nodes;
+  const std::uint32_t side = fx.pool->config().side;
+  for (std::size_t p = 0; p < 3; ++p)
+    for (std::uint32_t vo = 0; vo < side; ++vo)
+      for (std::uint32_t ho = 0; ho < side; ++ho)
+        index_nodes.insert(
+            fx.pool->grid().index_node(fx.pool->layout().cell(p, {ho, vo})));
+  std::vector<NodeId> delegates;
+  std::vector<std::uint64_t> tx_before;
+  for (const auto& node : fx.network->nodes()) {
+    if (node.stored_events == 0 || index_nodes.count(node.id)) continue;
+    delegates.push_back(node.id);
+    tx_before.push_back(node.tx_count);
+  }
+  ASSERT_FALSE(delegates.empty());
+
+  ReplyOrigins origins;
+  fx.network->set_trace(&origins);
+  const storage::KNearestQuery q{{0.85, 0.85, 0.85}, 40, 0.0};
+  const auto r = fx.pool->execute(0, q);
+  fx.network->set_trace(nullptr);
+
+  auto expected = fx.oracle.all();
+  storage::knn_filter(q, expected);
+  EXPECT_EQ(ids(r.events), ids(expected));
+  bool polled = false;
+  for (std::size_t i = 0; i < delegates.size(); ++i) {
+    if (!origins.nodes.count(delegates[i])) continue;
+    polled = true;
+    EXPECT_GT(fx.network->node(delegates[i]).tx_count, tx_before[i]);
+  }
+  EXPECT_TRUE(polled) << "k-NN must poll the delegates holding its answers";
 }
 
 TEST(WorkloadSharing, UniformLoadRarelyTriggersDelegation) {
