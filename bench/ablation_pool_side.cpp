@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
         for (int q = 0; q < kQueries; ++q) {
           const auto qe = qgen.exact_range();
           const auto sink = tb.random_node(sink_rng);
-          const auto re = tb.pool().query(sink, qe);
+          const auto re = tb.pool().execute(sink, qe);
           out.exact_msgs.add(static_cast<double>(re.messages));
           out.exact_cells.add(static_cast<double>(re.index_nodes_visited));
           out.results.add(static_cast<double>(re.events.size()));
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
             ++out.mismatches;
 
           const auto qp = qgen.partial_range(1);
-          const auto rp = tb.pool().query(sink, qp);
+          const auto rp = tb.pool().execute(sink, qp);
           out.part_msgs.add(static_cast<double>(rp.messages));
           out.part_cells.add(static_cast<double>(rp.index_nodes_visited));
         }

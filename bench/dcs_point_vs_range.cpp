@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
 
     const auto run_all = [&](Row& row, const storage::RangeQuery& q) {
       const auto want = tb.oracle().matching(q).size();
-      const auto pr = tb.pool().query(sink, q);
-      const auto dr = tb.dim().query(sink, q);
-      const auto gr = ght.query(sink, q);
+      const auto pr = tb.pool().execute(sink, q);
+      const auto dr = tb.dim().execute(sink, q);
+      const auto gr = ght.execute(sink, q);
       row.pool.add(static_cast<double>(pr.messages));
       row.dim.add(static_cast<double>(dr.messages));
       row.ght_cost.add(static_cast<double>(gr.messages));
@@ -94,17 +94,16 @@ int main(int argc, char** argv) {
     run_all(rows[1], range_q);
     run_all(rows[2], partial_q);
 
-    const auto pa =
-        tb.pool().aggregate(sink, range_q, storage::AggregateKind::Average, 0);
-    const auto da =
-        tb.dim().aggregate(sink, range_q, storage::AggregateKind::Average, 0);
-    const auto ga =
-        ght.aggregate(sink, range_q, storage::AggregateKind::Average, 0);
+    const storage::AggregateQuery average{
+        range_q, storage::AggregateKind::Average, 0};
+    const auto pa = tb.pool().execute(sink, average);
+    const auto da = tb.dim().execute(sink, average);
+    const auto ga = ght.execute(sink, average);
     rows[3].pool.add(static_cast<double>(pa.messages));
     rows[3].dim.add(static_cast<double>(da.messages));
     rows[3].ght_cost.add(static_cast<double>(ga.messages));
-    if (pa.result.count != da.result.count ||
-        pa.result.count != ga.result.count)
+    if (pa.aggregate.count != da.aggregate.count ||
+        pa.aggregate.count != ga.aggregate.count)
       rows[3].exact = false;
   }
 

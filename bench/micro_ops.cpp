@@ -221,7 +221,7 @@ void BM_PoolQueryExact(benchmark::State& state) {
       9);
   for (auto _ : state) {
     const auto q = qgen.exact_range();
-    benchmark::DoNotOptimize(tb.pool().query(0, q));
+    benchmark::DoNotOptimize(tb.pool().execute(0, q));
   }
 }
 BENCHMARK(BM_PoolQueryExact);
@@ -234,7 +234,7 @@ void BM_DimQueryExact(benchmark::State& state) {
       9);
   for (auto _ : state) {
     const auto q = qgen.exact_range();
-    benchmark::DoNotOptimize(tb.dim().query(0, q));
+    benchmark::DoNotOptimize(tb.dim().execute(0, q));
   }
 }
 BENCHMARK(BM_DimQueryExact);

@@ -340,7 +340,7 @@ StoreChurn run_store_churn(bool paged) {
   query::QueryGenerator qgen(
       {.dims = 3, .dist = query::RangeSizeDistribution::Uniform}, 777);
   for (int q = 0; q < kChurnQueries; ++q) {
-    const auto receipt = store->query(0, qgen.exact_range());
+    const auto receipt = store->execute(0, qgen.exact_range());
     out.query_results += receipt.events.size();
     for (const auto& e : receipt.events) out.query_checksum += e.id;
   }

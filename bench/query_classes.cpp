@@ -54,6 +54,9 @@ std::vector<storage::Event> reference(const storage::BruteForceStore& oracle,
     case storage::QueryClass::KNearest:
       storage::knn_filter(request.k_nearest(), all);
       break;
+    case storage::QueryClass::Aggregate:  // a value, not events
+      all.clear();
+      break;
     case storage::QueryClass::Range: {
       std::vector<storage::Event> matching;
       for (storage::Event& e : all)

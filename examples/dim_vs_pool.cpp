@@ -80,7 +80,7 @@ int main() {
     for (const auto& q : flavor.queries) {
       const auto sink = tb.random_node(sink_rng);
       const auto before = central_net.traffic().total;
-      const auto r = central.query(sink, q);
+      const auto r = central.execute(sink, q);
       central_msgs.add(static_cast<double>(central_net.traffic().total - before));
       if (r.events.size() != tb.oracle().matching(q).size())
         central_ok = false;

@@ -86,7 +86,7 @@ int main() {
     const storage::RangeQuery heat_stress(b, spec);
     const auto sink = static_cast<net::NodeId>(
         sink_rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
-    const auto r = pool.query(sink, heat_stress);
+    const auto r = pool.execute(sink, heat_stress);
     std::printf("%-6.0f %-14zu %-14zu %-12llu %-10zu\n",
                 simulator.now() / kHour, pool.stored_count(),
                 r.events.size(),

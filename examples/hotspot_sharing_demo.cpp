@@ -63,7 +63,7 @@ RunResult run_burst(bool sharing) {
 
   const storage::RangeQuery fire_zone({{0.8, 1.0}, {0.8, 1.0}, {0.0, 0.3}});
   const auto before = network.traffic().total;
-  const auto r = pool.query(0, fire_zone);
+  const auto r = pool.execute(0, fire_zone);
   out.hot_answers = r.events.size();
   out.hot_query_msgs = network.traffic().total - before;
   return out;

@@ -62,7 +62,7 @@ int main() {
   //    counts over GPSR paths, the paper's metric.
   const net::NodeId sink = network.nearest_node(field.center());
   const auto report = [&](const char* label, const storage::RangeQuery& q) {
-    const auto r = pool.query(sink, q);
+    const auto r = pool.execute(sink, q);
     std::printf("%-28s %-32s -> %3zu events, %4llu msgs "
                 "(%llu query + %llu reply), %zu cells visited\n",
                 label, storage::to_string(q.type()), r.events.size(),

@@ -51,13 +51,13 @@ PairedRun run_paired_queries(Testbed& testbed,
     const auto oracle_sig = signature(oracle_scratch);
 
     const double pool_e0 = testbed.pool_network().traffic().energy_j;
-    const auto pool_r = testbed.pool().query(sink, q);
+    const auto pool_r = testbed.pool().execute(sink, q);
     const double pool_e1 = testbed.pool_network().traffic().energy_j;
     record(run.pool, pool_r, pool_e1 - pool_e0);
     if (signature(pool_r.events) != oracle_sig) ++run.pool_mismatches;
 
     const double dim_e0 = testbed.dim_network().traffic().energy_j;
-    const auto dim_r = testbed.dim().query(sink, q);
+    const auto dim_r = testbed.dim().execute(sink, q);
     const double dim_e1 = testbed.dim_network().traffic().energy_j;
     record(run.dim, dim_r, dim_e1 - dim_e0);
     if (signature(dim_r.events) != oracle_sig) ++run.dim_mismatches;

@@ -406,7 +406,7 @@ struct CellVisit {
 };
 
 /// Legs the walk reports back to visitors that account for transport
-/// (query_batch replays serial cost from their hop counts).
+/// (merge_ranges replays serial cost from their hop counts).
 enum class Leg { Lookup, Splitter, Cell, CellReply, PoolReply };
 
 /// The visitor contract, with every variation point at its default. A
@@ -518,9 +518,6 @@ std::size_t PoolSystem::visit_relevant(net::NodeId sink, const Plan& plan,
 }
 
 QueryReceipt PoolSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PoolSystem: query dimensionality mismatch");
-
   // Query resolving (Algorithm 2) is pure arithmetic on the predefined
   // layout, so the plan already skips pools without relevant cells.
   struct Visitor : CellVisitor {
@@ -543,9 +540,6 @@ QueryReceipt PoolSystem::query(net::NodeId sink, const RangeQuery& q) {
 
 QueryReceipt PoolSystem::skyline(net::NodeId sink,
                                  const storage::SkylineQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PoolSystem: skyline dimensionality mismatch");
-
   // Equation 1 gives every cell's best-possible corner without any
   // messages: events in cell (HO,VO) of pool d1 have their d1 value
   // below (HO+1)/l and every OTHER attribute below the second-greatest
@@ -634,11 +628,6 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
 
 QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
                                    const storage::KNearestQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PoolSystem: k-NN target dimensionality mismatch");
-  if (q.initial_radius < 0.0)
-    throw ConfigError("PoolSystem: k-NN initial radius must be positive");
-
   struct Visitor : CellVisitor {
     const storage::KNearestQuery& q;
     std::vector<Event> cand;
@@ -693,19 +682,13 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
   return receipt;
 }
 
-storage::BatchQueryReceipt PoolSystem::query_batch(
+storage::BatchQueryReceipt PoolSystem::merge_ranges(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  // A batch of 0 or 1 gains nothing from merging; fall back to the
-  // serial default so single-query receipts stay exact.
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
   // Merged execution assumes a static, fully-alive network (its savings
   // accounting rides on shared loss-free routes). Once nodes have died,
   // run serially — the serial path carries the detection/retry/failover
   // machinery.
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
-  for (const RangeQuery& q : queries)
-    if (q.dims() != dims_)
-      throw ConfigError("PoolSystem: query dimensionality mismatch");
+  if (net_.has_failures()) return DcsSystem::merge_ranges(sink, queries);
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
@@ -835,15 +818,8 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   return batch;
 }
 
-storage::AggregateReceipt PoolSystem::aggregate(net::NodeId sink,
-                                                const RangeQuery& q,
-                                                storage::AggregateKind kind,
-                                                std::size_t value_dim) {
-  if (q.dims() != dims_)
-    throw ConfigError("PoolSystem: query dimensionality mismatch");
-  if (value_dim >= dims_)
-    throw ConfigError("PoolSystem: aggregate dimension out of range");
-
+QueryReceipt PoolSystem::aggregate(net::NodeId sink,
+                                   const storage::AggregateQuery& q) {
   // Every reply is one fixed-size partial: cells reduce their matches,
   // each splitter merges its pool's partials for the sink.
   struct Visitor : CellVisitor {
@@ -874,11 +850,11 @@ storage::AggregateReceipt PoolSystem::aggregate(net::NodeId sink,
       total.merge(std::exchange(pool_partial, {}));
     }
   };
-  storage::AggregateReceipt receipt;
+  QueryReceipt receipt;
   const auto before = net_.traffic();
-  Visitor v{{}, q, value_dim, {}, {}};
-  receipt.index_nodes_visited = visit_relevant(sink, range_plan(q), v);
-  receipt.result = v.total.finalize(kind);
+  Visitor v{{}, q.range, q.value_dim, {}, {}};
+  receipt.index_nodes_visited = visit_relevant(sink, range_plan(q.range), v);
+  receipt.aggregate = v.total.finalize(q.kind);
   receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }

@@ -83,49 +83,6 @@ class PoolSystem final : public storage::DcsSystem {
 
   storage::InsertReceipt insert(net::NodeId source,
                                 const storage::Event& event) override;
-  storage::QueryReceipt query(net::NodeId sink,
-                              const storage::RangeQuery& query) override;
-
-  /// Distributed skyline with relevant-cell dominance pruning (the
-  /// Theorem 3.2 machinery applied to dominance regions): the sink
-  /// derives every cell's best-possible corner from Equation 1 —
-  /// corner[d1] = (HO+1)/l in the pool dimension, (VO+1)(HO+1)/l² in
-  /// every other (all bounded by the second-greatest value) — visits
-  /// cells in descending corner order, and NEVER contacts a cell whose
-  /// corner is already dominated by a collected event. Visited cells
-  /// reply with their local skyline only.
-  storage::QueryReceipt skyline(net::NodeId sink,
-                                const storage::SkylineQuery& query) override;
-
-  /// Distributed k-nearest-event search: expanding box queries through
-  /// the normal resolving machinery (a box of half-width r covers every
-  /// event within Euclidean distance r). Each visited cell answers with
-  /// its local top-k regardless of the box, so a visited cell is never
-  /// re-queried as the box grows; the search completes once the k-th
-  /// best distance is inside the proven-covered radius.
-  storage::QueryReceipt k_nearest(net::NodeId sink,
-                                  const storage::KNearestQuery& query) override;
-
-  /// Merged multi-query execution: per pool, the relevant-cell sets of
-  /// every query in the batch are unioned (Theorem 3.2 resolving is pure
-  /// arithmetic, so the sink merges before transmitting anything), ONE
-  /// probe travels the splitter tree over the union, and each visited
-  /// cell replies once with the distinct matching events of all askers.
-  /// Per-query results are identical to serial query() calls;
-  /// messages_saved is exact on ideal links (DESIGN.md §8).
-  storage::BatchQueryReceipt query_batch(
-      net::NodeId sink,
-      const std::vector<storage::RangeQuery>& queries) override;
-
-  /// In-network aggregation (Section 3.2.3): each relevant cell reduces
-  /// its matching events to one fixed-size partial, each splitter merges
-  /// its pool's partials, and exactly one aggregate reply per involved
-  /// pool travels back to the sink — reply traffic is independent of the
-  /// number of qualifying events.
-  storage::AggregateReceipt aggregate(net::NodeId sink,
-                                      const storage::RangeQuery& query,
-                                      storage::AggregateKind kind,
-                                      std::size_t value_dim) override;
 
   std::size_t stored_count() const override { return stored_count_; }
   std::size_t expire_before(double cutoff) override;
@@ -215,6 +172,49 @@ class PoolSystem final : public storage::DcsSystem {
   const storage::column::ScanStats* scan_stats() const override {
     return &scan_stats_;
   }
+
+ protected:
+  storage::QueryReceipt query(net::NodeId sink,
+                              const storage::RangeQuery& query) override;
+
+  /// Distributed skyline with relevant-cell dominance pruning (the
+  /// Theorem 3.2 machinery applied to dominance regions): the sink
+  /// derives every cell's best-possible corner from Equation 1 —
+  /// corner[d1] = (HO+1)/l in the pool dimension, (VO+1)(HO+1)/l² in
+  /// every other (all bounded by the second-greatest value) — visits
+  /// cells in descending corner order, and NEVER contacts a cell whose
+  /// corner is already dominated by a collected event. Visited cells
+  /// reply with their local skyline only.
+  storage::QueryReceipt skyline(net::NodeId sink,
+                                const storage::SkylineQuery& query) override;
+
+  /// Distributed k-nearest-event search: expanding box queries through
+  /// the normal resolving machinery (a box of half-width r covers every
+  /// event within Euclidean distance r). Each visited cell answers with
+  /// its local top-k regardless of the box, so a visited cell is never
+  /// re-queried as the box grows; the search completes once the k-th
+  /// best distance is inside the proven-covered radius.
+  storage::QueryReceipt k_nearest(net::NodeId sink,
+                                  const storage::KNearestQuery& query) override;
+
+  /// Merged range execution: per pool, the relevant-cell sets of
+  /// every query in the batch are unioned (Theorem 3.2 resolving is pure
+  /// arithmetic, so the sink merges before transmitting anything), ONE
+  /// probe travels the splitter tree over the union, and each visited
+  /// cell replies once with the distinct matching events of all askers.
+  /// Per-query results are identical to serial range queries;
+  /// messages_saved is exact on ideal links (DESIGN.md §8).
+  storage::BatchQueryReceipt merge_ranges(
+      net::NodeId sink,
+      const std::vector<storage::RangeQuery>& queries) override;
+
+  /// In-network aggregation (Section 3.2.3): each relevant cell reduces
+  /// its matching events to one fixed-size partial, each splitter merges
+  /// its pool's partials, and exactly one aggregate reply per involved
+  /// pool travels back to the sink — reply traffic is independent of the
+  /// number of qualifying events.
+  storage::QueryReceipt aggregate(
+      net::NodeId sink, const storage::AggregateQuery& query) override;
 
  private:
   /// One step of a dissemination plan: a relevant cell of one pool.

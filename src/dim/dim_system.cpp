@@ -169,9 +169,6 @@ std::vector<Event> DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
 }
 
 QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims())
-    throw ConfigError("DIM: query dimensionality mismatch");
-
   QueryReceipt receipt;
   const auto before = net_.traffic();
   std::vector<Event> matched;
@@ -192,9 +189,6 @@ QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
 
 QueryReceipt DimSystem::skyline(net::NodeId sink,
                                 const storage::SkylineQuery& q) {
-  if (q.dims() != dims())
-    throw ConfigError("DIM: skyline dimensionality mismatch");
-
   // The zone code fixes every leaf's value-range box, so the sink knows
   // each zone's best possible point — the top of its box — without a
   // single message. Visit leaves best-corner-first; collected skyline
@@ -246,11 +240,6 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
 
 QueryReceipt DimSystem::k_nearest(net::NodeId sink,
                                   const storage::KNearestQuery& q) {
-  if (q.dims() != dims())
-    throw ConfigError("DIM: k-NN target dimensionality mismatch");
-  if (q.initial_radius < 0.0)
-    throw ConfigError("DIM: k-NN initial radius must be positive");
-
   QueryReceipt receipt;
   const auto before = net_.traffic();
   std::vector<char> visited(tree_.size(), 0);  // by leaf ZoneIndex
@@ -288,16 +277,12 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
   return receipt;
 }
 
-storage::BatchQueryReceipt DimSystem::query_batch(
+storage::BatchQueryReceipt DimSystem::merge_ranges(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
-  for (const RangeQuery& q : queries)
-    if (q.dims() != dims())
-      throw ConfigError("DIM: query dimensionality mismatch");
   // With dead nodes around, the merged probe's cost accounting and
   // pre-computed legs no longer hold; fall back to hardened serial
   // execution (which retries and fails over per leg).
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
+  if (net_.has_failures()) return DcsSystem::merge_ranges(sink, queries);
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
@@ -388,24 +373,17 @@ storage::BatchQueryReceipt DimSystem::query_batch(
   return batch;
 }
 
-storage::AggregateReceipt DimSystem::aggregate(net::NodeId sink,
-                                               const RangeQuery& q,
-                                               storage::AggregateKind kind,
-                                               std::size_t value_dim) {
-  if (q.dims() != dims())
-    throw ConfigError("DIM: query dimensionality mismatch");
-  if (value_dim >= dims())
-    throw ConfigError("DIM: aggregate dimension out of range");
-
-  storage::AggregateReceipt receipt;
+QueryReceipt DimSystem::aggregate(net::NodeId sink,
+                                  const storage::AggregateQuery& q) {
+  QueryReceipt receipt;
   const auto before = net_.traffic();
   storage::PartialAggregate total;
-  disseminate(sink, q, [&](ZoneIndex leaf) {
+  disseminate(sink, q.range, [&](ZoneIndex leaf) {
     ++receipt.index_nodes_visited;
     storage::PartialAggregate partial;
     const auto& cs = store_[leaf];
-    cs.scan(q, false, [&](std::size_t row) {
-      partial.add(cs.value_at(row, value_dim));
+    cs.scan(q.range, false, [&](std::size_t row) {
+      partial.add(cs.value_at(row, q.value_dim));
     });
     // One fixed-size partial straight to the sink; it only joins the
     // aggregate if the leg actually delivers.
@@ -414,7 +392,7 @@ storage::AggregateReceipt DimSystem::aggregate(net::NodeId sink,
                     /*partial=*/true))
       total.merge(partial);
   });
-  receipt.result = total.finalize(kind);
+  receipt.aggregate = total.finalize(q.kind);
   receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }

@@ -40,42 +40,6 @@ class DimSystem final : public storage::DcsSystem {
 
   storage::InsertReceipt insert(net::NodeId source,
                                 const storage::Event& event) override;
-  storage::QueryReceipt query(net::NodeId sink,
-                              const storage::RangeQuery& query) override;
-
-  /// Merged multi-query execution: the shared dissemination tree is the
-  /// UNION of each query's serial forwarding legs with identical legs
-  /// charged once, and each answering leaf replies once with the distinct
-  /// matching events of all askers — so the batch never costs more than
-  /// the serial sum, even for disjoint queries whose zone walks diverge.
-  /// Per-query results are identical to serial query() calls (DESIGN.md §8).
-  storage::BatchQueryReceipt query_batch(
-      net::NodeId sink,
-      const std::vector<storage::RangeQuery>& queries) override;
-
-  /// Skyline with zone-corner dominance pruning: every leaf zone's best
-  /// possible point is the top of its value-range box (known to the sink
-  /// from the shared zone code, no messages). Zones are visited
-  /// best-corner-first and a zone whose corner is dominated by an
-  /// already-collected event is never contacted.
-  storage::QueryReceipt skyline(net::NodeId sink,
-                                const storage::SkylineQuery& query) override;
-
-  /// k nearest stored events by expanding-ring search over leaf zones:
-  /// each round contacts the not-yet-visited zones overlapping the
-  /// current box; owners reply with their local top-k, and the search
-  /// stops once the k-th best candidate provably lies inside the ring.
-  storage::QueryReceipt k_nearest(
-      net::NodeId sink, const storage::KNearestQuery& query) override;
-
-  /// Aggregates are computed per leaf zone; each answering owner sends a
-  /// fixed-size partial straight to the sink (DIM has no in-network merge
-  /// point, unlike Pool's splitters).
-  storage::AggregateReceipt aggregate(net::NodeId sink,
-                                      const storage::RangeQuery& query,
-                                      storage::AggregateKind kind,
-                                      std::size_t value_dim) override;
-
   std::size_t stored_count() const override { return stored_count_; }
   std::size_t expire_before(double cutoff) override;
 
@@ -100,6 +64,41 @@ class DimSystem final : public storage::DcsSystem {
   std::size_t relevant_zone_count(const storage::RangeQuery& q) const {
     return tree_.leaves_overlapping(q).size();
   }
+
+ protected:
+  storage::QueryReceipt query(net::NodeId sink,
+                              const storage::RangeQuery& query) override;
+
+  /// Merged range execution: the shared dissemination tree is the
+  /// UNION of each query's serial forwarding legs with identical legs
+  /// charged once, and each answering leaf replies once with the distinct
+  /// matching events of all askers — so the batch never costs more than
+  /// the serial sum, even for disjoint queries whose zone walks diverge.
+  /// Per-query results are identical to serial range queries (DESIGN.md §8).
+  storage::BatchQueryReceipt merge_ranges(
+      net::NodeId sink,
+      const std::vector<storage::RangeQuery>& queries) override;
+
+  /// Skyline with zone-corner dominance pruning: every leaf zone's best
+  /// possible point is the top of its value-range box (known to the sink
+  /// from the shared zone code, no messages). Zones are visited
+  /// best-corner-first and a zone whose corner is dominated by an
+  /// already-collected event is never contacted.
+  storage::QueryReceipt skyline(net::NodeId sink,
+                                const storage::SkylineQuery& query) override;
+
+  /// k nearest stored events by expanding-ring search over leaf zones:
+  /// each round contacts the not-yet-visited zones overlapping the
+  /// current box; owners reply with their local top-k, and the search
+  /// stops once the k-th best candidate provably lies inside the ring.
+  storage::QueryReceipt k_nearest(
+      net::NodeId sink, const storage::KNearestQuery& query) override;
+
+  /// Aggregates are computed per leaf zone; each answering owner sends a
+  /// fixed-size partial straight to the sink (DIM has no in-network merge
+  /// point, unlike Pool's splitters).
+  storage::QueryReceipt aggregate(
+      net::NodeId sink, const storage::AggregateQuery& query) override;
 
  private:
   /// Node a (sub)query is addressed to when targeting this zone.

@@ -106,7 +106,7 @@ QueryEngine::Ticket QueryEngine::submit(net::NodeId sink,
   }
 
   if (config_.batch_size <= 1) {
-    execute_serial({ticket, sink, query});
+    execute_group(sink, {{ticket, sink, query}});
     return ticket;
   }
 
@@ -123,19 +123,6 @@ void QueryEngine::absorb_fault_stats() {
   failed_legs_.add(f.failed_legs - fault_seen_.failed_legs);
   events_lost_.add(f.events_lost - fault_seen_.events_lost);
   fault_seen_ = f;
-}
-
-void QueryEngine::execute_serial(const PendingQuery& p) {
-  storage::QueryReceipt receipt = system_.execute(p.sink, p.query);
-  absorb_fault_stats();
-  serial_executions_.inc();
-  if (p.query.cls() == storage::QueryClass::Skyline) skyline_queries_.inc();
-  if (p.query.cls() == storage::QueryClass::KNearest) knn_queries_.inc();
-  messages_.add(receipt.messages);
-  serial_cell_visits_.add(receipt.index_nodes_visited);
-  unique_cell_visits_.add(receipt.index_nodes_visited);
-  batch_occupancy_.add(1.0);
-  finish(p.ticket, p.query, std::move(receipt));
 }
 
 void QueryEngine::finish(Ticket ticket, const storage::QueryRequest& q,
@@ -172,66 +159,77 @@ void QueryEngine::flush() {
     g->members.push_back(std::move(p));
   }
 
-  for (Group& g : groups) {
-    // Skyline and k-NN members run serially at the flush instant (same
-    // store snapshot as the batch); only range queries merge.
-    std::vector<PendingQuery> ranged;
-    ranged.reserve(g.members.size());
-    for (PendingQuery& p : g.members) {
-      if (p.query.cls() == storage::QueryClass::Range)
-        ranged.push_back(std::move(p));
-      else
-        execute_serial(p);
-    }
-    if (ranged.empty()) continue;
-    g.members = std::move(ranged);
-    if (g.members.size() == 1) {
-      execute_serial(g.members.front());
+  for (Group& g : groups) execute_group(g.sink, std::move(g.members));
+}
+
+void QueryEngine::execute_group(net::NodeId sink,
+                                std::vector<PendingQuery> members) {
+  std::vector<storage::QueryRequest> requests;
+  requests.reserve(members.size());
+  std::size_t ranges = 0;
+  for (PendingQuery& p : members) {
+    ranges += p.query.cls() == storage::QueryClass::Range;
+    requests.push_back(std::move(p.query));
+  }
+  storage::BatchQueryReceipt batch = system_.execute_batch(sink, requests);
+  absorb_fault_stats();
+  messages_.add(batch.messages);
+  messages_saved_.add(batch.messages_saved);
+  serial_cell_visits_.add(batch.serial_cell_visits);
+  unique_cell_visits_.add(batch.unique_cell_visits);
+
+  // execute_batch merges the ranges only when there are two or more.
+  // Every other member ran alone with its own exact receipt; what the
+  // batch totals hold beyond those is the merged share.
+  const bool merged = ranges >= 2;
+  storage::ResultReceipt alone;
+  std::vector<storage::QueryReceipt*> sharing;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const storage::QueryClass cls = requests[i].cls();
+    if (merged && cls == storage::QueryClass::Range) {
+      sharing.push_back(&batch.per_query[i]);
       continue;
     }
-    std::vector<storage::RangeQuery> queries;
-    queries.reserve(g.members.size());
-    for (const PendingQuery& p : g.members) queries.push_back(p.query.range());
-
-    storage::BatchQueryReceipt batch = system_.query_batch(g.sink, queries);
-    absorb_fault_stats();
+    alone += batch.per_query[i];
+    serial_executions_.inc();
+    if (cls == storage::QueryClass::Skyline) skyline_queries_.inc();
+    if (cls == storage::QueryClass::KNearest) knn_queries_.inc();
+    batch_occupancy_.add(1.0);
+  }
+  if (merged) {
+    const std::size_t serial =
+        batch.serial_cell_visits - alone.index_nodes_visited;
+    const std::size_t unique =
+        batch.unique_cell_visits - alone.index_nodes_visited;
     batches_.inc();
-    messages_.add(batch.messages);
-    messages_saved_.add(batch.messages_saved);
-    serial_cell_visits_.add(batch.serial_cell_visits);
-    unique_cell_visits_.add(batch.unique_cell_visits);
-    batch_occupancy_.add(static_cast<double>(g.members.size()));
-    dedup_ratio_.add(
-        batch.unique_cell_visits > 0
-            ? static_cast<double>(batch.serial_cell_visits) /
-                  static_cast<double>(batch.unique_cell_visits)
-            : 1.0);
-
+    batch_occupancy_.add(static_cast<double>(ranges));
+    dedup_ratio_.add(unique > 0 ? static_cast<double>(serial) /
+                                      static_cast<double>(unique)
+                                : 1.0);
     // The transport was shared, so per-query attribution is a policy
-    // choice: amortize each message field evenly across the batch
-    // (remainder to the earliest queries) unless the implementation
-    // already attributed exactly.
+    // choice: amortize each message field evenly across the merged ranges
+    // (remainder to the earliest) unless the system already attributed
+    // exactly.
     std::uint64_t attributed = 0;
-    for (const auto& r : batch.per_query) attributed += r.messages;
-    if (attributed != batch.messages) {
+    for (const storage::QueryReceipt* r : sharing) attributed += r->messages;
+    if (attributed != batch.messages - alone.messages) {
       const auto spread = [&](std::uint64_t total,
                               std::uint64_t storage::QueryReceipt::*field) {
-        const std::uint64_t n = batch.per_query.size();
-        const std::uint64_t base = total / n;
-        const std::uint64_t rem = total % n;
+        const std::uint64_t n = sharing.size();
         for (std::uint64_t i = 0; i < n; ++i)
-          batch.per_query[i].*field = base + (i < rem ? 1 : 0);
+          sharing[i]->*field = total / n + (i < total % n ? 1 : 0);
       };
-      spread(batch.messages, &storage::QueryReceipt::messages);
-      spread(batch.query_messages, &storage::QueryReceipt::query_messages);
-      spread(batch.reply_messages, &storage::QueryReceipt::reply_messages);
-    }
-
-    for (std::size_t i = 0; i < g.members.size(); ++i) {
-      finish(g.members[i].ticket, g.members[i].query,
-             std::move(batch.per_query[i]));
+      spread(batch.messages - alone.messages,
+             &storage::QueryReceipt::messages);
+      spread(batch.query_messages - alone.query_messages,
+             &storage::QueryReceipt::query_messages);
+      spread(batch.reply_messages - alone.reply_messages,
+             &storage::QueryReceipt::reply_messages);
     }
   }
+
+  for (std::size_t i = 0; i < members.size(); ++i)
+    finish(members[i].ticket, requests[i], std::move(batch.per_query[i]));
 }
 
 storage::QueryReceipt QueryEngine::take(Ticket ticket) {

@@ -1,14 +1,14 @@
 // The sink-side batched query engine — the serving layer over any
 // DcsSystem (Pool, DIM, GHT all pluggable).
 //
-// Callers submit() RangeQueries and redeem tickets; the engine collects
-// concurrent submissions into EPOCHS, flushed when the epoch reaches
-// batch_size queries or batch_deadline logical events pass (every
-// submit/insert/tick advances the clock). At flush the pending queries
-// are grouped by sink and each group ships as ONE merged dissemination
-// via DcsSystem::query_batch, which unions relevant-cell sets, dedupes
-// cell visits and replies once per answering node — then the engine
-// demultiplexes, handing every caller a result byte-identical to serial
+// Callers submit() requests of any class and redeem tickets; the engine
+// collects concurrent submissions into EPOCHS, flushed when the epoch
+// reaches batch_size queries or batch_deadline logical events pass (every
+// submit/insert/tick advances the clock). At flush the pending requests
+// are grouped by sink and each group goes to DcsSystem::execute_batch in
+// one call, which merges its ranges into ONE dissemination (unioned
+// relevant-cell sets, deduped cell visits, one reply per answering node)
+// — then the engine hands every caller a result byte-identical to serial
 // execution (DESIGN.md §8 has the argument).
 //
 // A ResultCache keyed on normalized query rectangles short-circuits
@@ -109,11 +109,10 @@ class QueryEngine {
 
   /// Admits a query issued at `sink` — any class (RangeQuery converts
   /// implicitly). Cache hits and serial mode resolve immediately;
-  /// otherwise the query joins the pending epoch. Skyline and k-NN
-  /// requests share the epoch's timing (they observe the store as of
-  /// their flush) but execute serially there via DcsSystem::execute —
-  /// only range queries merge into query_batch, and only range results
-  /// enter the cache.
+  /// otherwise the query joins the pending epoch. Every class shares the
+  /// epoch's timing (it observes the store as of its flush); within
+  /// DcsSystem::execute_batch only range queries merge, and only range
+  /// results enter the cache.
   Ticket submit(net::NodeId sink, const storage::QueryRequest& query);
 
   /// Executes every pending query now, regardless of epoch triggers.
@@ -147,7 +146,9 @@ class QueryEngine {
 
   /// Flushes the pending epoch when its deadline has passed.
   void advance_clock(std::uint64_t events);
-  void execute_serial(const PendingQuery& p);
+  /// Runs requests from one sink as one DcsSystem::execute_batch call
+  /// (serial mode: a group of one) and records their receipts.
+  void execute_group(net::NodeId sink, std::vector<PendingQuery> members);
   void finish(Ticket ticket, const storage::QueryRequest& q,
               storage::QueryReceipt receipt);
 

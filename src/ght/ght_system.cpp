@@ -181,9 +181,6 @@ std::size_t GhtSystem::flood_collect(net::NodeId sink, bool partial,
 }
 
 QueryReceipt GhtSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: query dimensionality mismatch");
-
   QueryReceipt receipt;
   const auto before = net_.traffic();
   std::vector<Event> matched;
@@ -220,9 +217,6 @@ QueryReceipt GhtSystem::query(net::NodeId sink, const RangeQuery& q) {
 
 QueryReceipt GhtSystem::skyline(net::NodeId sink,
                                 const storage::SkylineQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: skyline dimensionality mismatch");
-
   // Value hashing scatters dominance-adjacent events across the whole
   // network, so there is nothing to prune toward: flood, then every
   // holder replies with its LOCAL skyline (an event dominated at its own
@@ -248,11 +242,6 @@ QueryReceipt GhtSystem::skyline(net::NodeId sink,
 
 QueryReceipt GhtSystem::k_nearest(net::NodeId sink,
                                   const storage::KNearestQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: k-NN target dimensionality mismatch");
-  if (q.initial_radius < 0.0)
-    throw ConfigError("GHT: k-NN initial radius must be positive");
-
   // No distance locality either: nearby values hash to unrelated homes,
   // so an expanding ring cannot be routed. One flood; each holder
   // replies with its local top-k and the sink keeps the best k.
@@ -277,16 +266,12 @@ QueryReceipt GhtSystem::k_nearest(net::NodeId sink,
   return receipt;
 }
 
-storage::BatchQueryReceipt GhtSystem::query_batch(
+storage::BatchQueryReceipt GhtSystem::merge_ranges(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
-  for (const RangeQuery& q : queries)
-    if (q.dims() != dims_)
-      throw ConfigError("GHT: query dimensionality mismatch");
   // With dead nodes around, the merged probe's cost accounting and
   // pre-computed legs no longer hold; fall back to hardened serial
   // execution (which retries and fails over per leg).
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
+  if (net_.has_failures()) return DcsSystem::merge_ranges(sink, queries);
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
@@ -398,32 +383,25 @@ std::size_t GhtSystem::expire_before(double cutoff) {
   return removed;
 }
 
-storage::AggregateReceipt GhtSystem::aggregate(net::NodeId sink,
-                                               const RangeQuery& q,
-                                               storage::AggregateKind kind,
-                                               std::size_t value_dim) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: query dimensionality mismatch");
-  if (value_dim >= dims_)
-    throw ConfigError("GHT: aggregate dimension out of range");
-
+QueryReceipt GhtSystem::aggregate(net::NodeId sink,
+                                  const storage::AggregateQuery& q) {
   // Aggregates have the same locality problem as ranges: flood, and each
   // holder sends one fixed-size partial home — which only joins the
   // aggregate if its leg delivers.
-  storage::AggregateReceipt receipt;
+  QueryReceipt receipt;
   const auto before = net_.traffic();
   storage::PartialAggregate partial, total;
   receipt.index_nodes_visited = flood_collect(
       sink, true,
       [&](const auto& cs) {
         partial = {};
-        cs.scan(q, false, [&](std::size_t row) {
-          partial.add(cs.value_at(row, value_dim));
+        cs.scan(q.range, false, [&](std::size_t row) {
+          partial.add(cs.value_at(row, q.value_dim));
         });
         return partial.count;
       },
       [&] { total.merge(partial); });
-  receipt.result = total.finalize(kind);
+  receipt.aggregate = total.finalize(q.kind);
   receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }

@@ -56,6 +56,23 @@ class GhtSystem final : public storage::DcsSystem {
   storage::InsertReceipt insert(net::NodeId source,
                                 const storage::Event& event) override;
 
+  std::size_t stored_count() const override { return stored_count_; }
+  std::size_t expire_before(double cutoff) override;
+
+  const storage::column::ScanStats* scan_stats() const override {
+    return &scan_stats_;
+  }
+
+  /// Online failover: the dead node's store is counted lost (GHT keeps a
+  /// single copy per key), and every cached home pointing at it is
+  /// forgotten so affected keys re-home at the nearest survivor — the
+  /// perimeter-walk convention applied to the survivor set. Idempotent.
+  void handle_node_failure(net::NodeId dead) override;
+
+  /// Home node for an event's (quantized) value vector.
+  net::NodeId home_node(const storage::Values& values) const;
+
+ protected:
   /// Exact-match point queries hash to the home node (two unicasts).
   /// Everything else floods: one broadcast over the connectivity graph
   /// plus a unicast reply from every node holding matches.
@@ -75,35 +92,18 @@ class GhtSystem final : public storage::DcsSystem {
   storage::QueryReceipt k_nearest(
       net::NodeId sink, const storage::KNearestQuery& query) override;
 
-  /// Merged multi-query execution: point queries hashing to the same home
+  /// Merged range execution: point queries hashing to the same home
   /// node share one probe, all range/partial queries in the batch share a
   /// SINGLE network flood, and every answering node replies once with the
   /// distinct matching events of all askers. Per-query results are
-  /// identical to serial query() calls (DESIGN.md §8).
-  storage::BatchQueryReceipt query_batch(
+  /// identical to serial range queries (DESIGN.md §8).
+  storage::BatchQueryReceipt merge_ranges(
       net::NodeId sink,
       const std::vector<storage::RangeQuery>& queries) override;
 
-  storage::AggregateReceipt aggregate(net::NodeId sink,
-                                      const storage::RangeQuery& query,
-                                      storage::AggregateKind kind,
-                                      std::size_t value_dim) override;
-
-  std::size_t stored_count() const override { return stored_count_; }
-  std::size_t expire_before(double cutoff) override;
-
-  const storage::column::ScanStats* scan_stats() const override {
-    return &scan_stats_;
-  }
-
-  /// Online failover: the dead node's store is counted lost (GHT keeps a
-  /// single copy per key), and every cached home pointing at it is
-  /// forgotten so affected keys re-home at the nearest survivor — the
-  /// perimeter-walk convention applied to the survivor set. Idempotent.
-  void handle_node_failure(net::NodeId dead) override;
-
-  /// Home node for an event's (quantized) value vector.
-  net::NodeId home_node(const storage::Values& values) const;
+  /// Aggregates flood like ranges; each holder sends one partial home.
+  storage::QueryReceipt aggregate(
+      net::NodeId sink, const storage::AggregateQuery& query) override;
 
  private:
   std::uint64_t key_of(const storage::Values& values) const;

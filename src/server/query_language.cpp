@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/error.h"
+
 namespace poolnet::server {
 namespace {
 
@@ -335,6 +337,8 @@ std::string to_query_text(const storage::QueryRequest& request) {
       if (q.initial_radius > 0.0) oss << " WITHIN " << q.initial_radius;
       return oss.str();
     }
+    case storage::QueryClass::Aggregate:
+      throw ConfigError("aggregate requests have no wire-grammar text");
   }
   return "SELECT";  // unreachable
 }

@@ -49,8 +49,9 @@ bool parse_insert(const std::string& text, std::size_t dims,
 /// through the server's text path.
 std::string to_select_text(const storage::RangeQuery& query);
 
-/// Formats any QueryRequest as SELECT text that parse_query() maps back
-/// to an equal request.
+/// Formats a QueryRequest as SELECT text that parse_query() maps back
+/// to an equal request. Aggregates are not in the grammar: throws
+/// ConfigError for them.
 std::string to_query_text(const storage::QueryRequest& request);
 
 }  // namespace poolnet::server

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "net/network.h"
-#include "routing/router.h"
 
 namespace poolnet::storage {
 
@@ -20,9 +18,7 @@ BruteForceStore::BruteForceStore(std::size_t dims, net::Network& network,
                                  const routing::Router& router,
                                  net::NodeId sink_node)
     : BruteForceStore(dims) {
-  network_ = &network;
-  router_ = &router;
-  base_station_ = sink_node;
+  link_ = BaseStationLink(network, router, sink_node, dims);
 }
 
 InsertReceipt BruteForceStore::insert(net::NodeId source, const Event& event) {
@@ -31,50 +27,17 @@ InsertReceipt BruteForceStore::insert(net::NodeId source, const Event& event) {
     throw ConfigError("BruteForceStore: event dimensionality mismatch");
   store_.append(event);
   all_dirty_ = true;
-  InsertReceipt receipt;
-  receipt.stored_at = base_station_ == net::kNoNode ? source : base_station_;
-  if (network_ != nullptr && base_station_ != net::kNoNode) {
-    const auto before = network_->traffic().total;
-    const auto route = router_->route_to_node(source, base_station_);
-    network_->transmit_path(route.path, net::MessageKind::Insert,
-                            network_->sizes().event_bits(dims_));
-    receipt.messages = network_->traffic().total - before;
-  }
-  return receipt;
-}
-
-void BruteForceStore::charge_query_traffic(net::NodeId sink,
-                                           QueryReceipt& receipt) const {
-  if (network_ == nullptr || base_station_ == net::kNoNode) return;
-  const auto before = network_->traffic();
-  // Query travels to the base station; replies come back packed.
-  const auto to_bs = router_->route_to_node(sink, base_station_);
-  network_->transmit_path(to_bs.path, net::MessageKind::Query,
-                          network_->sizes().query_bits(dims_));
-  const auto back = router_->route_to_node(base_station_, sink);
-  const auto& sizes = network_->sizes();
-  const std::uint64_t reply_count =
-      std::max<std::uint64_t>(sizes.reply_batches(receipt.events.size()), 1);
-  for (std::uint64_t i = 0; i < reply_count; ++i) {
-    network_->transmit_path(
-        back.path, net::MessageKind::Reply,
-        sizes.reply_bits(dims_, sizes.reply_payload(receipt.events.size())));
-  }
-  const auto delta = network_->traffic() - before;
-  receipt.cost() = cost_of(delta);
+  return link_.insert(source);
 }
 
 QueryReceipt BruteForceStore::query(net::NodeId sink, const RangeQuery& q) {
   QueryReceipt receipt;
   receipt.events = matching(q);
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
 QueryReceipt BruteForceStore::skyline(net::NodeId sink, const SkylineQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("BruteForceStore: skyline dimensionality mismatch");
   QueryReceipt receipt;
   std::vector<Event> cand;
   Values corner;
@@ -102,15 +65,12 @@ QueryReceipt BruteForceStore::skyline(net::NodeId sink, const SkylineQuery& q) {
   }
   skyline_filter(q, cand);
   receipt.events = std::move(cand);
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
 QueryReceipt BruteForceStore::k_nearest(net::NodeId sink,
                                         const KNearestQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("BruteForceStore: k-NN dimensionality mismatch");
   QueryReceipt receipt;
   std::vector<Event> cand;
   // Visit blocks in order of their zone-map lower-bound distance to the
@@ -147,8 +107,7 @@ QueryReceipt BruteForceStore::k_nearest(net::NodeId sink,
   }
   receipt.events = std::move(cand);
   receipt.rounds = 1;
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
@@ -169,24 +128,11 @@ void BruteForceStore::aggregate_into(const RangeQuery& q,
   });
 }
 
-AggregateReceipt BruteForceStore::aggregate(net::NodeId sink,
-                                            const RangeQuery& q,
-                                            AggregateKind kind,
-                                            std::size_t value_dim) {
-  AggregateReceipt receipt;
-  receipt.result = aggregate_oracle(q, kind, value_dim);
-  receipt.index_nodes_visited = 1;
-  if (network_ != nullptr && base_station_ != net::kNoNode) {
-    const auto before = network_->traffic();
-    const auto to_bs = router_->route_to_node(sink, base_station_);
-    network_->transmit_path(to_bs.path, net::MessageKind::Query,
-                            network_->sizes().query_bits(dims_));
-    const auto back = router_->route_to_node(base_station_, sink);
-    network_->transmit_path(back.path, net::MessageKind::Reply,
-                            network_->sizes().aggregate_bits());
-    const auto delta = network_->traffic() - before;
-    receipt.cost() = cost_of(delta);
-  }
+QueryReceipt BruteForceStore::aggregate(net::NodeId sink,
+                                        const AggregateQuery& q) {
+  QueryReceipt receipt;
+  receipt.aggregate = aggregate_oracle(q.range, q.kind, q.value_dim);
+  link_.answer(sink, receipt, /*partial=*/true);
   return receipt;
 }
 

@@ -9,16 +9,9 @@
 
 #include <vector>
 
+#include "storage/base_station.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
-
-namespace poolnet::net {
-class Network;
-}
-
-namespace poolnet::routing {
-class Router;
-}
 
 namespace poolnet::storage {
 
@@ -35,17 +28,6 @@ class BruteForceStore final : public DcsSystem {
   std::string name() const override { return "central"; }
   std::size_t dims() const override { return dims_; }
   InsertReceipt insert(net::NodeId source, const Event& event) override;
-  QueryReceipt query(net::NodeId sink, const RangeQuery& query) override;
-  /// Skyline with block-level dominance pruning: a block whose zone-map
-  /// max corner is dominated by a collected event is never scanned.
-  QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query) override;
-  /// k-NN scanning blocks in min-distance order, stopping once the next
-  /// block cannot beat the k-th best.
-  QueryReceipt k_nearest(net::NodeId sink,
-                         const KNearestQuery& query) override;
-  AggregateReceipt aggregate(net::NodeId sink, const RangeQuery& query,
-                             AggregateKind kind,
-                             std::size_t value_dim) override;
   std::size_t stored_count() const override { return store_.size(); }
   std::size_t expire_before(double cutoff) override;
   const column::ScanStats* scan_stats() const override { return &scan_stats_; }
@@ -70,20 +52,25 @@ class BruteForceStore final : public DcsSystem {
   /// insert/expire.
   const std::vector<Event>& all() const;
 
- private:
-  /// Charges the sink->base-station query leg and the packed reply legs
-  /// for `receipt.events` (the cost model query() always used); no-op in
-  /// pure-oracle mode.
-  void charge_query_traffic(net::NodeId sink, QueryReceipt& receipt) const;
+ protected:
+  QueryReceipt query(net::NodeId sink, const RangeQuery& query) override;
+  /// Skyline with block-level dominance pruning: a block whose zone-map
+  /// max corner is dominated by a collected event is never scanned.
+  QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query) override;
+  /// k-NN scanning blocks in min-distance order, stopping once the next
+  /// block cannot beat the k-th best.
+  QueryReceipt k_nearest(net::NodeId sink,
+                         const KNearestQuery& query) override;
+  QueryReceipt aggregate(net::NodeId sink,
+                         const AggregateQuery& query) override;
 
+ private:
   std::size_t dims_;
   column::ColumnStore store_{1};
   mutable column::ScanStats scan_stats_;
   mutable std::vector<Event> all_cache_;
   mutable bool all_dirty_ = true;
-  net::Network* network_ = nullptr;        // null in oracle mode
-  const routing::Router* router_ = nullptr;  // null in oracle mode
-  net::NodeId base_station_ = net::kNoNode;
+  BaseStationLink link_;  // unbound in oracle mode
 };
 
 }  // namespace poolnet::storage

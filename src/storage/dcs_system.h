@@ -1,8 +1,15 @@
 // The common interface of data-centric storage systems.
 //
-// Both Pool (src/core) and DIM (src/dim) implement this, which is what
-// lets the experiment driver, the tests, and the benches treat the two
-// systems symmetrically — the comparison methodology of Section 5.
+// Pool (src/core), DIM (src/dim), GHT (src/ght) and the two central
+// stores (BruteForceStore, PagedStore) implement it, which is what lets
+// the experiment driver, the engine, the server, the tests and the benches
+// treat every system alike — the comparison methodology of Section 5.
+//
+// Queries enter through two public, non-virtual calls: execute() for one
+// request of any class and execute_batch() for several from one sink.
+// Both validate the requests and then dispatch to protected per-class
+// virtuals (query, skyline, k_nearest, aggregate, merge_ranges), so the
+// checks and the batch policy exist once, here (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -11,7 +18,6 @@
 
 #include "net/message.h"
 #include "net/node.h"
-#include "storage/aggregate.h"
 #include "storage/event.h"
 #include "storage/query_request.h"
 #include "storage/range_query.h"
@@ -81,36 +87,32 @@ struct ResultReceipt : CostBreakdown {
   }
 };
 
-/// Result and cost breakdown of one aggregate query.
-struct AggregateReceipt : ResultReceipt {
-  AggregateResult result;
-};
-
-/// Result and cost breakdown of one query of any class (range, skyline,
-/// k-nearest — see QueryRequest and DcsSystem::execute).
+/// Result and cost breakdown of one query of any class (see QueryRequest
+/// and DcsSystem::execute).
 struct QueryReceipt : ResultReceipt {
-  std::vector<Event> events;  ///< qualifying events
+  std::vector<Event> events;  ///< qualifying events (not for aggregates)
   std::size_t rounds = 0;     ///< expanding-search rounds (k-NN only)
+  AggregateResult aggregate;  ///< the answer (aggregate requests only)
 };
 
-/// Result of one merged multi-query execution (see query_batch).
+/// Result of one execute_batch() call.
 struct BatchQueryReceipt : ResultReceipt {
-  /// One receipt per input query, in input order. `events` is identical
-  /// (content AND order) to what a serial query() from the same sink
-  /// would have returned, and `index_nodes_visited` is that query's own
-  /// relevant-visit count. The per-receipt message fields stay zero in
-  /// merging implementations — transport cost is shared and reported only
-  /// in the batch totals below.
+  /// One receipt per request, in input order, identical (content AND
+  /// order) to what execute() from the same sink would have returned;
+  /// `index_nodes_visited` is that request's own visit count. Members
+  /// that ran alone carry their exact cost. Ranges that shared a merged
+  /// dissemination carry zero message fields in merging systems: their
+  /// transport is shared and reported only in the batch totals.
   std::vector<QueryReceipt> per_query;
 
-  std::size_t serial_cell_visits = 0;  ///< Σ per-query relevant visits
+  std::size_t serial_cell_visits = 0;  ///< Σ per-request visits
   std::size_t unique_cell_visits = 0;  ///< deduped visits actually made
 
-  /// Per-hop transmissions a serial per-query execution would have
-  /// charged, minus what the merged execution charged. Exact on ideal
-  /// links (computed from the hop counts of the very routes the merged
-  /// walk uses); clamped at 0 under link loss, where retransmission
-  /// draws make the comparison stochastic.
+  /// Per-hop transmissions a serial per-request execution would have
+  /// charged, minus what the batch charged. Exact on ideal links
+  /// (computed from the hop counts of the very routes the merged walk
+  /// uses); clamped at 0 under link loss, where retransmission draws make
+  /// the comparison stochastic.
   std::uint64_t messages_saved = 0;
 };
 
@@ -125,9 +127,9 @@ struct FaultStats {
 };
 
 /// A deployed DCS system bound to a Network. insert() stores a detected
-/// event at the node the scheme maps it to; query() retrieves every stored
-/// event matching the query and charges all forwarding and reply traffic
-/// to the network ledger.
+/// event at the node the scheme maps it to; execute() answers a query of
+/// any class and charges all forwarding and reply traffic to the network
+/// ledger.
 class DcsSystem {
  public:
   virtual ~DcsSystem() = default;
@@ -147,58 +149,21 @@ class DcsSystem {
   /// network ledger and reported in the receipt.
   virtual InsertReceipt insert(net::NodeId source, const Event& event) = 0;
 
-  /// Evaluate `query` issued at `sink`; returns qualifying events plus the
-  /// message cost (forwarding + retrieval, the paper's metric).
-  virtual QueryReceipt query(net::NodeId sink, const RangeQuery& query) = 0;
-
-  /// Evaluate one request of any class (the unified entry point — call
-  /// sites that don't care which class they hold route through here).
-  /// Non-virtual by design: systems customize per class via the query /
-  /// skyline / k_nearest virtuals, so dispatch stays in one place.
+  /// Evaluate one request of any class issued at `sink`: the qualifying
+  /// events (or the aggregate) plus the message cost, forwarding and
+  /// retrieval (the paper's metric). Throws ConfigError, before any
+  /// traffic, when the request does not fit this deployment: its
+  /// dimensionality differs from dims(), an aggregate's value_dim is not
+  /// below dims(), or a k-NN initial_radius is negative.
   QueryReceipt execute(net::NodeId sink, const QueryRequest& request);
 
-  /// Skyline on the selected attribute subset: every stored event no
-  /// other stored event dominates, canonically ordered by ascending id.
-  /// The default floods — a full-space range query filtered at the sink
-  /// — which is correct for any implementation; the built-in systems
-  /// override it with distributed dominance pruning (a cell or zone whose
-  /// best corner is strictly dominated by a collected event is never
-  /// visited).
-  virtual QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query);
-
-  /// The k stored events nearest to the query target in attribute space,
-  /// ordered by (distance, id). The default floods and filters at the
-  /// sink; the built-in systems override it with an expanding box search
-  /// that stops once the k-th best distance is inside the covered shell.
-  virtual QueryReceipt k_nearest(net::NodeId sink, const KNearestQuery& query);
-
-  /// Evaluate several queries issued together from one sink as a single
-  /// merged dissemination. Every per-query result set must be identical
-  /// (content and order) to a serial query() call; only the transport may
-  /// be shared. The default runs the queries serially — no sharing, so
-  /// messages_saved stays 0 — which keeps third-party DcsSystem
-  /// implementations correct without opting into merging.
-  virtual BatchQueryReceipt query_batch(net::NodeId sink,
-                                        const std::vector<RangeQuery>& queries) {
-    BatchQueryReceipt batch;
-    batch.per_query.reserve(queries.size());
-    for (const RangeQuery& q : queries) {
-      QueryReceipt r = query(sink, q);
-      batch += r;  // ResultReceipt::+= folds cost and visits together
-      batch.serial_cell_visits += r.index_nodes_visited;
-      batch.unique_cell_visits += r.index_nodes_visited;
-      batch.per_query.push_back(std::move(r));
-    }
-    return batch;
-  }
-
-  /// Evaluate an aggregate of attribute `value_dim` over the events
-  /// matching `query` (Section 3.2.3). Storage nodes reply with mergeable
-  /// partial aggregates instead of raw events; schemes with in-network
-  /// merge points (Pool's splitters) collapse reply traffic further.
-  virtual AggregateReceipt aggregate(net::NodeId sink, const RangeQuery& query,
-                                     AggregateKind kind,
-                                     std::size_t value_dim) = 0;
+  /// Evaluate several requests issued together from one sink. Every
+  /// request is validated as in execute() before any traffic. Non-range
+  /// requests then run alone, in input order; a single range runs alone
+  /// too, and two or more ranges share one merge_ranges() dissemination.
+  /// Every per-request result equals what execute() would have returned.
+  BatchQueryReceipt execute_batch(net::NodeId sink,
+                                  const std::vector<QueryRequest>& requests);
 
   /// Total events currently stored across all nodes.
   virtual std::size_t stored_count() const = 0;
@@ -224,7 +189,46 @@ class DcsSystem {
   virtual const column::ScanStats* scan_stats() const { return nullptr; }
 
  protected:
+  // The per-class implementations behind execute(). Requests reaching
+  // them are already validated against dims().
+
+  /// Every stored event matching the rectangle.
+  virtual QueryReceipt query(net::NodeId sink, const RangeQuery& query) = 0;
+
+  /// Skyline on the selected attribute subset: every stored event no
+  /// other stored event dominates, canonically ordered by ascending id.
+  /// The default floods — a full-space range query filtered at the sink
+  /// — which is correct for any implementation; the built-in systems
+  /// override it with distributed dominance pruning (a cell or zone whose
+  /// best corner is strictly dominated by a collected event is never
+  /// visited).
+  virtual QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query);
+
+  /// The k stored events nearest to the query target in attribute space,
+  /// ordered by (distance, id). The default floods and filters at the
+  /// sink; the built-in systems override it with an expanding box search
+  /// that stops once the k-th best distance is inside the covered shell.
+  virtual QueryReceipt k_nearest(net::NodeId sink, const KNearestQuery& query);
+
+  /// The aggregate over the range's matching events (Section 3.2.3).
+  /// Storage nodes reply with mergeable partial aggregates instead of raw
+  /// events; schemes with in-network merge points (Pool's splitters)
+  /// collapse reply traffic further.
+  virtual QueryReceipt aggregate(net::NodeId sink,
+                                 const AggregateQuery& query) = 0;
+
+  /// Two or more ranges from one sink as a single merged dissemination;
+  /// only the transport may be shared. The default runs them one by one
+  /// (messages_saved stays 0), which keeps a system without a merge
+  /// correct; merging systems also fall back to it once nodes have died.
+  virtual BatchQueryReceipt merge_ranges(
+      net::NodeId sink, const std::vector<RangeQuery>& queries);
+
   FaultStats fault_stats_;
+
+ private:
+  void validate(const QueryRequest& request) const;
+  QueryReceipt dispatch(net::NodeId sink, const QueryRequest& request);
 };
 
 }  // namespace poolnet::storage

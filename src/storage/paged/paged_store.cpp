@@ -5,8 +5,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "net/network.h"
-#include "routing/router.h"
 
 namespace poolnet::storage {
 
@@ -51,9 +49,7 @@ PagedStore::PagedStore(std::size_t dims, PagedStoreOptions options,
                        net::NodeId sink_node, obs::MetricsRegistry* metrics,
                        const std::string& prefix)
     : PagedStore(dims, std::move(options), metrics, prefix) {
-  network_ = &network;
-  router_ = &router;
-  base_station_ = sink_node;
+  link_ = BaseStationLink(network, router, sink_node, dims);
 }
 
 std::string PagedStore::describe() const {
@@ -116,16 +112,7 @@ InsertReceipt PagedStore::insert(net::NodeId source, const Event& event) {
   if (event.dims() != dims_)
     throw ConfigError("PagedStore: event dimensionality mismatch");
   append_event(event);
-  InsertReceipt receipt;
-  receipt.stored_at = base_station_ == net::kNoNode ? source : base_station_;
-  if (network_ != nullptr && base_station_ != net::kNoNode) {
-    const auto before = network_->traffic().total;
-    const auto route = router_->route_to_node(source, base_station_);
-    network_->transmit_path(route.path, net::MessageKind::Insert,
-                            network_->sizes().event_bits(dims_));
-    receipt.messages = network_->traffic().total - before;
-  }
-  return receipt;
+  return link_.insert(source);
 }
 
 std::vector<Event> PagedStore::matching(const RangeQuery& q) const {
@@ -182,26 +169,6 @@ void PagedStore::matching_into(const RangeQuery& q,
             [](const Event& a, const Event& b) { return a.id < b.id; });
 }
 
-void PagedStore::charge_query_traffic(net::NodeId sink,
-                                      QueryReceipt& receipt) const {
-  if (network_ == nullptr || base_station_ == net::kNoNode) return;
-  const auto before = network_->traffic();
-  const auto to_bs = router_->route_to_node(sink, base_station_);
-  network_->transmit_path(to_bs.path, net::MessageKind::Query,
-                          network_->sizes().query_bits(dims_));
-  const auto back = router_->route_to_node(base_station_, sink);
-  const auto& sizes = network_->sizes();
-  const std::uint64_t reply_count =
-      std::max<std::uint64_t>(sizes.reply_batches(receipt.events.size()), 1);
-  for (std::uint64_t i = 0; i < reply_count; ++i) {
-    network_->transmit_path(
-        back.path, net::MessageKind::Reply,
-        sizes.reply_bits(dims_, sizes.reply_payload(receipt.events.size())));
-  }
-  const auto delta = network_->traffic() - before;
-  receipt.cost() = cost_of(delta);
-}
-
 void PagedStore::page_events_into(PageId page, std::vector<Event>& out) const {
   auto pin = buffer_->fetch(page);
   const PageView v = view(pin);
@@ -214,14 +181,11 @@ void PagedStore::page_events_into(PageId page, std::vector<Event>& out) const {
 QueryReceipt PagedStore::query(net::NodeId sink, const RangeQuery& q) {
   QueryReceipt receipt;
   receipt.events = matching(q);
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
 QueryReceipt PagedStore::skyline(net::NodeId sink, const SkylineQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PagedStore: skyline dimensionality mismatch");
   QueryReceipt receipt;
   std::vector<Event> cand, page_events;
   Values corner;
@@ -249,14 +213,11 @@ QueryReceipt PagedStore::skyline(net::NodeId sink, const SkylineQuery& q) {
   }
   skyline_filter(q, cand);
   receipt.events = std::move(cand);
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
 QueryReceipt PagedStore::k_nearest(net::NodeId sink, const KNearestQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PagedStore: k-NN dimensionality mismatch");
   QueryReceipt receipt;
   // Order every chained page by the zone map's lower-bound distance to
   // the target; fetch in that order, stopping once the next page cannot
@@ -289,33 +250,19 @@ QueryReceipt PagedStore::k_nearest(net::NodeId sink, const KNearestQuery& q) {
   }
   receipt.events = std::move(cand);
   receipt.rounds = 1;
-  receipt.index_nodes_visited = 1;
-  charge_query_traffic(sink, receipt);
+  link_.answer(sink, receipt);
   return receipt;
 }
 
-AggregateReceipt PagedStore::aggregate(net::NodeId sink, const RangeQuery& q,
-                                       AggregateKind kind,
-                                       std::size_t value_dim) {
-  POOLNET_ASSERT(value_dim < dims_);
-  AggregateReceipt receipt;
+QueryReceipt PagedStore::aggregate(net::NodeId sink,
+                                   const AggregateQuery& q) {
+  QueryReceipt receipt;
   PartialAggregate partial;
   // matching() returns ascending ids = insertion order, so the float
   // accumulation order matches BruteForceStore's linear scan bit-exactly.
-  for (const Event& e : matching(q)) partial.add(e.values[value_dim]);
-  receipt.result = partial.finalize(kind);
-  receipt.index_nodes_visited = 1;
-  if (network_ != nullptr && base_station_ != net::kNoNode) {
-    const auto before = network_->traffic();
-    const auto to_bs = router_->route_to_node(sink, base_station_);
-    network_->transmit_path(to_bs.path, net::MessageKind::Query,
-                            network_->sizes().query_bits(dims_));
-    const auto back = router_->route_to_node(base_station_, sink);
-    network_->transmit_path(back.path, net::MessageKind::Reply,
-                            network_->sizes().aggregate_bits());
-    const auto delta = network_->traffic() - before;
-    receipt.cost() = cost_of(delta);
-  }
+  for (const Event& e : matching(q.range)) partial.add(e.values[q.value_dim]);
+  receipt.aggregate = partial.finalize(q.kind);
+  link_.answer(sink, receipt, /*partial=*/true);
   return receipt;
 }
 

@@ -14,29 +14,22 @@
 // in insertion order (EventGenerator's are), results and float sums are
 // byte-identical to BruteForceStore's insertion-order scan.
 //
-// The networked cost model is BruteForceStore's verbatim: inserts route
-// source → base station, queries route sink → base station and replies
-// come back in packed batches. Same routes, same ledger — the paging is
-// invisible to the traffic accounting.
+// The networked cost model is BruteForceStore's — both charge through
+// one BaseStationLink: inserts route source → base station, queries route
+// sink → base station and replies come back in packed batches. Same
+// routes, same ledger — the paging is invisible to the traffic accounting.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/base_station.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
 #include "storage/paged/buffer_manager.h"
 #include "storage/paged/grid_file.h"
 #include "storage/paged/page_file.h"
-
-namespace poolnet::net {
-class Network;
-}
-
-namespace poolnet::routing {
-class Router;
-}
 
 namespace poolnet::storage {
 
@@ -75,18 +68,6 @@ class PagedStore final : public DcsSystem {
   std::string describe() const override;
   std::size_t dims() const override { return dims_; }
   InsertReceipt insert(net::NodeId source, const Event& event) override;
-  QueryReceipt query(net::NodeId sink, const RangeQuery& query) override;
-  /// Skyline with page-directory dominance pruning: a page whose zone-map
-  /// max corner is dominated by a collected event is skipped BEFORE it is
-  /// faulted into the pool.
-  QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query) override;
-  /// k-NN fetching pages in zone-map min-distance order, stopping once
-  /// the next page cannot beat the k-th best.
-  QueryReceipt k_nearest(net::NodeId sink,
-                         const KNearestQuery& query) override;
-  AggregateReceipt aggregate(net::NodeId sink, const RangeQuery& query,
-                             AggregateKind kind,
-                             std::size_t value_dim) override;
   std::size_t stored_count() const override { return stored_; }
   std::size_t expire_before(double cutoff) override;
 
@@ -107,13 +88,21 @@ class PagedStore final : public DcsSystem {
   std::size_t page_count() const { return file_->page_count(); }
   std::size_t free_pages() const { return free_pages_.size(); }
 
+ protected:
+  QueryReceipt query(net::NodeId sink, const RangeQuery& query) override;
+  /// Skyline with page-directory dominance pruning: a page whose zone-map
+  /// max corner is dominated by a collected event is skipped BEFORE it is
+  /// faulted into the pool.
+  QueryReceipt skyline(net::NodeId sink, const SkylineQuery& query) override;
+  /// k-NN fetching pages in zone-map min-distance order, stopping once
+  /// the next page cannot beat the k-th best.
+  QueryReceipt k_nearest(net::NodeId sink,
+                         const KNearestQuery& query) override;
+  QueryReceipt aggregate(net::NodeId sink,
+                         const AggregateQuery& query) override;
+
  private:
   PageView view(const BufferManager::Pin& pin) const;
-
-  /// Charges the sink->base-station query leg and the packed reply legs
-  /// for `receipt.events` (BruteForceStore's cost model verbatim); no-op
-  /// in pure-oracle mode.
-  void charge_query_traffic(net::NodeId sink, QueryReceipt& receipt) const;
 
   /// Appends every resident event of `page` to `out` (no filtering).
   void page_events_into(PageId page, std::vector<Event>& out) const;
@@ -132,10 +121,7 @@ class PagedStore final : public DcsSystem {
   std::vector<PageId> free_pages_;
   mutable column::ScanStats scan_stats_;
   std::size_t stored_ = 0;
-
-  net::Network* network_ = nullptr;          // null in oracle mode
-  const routing::Router* router_ = nullptr;  // null in oracle mode
-  net::NodeId base_station_ = net::kNoNode;
+  BaseStationLink link_;  // unbound in oracle mode
 };
 
 }  // namespace poolnet::storage

@@ -16,6 +16,8 @@ const char* to_string(QueryClass c) {
       return "skyline";
     case QueryClass::KNearest:
       return "knn";
+    case QueryClass::Aggregate:
+      return "aggregate";
   }
   return "?";
 }
@@ -67,6 +69,8 @@ std::size_t QueryRequest::dims() const {
       return skyline().dims();
     case QueryClass::KNearest:
       return k_nearest().dims();
+    case QueryClass::Aggregate:
+      return aggregate().dims();
   }
   return 0;
 }
@@ -91,6 +95,9 @@ std::ostream& operator<<(std::ostream& os, const QueryRequest& r) {
         os << (d ? "," : "") << r.k_nearest().target[d];
       return os << ')';
     }
+    case QueryClass::Aggregate:
+      return os << to_string(r.aggregate().kind) << " of a"
+                << r.aggregate().value_dim << " over " << r.aggregate().range;
   }
   return os;
 }

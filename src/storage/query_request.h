@@ -1,12 +1,14 @@
-// The unified query surface: Range | Skyline | KNearest (DESIGN.md §15).
+// The unified query surface: Range | Skyline | KNearest | Aggregate
+// (DESIGN.md §15).
 //
 // The paper's engine answers rectangle queries only, but its relevant-cell
 // machinery (Theorem 3.2) prunes any query whose answer can veto regions of
 // attribute space: a skyline query never visits a cell whose best corner is
 // already dominated, and a k-NN query stops expanding once the k-th best
-// distance is inside the searched shell. Rather than grow one virtual per
-// class on DcsSystem forever, every class is a case of one QueryRequest
-// variant dispatched through DcsSystem::execute().
+// distance is inside the searched shell. An aggregate (Section 3.2.3) walks
+// the same relevant cells as its range and only merges partials on the way
+// back. Every class is a case of one QueryRequest variant, and
+// DcsSystem::execute() is the one entry point that answers it.
 #pragma once
 
 #include <cstddef>
@@ -16,13 +18,15 @@
 #include <vector>
 
 #include "common/fixed_vec.h"
+#include "storage/aggregate.h"
 #include "storage/event.h"
 #include "storage/range_query.h"
 
 namespace poolnet::storage {
 
-/// The query classes the unified surface answers.
-enum class QueryClass : std::uint8_t { Range, Skyline, KNearest };
+/// The query classes the unified surface answers. Values are stable:
+/// new classes append, so per-class arrays indexed by them stay valid.
+enum class QueryClass : std::uint8_t { Range, Skyline, KNearest, Aggregate };
 
 const char* to_string(QueryClass c);
 
@@ -75,6 +79,20 @@ struct KNearestQuery {
   }
 };
 
+/// Aggregate of attribute `value_dim` over the events matching `range`
+/// (Section 3.2.3). Storage nodes reply with mergeable partials instead
+/// of raw events; the answer lands in QueryReceipt::aggregate.
+struct AggregateQuery {
+  RangeQuery range;
+  AggregateKind kind = AggregateKind::Count;
+  std::size_t value_dim = 0;
+
+  std::size_t dims() const { return range.dims(); }
+
+  friend bool operator==(const AggregateQuery&,
+                         const AggregateQuery&) = default;
+};
+
 /// Squared Euclidean distance between a query target and event values,
 /// accumulated in dimension order. Every system computes candidate
 /// distances through this one function so float rounding is identical
@@ -88,6 +106,7 @@ class QueryRequest {
   QueryRequest(RangeQuery q) : req_(std::move(q)) {}          // NOLINT
   QueryRequest(SkylineQuery q) : req_(std::move(q)) {}        // NOLINT
   QueryRequest(KNearestQuery q) : req_(std::move(q)) {}       // NOLINT
+  QueryRequest(AggregateQuery q) : req_(std::move(q)) {}      // NOLINT
 
   QueryClass cls() const {
     return static_cast<QueryClass>(req_.index());
@@ -99,13 +118,16 @@ class QueryRequest {
   const KNearestQuery& k_nearest() const {
     return std::get<KNearestQuery>(req_);
   }
+  const AggregateQuery& aggregate() const {
+    return std::get<AggregateQuery>(req_);
+  }
 
   friend bool operator==(const QueryRequest& a, const QueryRequest& b) {
     return a.req_ == b.req_;
   }
 
  private:
-  std::variant<RangeQuery, SkylineQuery, KNearestQuery> req_;
+  std::variant<RangeQuery, SkylineQuery, KNearestQuery, AggregateQuery> req_;
 };
 
 std::ostream& operator<<(std::ostream& os, const QueryRequest& r);

@@ -85,14 +85,15 @@ TEST_P(AggregateEndToEnd, PoolAndDimAgreeWithOracle) {
                               AggregateKind::Min, AggregateKind::Max,
                               AggregateKind::Average}) {
         const auto want = tb.oracle().aggregate_oracle(q, kind, dim);
-        const auto pool_r = tb.pool().aggregate(sink, q, kind, dim);
-        const auto dim_r = tb.dim().aggregate(sink, q, kind, dim);
-        EXPECT_EQ(pool_r.result.valid, want.valid);
-        EXPECT_EQ(dim_r.result.valid, want.valid);
-        EXPECT_EQ(pool_r.result.count, want.count);
-        EXPECT_EQ(dim_r.result.count, want.count);
-        EXPECT_NEAR(pool_r.result.value, want.value, 1e-9);
-        EXPECT_NEAR(dim_r.result.value, want.value, 1e-9);
+        const AggregateQuery aq{q, kind, dim};
+        const auto pool_r = tb.pool().execute(sink, aq);
+        const auto dim_r = tb.dim().execute(sink, aq);
+        EXPECT_EQ(pool_r.aggregate.valid, want.valid);
+        EXPECT_EQ(dim_r.aggregate.valid, want.valid);
+        EXPECT_EQ(pool_r.aggregate.count, want.count);
+        EXPECT_EQ(dim_r.aggregate.count, want.count);
+        EXPECT_NEAR(pool_r.aggregate.value, want.value, 1e-9);
+        EXPECT_NEAR(dim_r.aggregate.value, want.value, 1e-9);
       }
     }
   }
@@ -116,9 +117,9 @@ TEST(AggregateCosts, CheaperThanFullRetrievalOnLargeResults) {
   packed.sizes.events_per_message = 4;
   benchsup::Testbed tb2(packed);
   tb2.insert_workload();
-  const auto full = tb2.pool().query(0, broad);
+  const auto full = tb2.pool().execute(0, broad);
   const auto agg =
-      tb2.pool().aggregate(0, broad, AggregateKind::Average, 0);
+      tb2.pool().execute(0, AggregateQuery{broad, AggregateKind::Average, 0});
   ASSERT_GT(full.events.size(), 100u);
   EXPECT_LT(agg.reply_messages, full.reply_messages);
   EXPECT_LT(agg.messages, full.messages);
@@ -140,8 +141,9 @@ TEST(AggregateCosts, PoolSplitterMergeBeatsDimDirectReplies) {
   for (int i = 0; i < 20; ++i) {
     const auto q = qgen.partial_range(1);
     const auto sink = tb.random_node(sink_rng);
-    pool_total += tb.pool().aggregate(sink, q, AggregateKind::Count, 0).messages;
-    dim_total += tb.dim().aggregate(sink, q, AggregateKind::Count, 0).messages;
+    const AggregateQuery count{q, AggregateKind::Count, 0};
+    pool_total += tb.pool().execute(sink, count).messages;
+    dim_total += tb.dim().execute(sink, count).messages;
   }
   EXPECT_LT(pool_total, dim_total);
 }
@@ -155,7 +157,7 @@ TEST(AggregateCosts, BreakdownConsistent) {
   const RangeQuery q({{0.1, 0.6}, {0.1, 0.6}, {0.1, 0.6}});
   for (auto* system :
        {static_cast<DcsSystem*>(&tb.pool()), static_cast<DcsSystem*>(&tb.dim())}) {
-    const auto r = system->aggregate(3, q, AggregateKind::Sum, 1);
+    const auto r = system->execute(3, AggregateQuery{q, AggregateKind::Sum, 1});
     EXPECT_EQ(r.messages, r.query_messages + r.reply_messages)
         << system->name();
   }
@@ -167,9 +169,9 @@ TEST(Aggregate, RejectsBadDimension) {
   config.seed = 14;
   benchsup::Testbed tb(config);
   const RangeQuery q({{0, 1}, {0, 1}, {0, 1}});
-  EXPECT_THROW(tb.pool().aggregate(0, q, AggregateKind::Sum, 3),
+  EXPECT_THROW(tb.pool().execute(0, AggregateQuery{q, AggregateKind::Sum, 3}),
                poolnet::ConfigError);
-  EXPECT_THROW(tb.dim().aggregate(0, q, AggregateKind::Sum, 5),
+  EXPECT_THROW(tb.dim().execute(0, AggregateQuery{q, AggregateKind::Sum, 5}),
                poolnet::ConfigError);
 }
 
@@ -186,8 +188,9 @@ TEST(Aggregate, TiedEventsCountedOnce) {
   e.values = {0.4, 0.4, 0.4};  // three-way tie
   tb.pool().insert(0, e);
   const RangeQuery q({{0.3, 0.5}, {0.3, 0.5}, {0.3, 0.5}});
-  const auto r = tb.pool().aggregate(0, q, AggregateKind::Count, 0);
-  EXPECT_DOUBLE_EQ(r.result.value, 1.0);
+  const auto r =
+      tb.pool().execute(0, AggregateQuery{q, AggregateKind::Count, 0});
+  EXPECT_DOUBLE_EQ(r.aggregate.value, 1.0);
 }
 
 }  // namespace

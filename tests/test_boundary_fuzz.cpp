@@ -97,8 +97,8 @@ TEST_P(BoundaryFuzz, RangeQueriesExactOnBoundaryHeavyData) {
     }
     const RangeQuery q(b);
     const auto want = ids(fx.oracle.matching(q));
-    EXPECT_EQ(ids(fx.pool->query(0, q).events), want) << "Pool " << q;
-    EXPECT_EQ(ids(fx.dim->query(0, q).events), want) << "DIM " << q;
+    EXPECT_EQ(ids(fx.pool->execute(0, q).events), want) << "Pool " << q;
+    EXPECT_EQ(ids(fx.dim->execute(0, q).events), want) << "DIM " << q;
   }
 }
 
@@ -126,9 +126,9 @@ TEST_P(BoundaryFuzz, PointQueriesAtStoredBoundaryValues) {
     const RangeQuery q(b);
     const auto want = ids(fx.oracle.matching(q));
     ASSERT_FALSE(want.empty());
-    EXPECT_EQ(ids(fx.pool->query(0, q).events), want) << "Pool " << q;
-    EXPECT_EQ(ids(fx.dim->query(0, q).events), want) << "DIM " << q;
-    EXPECT_EQ(ids(fx.ght->query(0, q).events), want) << "GHT " << q;
+    EXPECT_EQ(ids(fx.pool->execute(0, q).events), want) << "Pool " << q;
+    EXPECT_EQ(ids(fx.dim->execute(0, q).events), want) << "DIM " << q;
+    EXPECT_EQ(ids(fx.ght->execute(0, q).events), want) << "GHT " << q;
   }
 }
 
@@ -155,12 +155,13 @@ TEST_P(BoundaryFuzz, AggregatesExactOnBoundaryHeavyData) {
     const RangeQuery q(b);
     const auto want =
         fx.oracle.aggregate_oracle(q, storage::AggregateKind::Sum, 2);
-    const auto pr = fx.pool->aggregate(0, q, storage::AggregateKind::Sum, 2);
-    const auto dr = fx.dim->aggregate(0, q, storage::AggregateKind::Sum, 2);
-    EXPECT_EQ(pr.result.count, want.count) << q;
-    EXPECT_EQ(dr.result.count, want.count) << q;
-    EXPECT_NEAR(pr.result.value, want.value, 1e-9);
-    EXPECT_NEAR(dr.result.value, want.value, 1e-9);
+    const storage::AggregateQuery sum{q, storage::AggregateKind::Sum, 2};
+    const auto pr = fx.pool->execute(0, sum);
+    const auto dr = fx.dim->execute(0, sum);
+    EXPECT_EQ(pr.aggregate.count, want.count) << q;
+    EXPECT_EQ(dr.aggregate.count, want.count) << q;
+    EXPECT_NEAR(pr.aggregate.value, want.value, 1e-9);
+    EXPECT_NEAR(dr.aggregate.value, want.value, 1e-9);
   }
 }
 

@@ -36,7 +36,7 @@ TEST(BruteForceStore, OracleModeChargesNoMessages) {
   BruteForceStore store(2);
   const auto ir = store.insert(0, make_event(1, {0.5, 0.5}));
   EXPECT_EQ(ir.messages, 0u);
-  const auto qr = store.query(0, RangeQuery({{0.0, 1.0}, {0.0, 1.0}}));
+  const auto qr = store.execute(0, RangeQuery({{0.0, 1.0}, {0.0, 1.0}}));
   EXPECT_EQ(qr.messages, 0u);
   EXPECT_EQ(qr.events.size(), 1u);
 }
@@ -70,7 +70,7 @@ TEST(BruteForceStore, NetworkedModeChargesTraffic) {
   EXPECT_EQ(ir.stored_at, base);
   EXPECT_GT(ir.messages, 0u);
 
-  const auto qr = store.query(corner, RangeQuery({{0.0, 1.0}, {0.0, 1.0}}));
+  const auto qr = store.execute(corner, RangeQuery({{0.0, 1.0}, {0.0, 1.0}}));
   EXPECT_EQ(qr.events.size(), 1u);
   EXPECT_GT(qr.query_messages, 0u);
   EXPECT_GT(qr.reply_messages, 0u);

@@ -234,8 +234,8 @@ TEST(SystemScanEquivalence, PoolAndDimAgreeWithOracle) {
                                     : qgen.exact_range();
     const auto oracle = ids(tb.oracle().matching(q));
     const auto sink = tb.random_node(rng);
-    EXPECT_EQ(ids(tb.pool().query(sink, q).events), oracle) << q;
-    EXPECT_EQ(ids(tb.dim().query(sink, q).events), oracle) << q;
+    EXPECT_EQ(ids(tb.pool().execute(sink, q).events), oracle) << q;
+    EXPECT_EQ(ids(tb.dim().execute(sink, q).events), oracle) << q;
   }
 }
 
@@ -268,7 +268,7 @@ TEST(SystemScanEquivalence, GhtAgreesWithOracle) {
   for (int i = 0; i < 24; ++i) {
     const RangeQuery q = i % 3 == 2 ? qgen.partial_range(1)
                                     : qgen.exact_range();
-    EXPECT_EQ(ids(ght.query(0, q).events), ids(oracle.matching(q))) << q;
+    EXPECT_EQ(ids(ght.execute(0, q).events), ids(oracle.matching(q))) << q;
   }
 }
 

@@ -62,7 +62,7 @@ TEST(DhtDirectory, DisabledChargesNoControlTraffic) {
     fx.pool->insert(e.source, e);
   }
   query::QueryGenerator qgen({.dims = 3}, 2);
-  fx.pool->query(0, qgen.exact_range());
+  fx.pool->execute(0, qgen.exact_range());
   EXPECT_EQ(fx.control(), 0u);
 }
 
@@ -117,10 +117,10 @@ TEST(DhtDirectory, QueriesChargeSinkLookups) {
   fx.pool->insert(0, event_of(1, {0.5, 0.4, 0.3}));
   const auto before = fx.control();
   const storage::RangeQuery q({{0.4, 0.6}, {0.3, 0.5}, {0.2, 0.4}});
-  fx.pool->query(9, q);
+  fx.pool->execute(9, q);
   const auto first = fx.control();
   EXPECT_GT(first, before);
-  fx.pool->query(9, q);  // cached at node 9 now
+  fx.pool->execute(9, q);  // cached at node 9 now
   EXPECT_EQ(fx.control(), first);
 }
 
@@ -138,9 +138,9 @@ TEST(DhtDirectory, ResultsUnaffectedByAccountingMode) {
   query::QueryGenerator qgen({.dims = 3}, 9);
   for (int i = 0; i < 10; ++i) {
     const auto q = qgen.partial_range(1);
-    EXPECT_EQ(with.pool->query(0, q).events.size(),
+    EXPECT_EQ(with.pool->execute(0, q).events.size(),
               oracle.matching(q).size());
-    EXPECT_EQ(without.pool->query(0, q).events.size(),
+    EXPECT_EQ(without.pool->execute(0, q).events.size(),
               oracle.matching(q).size());
   }
 }

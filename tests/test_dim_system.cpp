@@ -93,7 +93,7 @@ TEST_P(DimQueryCorrectness, ResultsMatchOracleOnExactRange) {
     const auto q = qgen.exact_range();
     const auto sink = static_cast<NodeId>(
         sink_rng.uniform_int(0, static_cast<std::int64_t>(fx.network->size()) - 1));
-    const auto receipt = fx.dim->query(sink, q);
+    const auto receipt = fx.dim->execute(sink, q);
     EXPECT_EQ(ids(receipt.events), ids(fx.oracle.matching(q)))
         << "query " << q;
   }
@@ -114,7 +114,7 @@ TEST_P(DimQueryCorrectness, ResultsMatchOracleOnPartialRange) {
       const auto q = qgen.partial_range(m);
       const auto sink = static_cast<NodeId>(sink_rng.uniform_int(
           0, static_cast<std::int64_t>(fx.network->size()) - 1));
-      const auto receipt = fx.dim->query(sink, q);
+      const auto receipt = fx.dim->execute(sink, q);
       EXPECT_EQ(ids(receipt.events), ids(fx.oracle.matching(q)));
     }
   }
@@ -129,7 +129,7 @@ TEST(DimSystem, QueryCostBreakdownConsistent) {
   for (NodeId n = 0; n < fx.network->size(); ++n)
     fx.dim->insert(n, gen.next(n));
   query::QueryGenerator qgen({.dims = 3}, 56);
-  const auto receipt = fx.dim->query(0, qgen.exact_range());
+  const auto receipt = fx.dim->execute(0, qgen.exact_range());
   EXPECT_EQ(receipt.messages,
             receipt.query_messages + receipt.reply_messages);
 }
@@ -166,7 +166,7 @@ TEST(DimSystem, UnspecifiedFirstDimensionCostsMoreMessages) {
       }
       const auto sink = static_cast<NodeId>(rng.uniform_int(
           0, static_cast<std::int64_t>(fx.network->size()) - 1));
-      total += fx.dim->query(sink, RangeQuery(b, spec)).query_messages;
+      total += fx.dim->execute(sink, RangeQuery(b, spec)).query_messages;
     }
     return total;
   };
@@ -176,7 +176,7 @@ TEST(DimSystem, UnspecifiedFirstDimensionCostsMoreMessages) {
 TEST(DimSystem, EmptySystemReturnsNothing) {
   Fixture fx(8, 100);
   const auto receipt =
-      fx.dim->query(0, RangeQuery({{0, 1}, {0, 1}, {0, 1}}));
+      fx.dim->execute(0, RangeQuery({{0, 1}, {0, 1}, {0, 1}}));
   EXPECT_TRUE(receipt.events.empty());
   EXPECT_EQ(receipt.reply_messages, 0u);
   EXPECT_GT(receipt.query_messages, 0u);  // the query still tours zones
@@ -189,7 +189,7 @@ TEST(DimSystem, RejectsDimensionMismatch) {
   e.source = 0;
   e.values.push_back(0.5);
   EXPECT_THROW(fx.dim->insert(0, e), poolnet::ConfigError);
-  EXPECT_THROW(fx.dim->query(0, RangeQuery({{0, 1}})), poolnet::ConfigError);
+  EXPECT_THROW(fx.dim->execute(0, RangeQuery({{0, 1}})), poolnet::ConfigError);
 }
 
 TEST(DimSystem, StoredEventsCountedOnOwners) {

@@ -56,7 +56,7 @@ TEST(EdgeCases, OneDimensionalDeploymentWorksEndToEnd) {
   for (int i = 0; i < 10; ++i) {
     const double lo = rng.uniform(0, 0.8);
     const RangeQuery q({{lo, lo + 0.2}});
-    EXPECT_EQ(pool.query(0, q).events.size(), oracle.matching(q).size());
+    EXPECT_EQ(pool.execute(0, q).events.size(), oracle.matching(q).size());
   }
 }
 
@@ -76,7 +76,7 @@ TEST(EdgeCases, PoolSideOneIsASingleCellPerPool) {
   query::QueryGenerator qgen({.dims = 3}, 5);
   for (int i = 0; i < 10; ++i) {
     const auto q = qgen.exact_range();
-    EXPECT_EQ(pool.query(0, q).events.size(), oracle.matching(q).size());
+    EXPECT_EQ(pool.execute(0, q).events.size(), oracle.matching(q).size());
     // Never more than one relevant cell per pool when l = 1.
     EXPECT_LE(pool.relevant_cell_count(q), 3u);
   }
@@ -101,8 +101,8 @@ TEST(EdgeCases, MaximumDimensionalityDeployment) {
   for (int i = 0; i < 5; ++i) {
     const auto q = qgen.partial_range(4);
     const auto want = oracle.matching(q).size();
-    EXPECT_EQ(pool.query(0, q).events.size(), want);
-    EXPECT_EQ(dim_sys.query(0, q).events.size(), want);
+    EXPECT_EQ(pool.execute(0, q).events.size(), want);
+    EXPECT_EQ(dim_sys.execute(0, q).events.size(), want);
   }
 }
 
@@ -115,7 +115,7 @@ TEST(EdgeCases, TwoNodeNetwork) {
   core::PoolSystem pool(net, gpsr, 2, config);
   pool.insert(0, make_event(1, {0.9, 0.2}));
   const RangeQuery q({{0.8, 1.0}, {0.0, 0.5}});
-  const auto r = pool.query(1, q);
+  const auto r = pool.execute(1, q);
   ASSERT_EQ(r.events.size(), 1u);
 }
 
@@ -130,9 +130,9 @@ TEST(EdgeCases, AllEventsIdenticalValues) {
                            {0.37, 0.21, 0.11}));
   }
   const RangeQuery hit({{0.37, 0.37}, {0.21, 0.21}, {0.11, 0.11}});
-  EXPECT_EQ(pool.query(0, hit).events.size(), 200u);
+  EXPECT_EQ(pool.execute(0, hit).events.size(), 200u);
   const RangeQuery miss({{0.38, 0.39}, {0.21, 0.21}, {0.11, 0.11}});
-  EXPECT_TRUE(pool.query(0, miss).events.empty());
+  EXPECT_TRUE(pool.execute(0, miss).events.empty());
 }
 
 TEST(EdgeCases, DegenerateQueryAtExactBoundaries) {
@@ -154,8 +154,8 @@ TEST(EdgeCases, DegenerateQueryAtExactBoundaries) {
     for (std::size_t d = 0; d < 3; ++d)
       b.push_back({e.values[d], e.values[d]});
     const RangeQuery q(b);
-    EXPECT_EQ(pool.query(0, q).events.size(), 1u) << e;
-    EXPECT_EQ(dim_sys.query(0, q).events.size(), 1u) << e;
+    EXPECT_EQ(pool.execute(0, q).events.size(), 1u) << e;
+    EXPECT_EQ(dim_sys.execute(0, q).events.size(), 1u) << e;
   }
 }
 
@@ -174,7 +174,7 @@ TEST(EdgeCases, SinkIsAlsoStoringNode) {
   const auto receipt = pool.insert(0, e);
   const NodeId holder = receipt.stored_at;
   const RangeQuery q({{0.55, 0.65}, {0.25, 0.35}, {0.05, 0.15}});
-  const auto r = pool.query(holder, q);  // sink == storage node
+  const auto r = pool.execute(holder, q);  // sink == storage node
   EXPECT_EQ(r.events.size(), 1u);
 }
 
@@ -208,7 +208,7 @@ TEST(EdgeCases, EmptySystemQueriesAreCheapAndEmpty) {
   const routing::Gpsr gpsr(*net);
   core::PoolSystem pool(*net, gpsr, 3, core::PoolConfig{});
   query::QueryGenerator qgen({.dims = 3}, 15);
-  const auto r = pool.query(0, qgen.exact_range());
+  const auto r = pool.execute(0, qgen.exact_range());
   EXPECT_TRUE(r.events.empty());
   EXPECT_EQ(r.reply_messages, 0u);
 }

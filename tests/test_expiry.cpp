@@ -75,9 +75,9 @@ TEST(Expiry, QueriesNoLongerReturnExpired) {
   fx.tb->oracle().expire_before(80.0);
   const auto want = fx.tb->oracle().matching(all).size();
   EXPECT_EQ(want, 20u);
-  EXPECT_EQ(fx.tb->pool().query(0, all).events.size(), want);
-  EXPECT_EQ(fx.tb->dim().query(0, all).events.size(), want);
-  for (const auto& e : fx.tb->pool().query(0, all).events)
+  EXPECT_EQ(fx.tb->pool().execute(0, all).events.size(), want);
+  EXPECT_EQ(fx.tb->dim().execute(0, all).events.size(), want);
+  for (const auto& e : fx.tb->pool().execute(0, all).events)
     EXPECT_GE(e.detected_at, 80.0);
 }
 

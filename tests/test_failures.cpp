@@ -130,8 +130,8 @@ TEST(Failures, RebuiltPoolDeploymentAnswersExactly) {
   for (int i = 0; i < 20; ++i) {
     const auto q = i % 2 ? qgen.partial_range(1) : qgen.exact_range();
     const auto want = oracle.matching(q).size();
-    EXPECT_EQ(pool.query(0, q).events.size(), want);
-    EXPECT_EQ(dim_sys.query(0, q).events.size(), want);
+    EXPECT_EQ(pool.execute(0, q).events.size(), want);
+    EXPECT_EQ(dim_sys.execute(0, q).events.size(), want);
   }
 }
 

@@ -309,7 +309,7 @@ TEST(Failover, PoolMirrorRestoreGivesFullRecallBeforeQueries) {
     const auto q = i % 2 ? qgen.partial_range(1) : qgen.exact_range();
     auto sink = tb.random_node(sink_rng);
     if (sink == dead) sink = (sink + 1) % tb.pool_network().size();
-    const auto r = tb.pool().query(sink, q);
+    const auto r = tb.pool().execute(sink, q);
     EXPECT_EQ(sorted_ids(r.events), sorted_ids(tb.oracle().matching(q)))
         << "query " << i;
   }
@@ -334,7 +334,7 @@ TEST(Failover, PoolWithoutMirrorsLosesExactlyTheDeadNodesEvents) {
   EXPECT_EQ(tb.pool().fault_stats().events_lost, held);
   EXPECT_EQ(tb.pool().stored_count(), total - held);
   const auto sink = dead == 0 ? NodeId{1} : NodeId{0};
-  const auto r = tb.pool().query(sink, whole_space());
+  const auto r = tb.pool().execute(sink, whole_space());
   EXPECT_EQ(r.events.size(), total - held);
 }
 
@@ -446,7 +446,7 @@ TEST(Failover, DimNeighborAdoptionKeepsEveryZoneOwnedAndAnswering) {
   }
 
   const auto sink = dead == 0 ? NodeId{1} : NodeId{0};
-  const auto r = tb.dim().query(sink, whole_space());
+  const auto r = tb.dim().execute(sink, whole_space());
   EXPECT_EQ(r.events.size(), tb.dim().stored_count());
   EXPECT_EQ(tb.dim().stored_count() + tb.dim().fault_stats().events_lost,
             tb.oracle().all().size());
@@ -477,7 +477,7 @@ TEST(Failover, GhtReclaimsDeadStoreAndKeepsAnswering) {
 
   EXPECT_EQ(ght.fault_stats().events_lost, held);
   const auto sink = dead == 0 ? NodeId{1} : NodeId{0};
-  const auto r = ght.query(sink, whole_space());
+  const auto r = ght.execute(sink, whole_space());
   EXPECT_EQ(r.events.size(), ght.stored_count());
   EXPECT_EQ(ght.stored_count(), tb.oracle().all().size() - held);
 }

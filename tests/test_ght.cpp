@@ -93,7 +93,7 @@ TEST(Ght, PointQueryFindsStoredEvent) {
         inserted[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(inserted.size()) - 1))];
     const auto q = point_query(target);
-    const auto r = fx.ght->query(0, q);
+    const auto r = fx.ght->execute(0, q);
     EXPECT_EQ(ids(r.events), ids(fx.oracle.matching(q)));
     EXPECT_FALSE(r.events.empty());
     EXPECT_EQ(r.index_nodes_visited, 1u);
@@ -108,7 +108,7 @@ TEST(Ght, PointQueryMissReturnsEmpty) {
   const RangeQuery q({{0.123456, 0.123456},
                       {0.654321, 0.654321},
                       {0.999999, 0.999999}});
-  const auto r = fx.ght->query(7, q);
+  const auto r = fx.ght->execute(7, q);
   EXPECT_TRUE(r.events.empty());
   EXPECT_EQ(r.reply_messages, 0u);
   EXPECT_GT(r.query_messages, 0u);
@@ -125,7 +125,7 @@ TEST(Ght, RangeQueryFloodsButStaysCorrect) {
   query::QueryGenerator qgen({.dims = 3}, 17);
   for (int i = 0; i < 10; ++i) {
     const auto q = qgen.exact_range();
-    const auto r = fx.ght->query(3, q);
+    const auto r = fx.ght->execute(3, q);
     EXPECT_EQ(ids(r.events), ids(fx.oracle.matching(q)));
     // A flood reaches everyone: at least n-1 query transmissions.
     EXPECT_GE(r.query_messages, fx.network->size() - 1);
@@ -143,7 +143,7 @@ TEST(Ght, PartialQueryAlsoFloodsCorrectly) {
   query::QueryGenerator qgen({.dims = 3}, 19);
   for (int i = 0; i < 5; ++i) {
     const auto q = qgen.partial_range(1);
-    EXPECT_EQ(ids(fx.ght->query(0, q).events), ids(fx.oracle.matching(q)));
+    EXPECT_EQ(ids(fx.ght->execute(0, q).events), ids(fx.oracle.matching(q)));
   }
 }
 
@@ -157,9 +157,9 @@ TEST(Ght, PointQueriesAreFarCheaperThanRangeFloods) {
     inserted.push_back(e);
   }
   const auto point_cost =
-      fx.ght->query(0, point_query(inserted[42])).messages;
+      fx.ght->execute(0, point_query(inserted[42])).messages;
   query::QueryGenerator qgen({.dims = 3}, 21);
-  const auto range_cost = fx.ght->query(0, qgen.exact_range()).messages;
+  const auto range_cost = fx.ght->execute(0, qgen.exact_range()).messages;
   EXPECT_LT(point_cost * 5, range_cost);
 }
 
@@ -177,9 +177,9 @@ TEST(Ght, AggregateMatchesOracle) {
     for (const auto kind :
          {storage::AggregateKind::Count, storage::AggregateKind::Average}) {
       const auto want = fx.oracle.aggregate_oracle(q, kind, 1);
-      const auto got = fx.ght->aggregate(0, q, kind, 1);
-      EXPECT_EQ(got.result.count, want.count);
-      EXPECT_NEAR(got.result.value, want.value, 1e-9);
+      const auto got = fx.ght->execute(0, storage::AggregateQuery{q, kind, 1});
+      EXPECT_EQ(got.aggregate.count, want.count);
+      EXPECT_NEAR(got.aggregate.value, want.value, 1e-9);
     }
   }
 }

@@ -12,11 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/replay.h"
 #include "bench_support/testbed.h"
 #include "fingerprint.h"
 #include "ght/ght_system.h"
 #include "query/query_gen.h"
 #include "routing/gpsr.h"
+#include "storage/store_config.h"
 
 namespace poolnet {
 namespace {
@@ -27,7 +29,8 @@ using Prints = std::map<std::string, Fingerprint>;  // query class → print
 
 constexpr std::size_t kNodes = 200;
 
-/// Every query class of the DcsSystem surface against one system.
+/// Every query class of the execute() / execute_batch() surface against
+/// one system.
 void run_classes(storage::DcsSystem& sys, std::uint64_t seed, Prints& out) {
   query::QueryGenerator qgen({.dims = 3}, seed * 101 + 7);
   Rng rng(seed * 13 + 5);
@@ -37,14 +40,14 @@ void run_classes(storage::DcsSystem& sys, std::uint64_t seed, Prints& out) {
   };
 
   for (int i = 0; i < 10; ++i)
-    out["range"].add_receipt(sys.query(sink(), qgen.exact_range()));
+    out["range"].add_receipt(sys.execute(sink(), qgen.exact_range()));
   for (int i = 0; i < 10; ++i)
     out["range"].add_receipt(
-        sys.query(sink(), qgen.partial_range(1 + i % 2)));
+        sys.execute(sink(), qgen.partial_range(1 + i % 2)));
   for (int i = 0; i < 6; ++i)
-    out["skyline"].add_receipt(sys.skyline(sink(), qgen.skyline_query()));
+    out["skyline"].add_receipt(sys.execute(sink(), qgen.skyline_query()));
   for (int i = 0; i < 8; ++i)
-    out["knn"].add_receipt(sys.k_nearest(sink(), qgen.knn_query(12)));
+    out["knn"].add_receipt(sys.execute(sink(), qgen.knn_query(12)));
 
   for (const auto kind :
        {storage::AggregateKind::Count, storage::AggregateKind::Sum,
@@ -52,20 +55,21 @@ void run_classes(storage::DcsSystem& sys, std::uint64_t seed, Prints& out) {
         storage::AggregateKind::Average}) {
     const auto q = static_cast<int>(kind) % 2 ? qgen.partial_range(1)
                                               : qgen.exact_range();
-    const auto r =
-        sys.aggregate(sink(), q, kind, static_cast<std::size_t>(kind) % 3);
+    const auto r = sys.execute(
+        sink(), storage::AggregateQuery{q, kind,
+                                        static_cast<std::size_t>(kind) % 3});
     out["aggregate"].add_cost(r);
-    out["aggregate"].add_bits(r.result.value);
-    out["aggregate"].add(r.result.count);
-    out["aggregate"].add(r.result.valid);
+    out["aggregate"].add_bits(r.aggregate.value);
+    out["aggregate"].add(r.aggregate.count);
+    out["aggregate"].add(r.aggregate.valid);
   }
 
   for (const int size : {8, 12}) {
-    std::vector<storage::RangeQuery> batch_queries;
+    std::vector<storage::QueryRequest> batch_queries;
     for (int i = 0; i < size; ++i)
       batch_queries.push_back(i % 3 ? qgen.exact_range()
                                     : qgen.partial_range(1 + i % 2));
-    const auto b = sys.query_batch(sink(), batch_queries);
+    const auto b = sys.execute_batch(sink(), batch_queries);
     Fingerprint& fb = out["batch"];
     fb.add_cost(b);
     fb.add(b.messages_saved);
@@ -178,6 +182,31 @@ Prints ght_prints() {
   return out;
 }
 
+/// The central stores on their own copy of the deployment, node 0 as the
+/// base station; the paged store gets a 4-frame pool of 512-byte pages so
+/// its scans actually fault pages in and out.
+Prints central_prints(storage::StoreKind kind) {
+  Prints out;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Testbed tb(testbed_config(seed, PoolVariant::Default));
+    tb.insert_workload();
+    std::vector<Point> pts;
+    for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
+    net::Network net(std::move(pts), tb.pool_network().field(), 40.0);
+    routing::Gpsr gpsr(net);
+    storage::StoreConfig store;
+    store.kind = kind;
+    store.paged.pool_pages = 4;
+    store.paged.page_bytes = 512;
+    const auto sys =
+        storage::make_central_store(3, store, &net, &gpsr, net::NodeId{0});
+    for (const auto& e : tb.oracle().all())
+      out["insert"].add(sys->insert(e.source, e).messages);
+    run_classes(*sys, seed, out);
+  }
+  return out;
+}
+
 /// The hashes each (configuration, class) produced with one hand-written
 /// walk per query class; the one entry that has moved since says why.
 const std::map<std::string, std::map<std::string, std::uint64_t>> kGolden = {
@@ -231,6 +260,22 @@ const std::map<std::string, std::map<std::string, std::uint64_t>> kGolden = {
       {"knn", 0x2410112e06b98f28},
       {"range", 0x5a7a33fa4fc7175a},
       {"skyline", 0xc3d4a9ce858d3d0d}}},
+    // Recorded when each central store still charged its own transport;
+    // the paged store answers byte-identically to the flat one.
+    {"central-flat",
+     {{"aggregate", 0x10a99c9f748d1796},
+      {"batch", 0x467fc732ae860a09},
+      {"insert", 0x360edd84bd5aaf2e},
+      {"knn", 0xe53a477229b5b522},
+      {"range", 0x75eca8112f4e958d},
+      {"skyline", 0x2fc01e0fcc2a4301}}},
+    {"central-paged",
+     {{"aggregate", 0x10a99c9f748d1796},
+      {"batch", 0x467fc732ae860a09},
+      {"insert", 0x360edd84bd5aaf2e},
+      {"knn", 0xe53a477229b5b522},
+      {"range", 0x75eca8112f4e958d},
+      {"skyline", 0x2fc01e0fcc2a4301}}},
 };
 
 void expect_golden(const std::string& config, const Prints& prints) {
@@ -263,6 +308,14 @@ TEST(GoldenReceipts, PoolWorkloadSharing) {
 TEST(GoldenReceipts, Dim) { expect_golden("dim", dim_prints()); }
 
 TEST(GoldenReceipts, Ght) { expect_golden("ght", ght_prints()); }
+
+TEST(GoldenReceipts, CentralFlat) {
+  expect_golden("central-flat", central_prints(storage::StoreKind::Flat));
+}
+
+TEST(GoldenReceipts, CentralPaged) {
+  expect_golden("central-paged", central_prints(storage::StoreKind::Paged));
+}
 
 }  // namespace
 }  // namespace poolnet

@@ -240,8 +240,8 @@ TEST(Conservation, NodeTxMatchesTrafficAndReceipts) {
   for (int i = 0; i < 12; ++i) {
     const auto q = qgen.exact_range();
     const auto sink = tb.random_node(sink_rng);
-    pool_msgs += tb.pool().query(sink, q).messages;
-    dim_msgs += tb.dim().query(sink, q).messages;
+    pool_msgs += tb.pool().execute(sink, q).messages;
+    dim_msgs += tb.dim().execute(sink, q).messages;
   }
   EXPECT_EQ(sum_tx(tb.pool_network()) - pool_tx0, pool_msgs);
   EXPECT_EQ(sum_tx(tb.dim_network()) - dim_tx0, dim_msgs);
@@ -276,7 +276,7 @@ TEST(Conservation, GhtNodeTxMatchesReceipts) {
     expected += ght.insert(e.source, e).messages;
   query::QueryGenerator qgen({.dims = 3}, 17);
   for (int i = 0; i < 8; ++i)
-    expected += ght.query(0, qgen.exact_point()).messages;
+    expected += ght.execute(0, qgen.exact_point()).messages;
 
   std::uint64_t tx = 0;
   for (const auto& n : net.nodes()) tx += n.tx_count;

@@ -230,18 +230,18 @@ void run_equivalence(const EquivCase& c, std::uint64_t seed, std::size_t n,
   query::QueryGenerator qgen({.dims = 3}, seed + 1000);
   for (int q = 0; q < 24; ++q) {
     const RangeQuery range = qgen.exact_range();
-    const auto f = flat.query(0, range);
-    const auto p = paged.query(0, range);
+    const auto f = flat.execute(0, range);
+    const auto p = paged.execute(0, range);
     expect_same_events(f.events, p.events, label + " q" + std::to_string(q));
 
     // Aggregates accumulate in the same (id) order -> bit-equal doubles.
     for (const AggregateKind kind :
          {AggregateKind::Count, AggregateKind::Sum, AggregateKind::Min,
           AggregateKind::Max, AggregateKind::Average}) {
-      const auto fa = flat.aggregate(0, range, kind, 1);
-      const auto pa = paged.aggregate(0, range, kind, 1);
-      EXPECT_EQ(fa.result.valid, pa.result.valid) << label;
-      EXPECT_EQ(fa.result.value, pa.result.value)
+      const auto fa = flat.execute(0, AggregateQuery{range, kind, 1});
+      const auto pa = paged.execute(0, AggregateQuery{range, kind, 1});
+      EXPECT_EQ(fa.aggregate.valid, pa.aggregate.valid) << label;
+      EXPECT_EQ(fa.aggregate.value, pa.aggregate.value)
           << label << " kind=" << static_cast<int>(kind);
     }
   }

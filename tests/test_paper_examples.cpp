@@ -120,7 +120,7 @@ TEST(PaperExamples, Example31EndToEndRetrieval) {
     oracle.insert(0, e);
   }
   const RangeQuery q({{0.2, 0.3}, {0.25, 0.35}, {0.21, 0.24}});
-  const auto receipt = tb.pool->query(0, q);
+  const auto receipt = tb.pool->execute(0, q);
   std::vector<std::uint64_t> got;
   for (const auto& e : receipt.events) got.push_back(e.id);
   std::sort(got.begin(), got.end());
@@ -154,7 +154,7 @@ TEST(PaperExamples, Section41TieExample) {
   tb.pool->insert(src, e);
   EXPECT_EQ(tb.pool->stored_count(), 1u);
   const RangeQuery q({{0.35, 0.45}, {0.35, 0.45}, {0.15, 0.25}});
-  EXPECT_EQ(tb.pool->query(src, q).events.size(), 1u);
+  EXPECT_EQ(tb.pool->execute(src, q).events.size(), 1u);
 }
 
 TEST(PaperExamples, Figure3RangesReproduced) {

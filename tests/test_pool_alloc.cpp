@@ -51,12 +51,14 @@ Fingerprint run_testbed(std::uint64_t seed, bool pooled) {
   for (int i = 0; i < 12; ++i) queries.push_back(qgen.exact_range());
   for (const auto& q : queries) {
     const net::NodeId sink = tb.random_node(sinks);
-    fp.add_receipt(tb.pool().query(sink, q));
-    fp.add_receipt(tb.dim().query(sink, q));
+    fp.add_receipt(tb.pool().execute(sink, q));
+    fp.add_receipt(tb.dim().execute(sink, q));
   }
 
-  const auto batch_pool = tb.pool().query_batch(0, queries);
-  const auto batch_dim = tb.dim().query_batch(0, queries);
+  const std::vector<storage::QueryRequest> requests(queries.begin(),
+                                                    queries.end());
+  const auto batch_pool = tb.pool().execute_batch(0, requests);
+  const auto batch_dim = tb.dim().execute_batch(0, requests);
   for (const auto* b : {&batch_pool, &batch_dim}) {
     fp.add(b->messages);
     fp.add(b->messages_saved);
@@ -65,8 +67,9 @@ Fingerprint run_testbed(std::uint64_t seed, bool pooled) {
       for (const auto& e : r.events) fp.add(e.id);
   }
 
-  const auto agg = tb.pool().aggregate(0, queries.front(),
-                                       storage::AggregateKind::Max, 0);
+  const auto agg = tb.pool().execute(
+      0, storage::AggregateQuery{queries.front(),
+                                 storage::AggregateKind::Max, 0});
   fp.add(agg.messages);
   fp.add(agg.index_nodes_visited);
 
@@ -131,7 +134,7 @@ Fingerprint run_ght(std::uint64_t seed, bool pooled) {
   }
   query::QueryGenerator qgen({.dims = 3}, seed * 29 + 11);
   for (int i = 0; i < 6; ++i)
-    fp.add_receipt(ght.query(3, qgen.exact_range()));
+    fp.add_receipt(ght.execute(3, qgen.exact_range()));
   fp.add_bits(network->traffic().energy_j);
   const auto s = cache.stats();
   fp.add(s.hits);

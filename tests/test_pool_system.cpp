@@ -108,7 +108,7 @@ TEST(PoolSystem, TiedEventIsStillRetrievable) {
   const auto e = make_event(7, {0.4, 0.4, 0.2});
   fx.pool->insert(0, e);
   const RangeQuery q({{0.35, 0.45}, {0.35, 0.45}, {0.1, 0.3}});
-  const auto receipt = fx.pool->query(3, q);
+  const auto receipt = fx.pool->execute(3, q);
   ASSERT_EQ(receipt.events.size(), 1u);
   EXPECT_EQ(receipt.events[0].id, 7u);
 }
@@ -131,7 +131,7 @@ TEST_P(PoolQueryCorrectness, ExactRangeMatchesOracle) {
     const auto q = qgen.exact_range();
     const auto sink = static_cast<NodeId>(sink_rng.uniform_int(
         0, static_cast<std::int64_t>(fx.network->size()) - 1));
-    EXPECT_EQ(ids(fx.pool->query(sink, q).events), ids(fx.oracle.matching(q)))
+    EXPECT_EQ(ids(fx.pool->execute(sink, q).events), ids(fx.oracle.matching(q)))
         << "query " << q;
   }
 }
@@ -151,7 +151,7 @@ TEST_P(PoolQueryCorrectness, PartialRangeMatchesOracle) {
       const auto q = qgen.partial_range(m);
       const auto sink = static_cast<NodeId>(sink_rng.uniform_int(
           0, static_cast<std::int64_t>(fx.network->size()) - 1));
-      EXPECT_EQ(ids(fx.pool->query(sink, q).events),
+      EXPECT_EQ(ids(fx.pool->execute(sink, q).events),
                 ids(fx.oracle.matching(q)));
     }
   }
@@ -174,7 +174,7 @@ TEST_P(PoolQueryCorrectness, PointQueriesMatchOracle) {
     for (std::size_t d = 0; d < 3; ++d)
       b.push_back({e.values[d], e.values[d]});
     const RangeQuery q(b);
-    const auto receipt = fx.pool->query(0, q);
+    const auto receipt = fx.pool->execute(0, q);
     EXPECT_EQ(ids(receipt.events), ids(fx.oracle.matching(q)));
     EXPECT_FALSE(receipt.events.empty());
   }
@@ -189,7 +189,7 @@ TEST(PoolSystem, QueryCostBreakdownConsistent) {
   for (NodeId n = 0; n < fx.network->size(); ++n)
     fx.pool->insert(n, gen.next(n));
   query::QueryGenerator qgen({.dims = 3}, 51);
-  const auto receipt = fx.pool->query(9, qgen.exact_range());
+  const auto receipt = fx.pool->execute(9, qgen.exact_range());
   EXPECT_EQ(receipt.messages,
             receipt.query_messages + receipt.reply_messages);
 }
@@ -204,7 +204,7 @@ TEST(PoolSystem, EmptyDerivedRangeSkipsPoolEntirely) {
   // All three derived R_H are non-empty here, so instead check the
   // documented behaviour: cost is proportional to relevant cells.
   const auto cheap = fx.pool->relevant_cell_count(q);
-  const auto receipt = fx.pool->query(0, q);
+  const auto receipt = fx.pool->execute(0, q);
   EXPECT_GT(receipt.messages, 0u);
   EXPECT_EQ(receipt.index_nodes_visited, cheap);
   (void)impossible;
@@ -258,7 +258,7 @@ TEST(PoolSystem, DimensionMismatchThrows) {
   Fixture fx(9, 100);
   EXPECT_THROW(fx.pool->insert(0, make_event(1, {0.5})),
                poolnet::ConfigError);
-  EXPECT_THROW(fx.pool->query(0, RangeQuery({{0, 1}})), poolnet::ConfigError);
+  EXPECT_THROW(fx.pool->execute(0, RangeQuery({{0, 1}})), poolnet::ConfigError);
 }
 
 TEST(PoolSystem, LayoutMismatchThrows) {
@@ -290,7 +290,7 @@ TEST(PoolSystem, EventsOnPoolBoundariesRetrievable) {
     fx.oracle.insert(0, e);
   }
   const RangeQuery all({{0, 1}, {0, 1}, {0, 1}});
-  EXPECT_EQ(ids(fx.pool->query(0, all).events),
+  EXPECT_EQ(ids(fx.pool->execute(0, all).events),
             ids(fx.oracle.matching(all)));
 }
 

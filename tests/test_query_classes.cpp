@@ -6,8 +6,8 @@
 // to the canonical local kernels (skyline_filter / knn_filter) run over
 // everything the oracle holds, across seeds and dimensionalities. Plus:
 // dominance pruning must engage at zone-map block boundaries without ever
-// skipping an equal-corner (tie) block, and execute() must be
-// byte-identical to the legacy query() virtual for range requests.
+// skipping an equal-corner (tie) block, and a one-request execute_batch()
+// must be byte-identical to execute().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,6 +90,9 @@ struct FourSystems {
         break;
       case storage::QueryClass::KNearest:
         storage::knn_filter(request.k_nearest(), all);
+        break;
+      case storage::QueryClass::Aggregate:  // a value, not events
+        all.clear();
         break;
       case storage::QueryClass::Range: {
         std::vector<Event> matching;
@@ -230,7 +233,7 @@ TEST(QueryClasses, SkylinePruningSkipsDominatedBlocks) {
     store.insert(0, e);
   }
   const std::uint64_t skipped_before = store.scan_stats()->blocks_skipped;
-  const QueryReceipt got = store.skyline(0, SkylineQuery(2));
+  const QueryReceipt got = store.execute(0, SkylineQuery(2));
   ASSERT_EQ(got.events.size(), 1u);
   EXPECT_EQ(got.events.front().id, 1u);
   EXPECT_GE(store.scan_stats()->blocks_skipped - skipped_before, 3u);
@@ -256,7 +259,7 @@ TEST(QueryClasses, EqualCornerBlockIsNeverSkipped) {
   tie.id = 2 + storage::column::kBlockRows;  // lands beyond block 0
   tie.values = Values{0.8, 0.8};
   store.insert(0, tie);
-  const QueryReceipt got = store.skyline(0, SkylineQuery(2));
+  const QueryReceipt got = store.execute(0, SkylineQuery(2));
   ASSERT_EQ(got.events.size(), 2u);
   EXPECT_EQ(got.events[0].id, first.id);
   EXPECT_EQ(got.events[1].id, tie.id);
@@ -282,28 +285,36 @@ TEST(QueryClasses, KnnStopsBeforeFarBlocks) {
   q.target = Values{0.5, 0.5};
   q.k = 4;
   const std::uint64_t skipped_before = store.scan_stats()->blocks_skipped;
-  const QueryReceipt got = store.k_nearest(0, q);
+  const QueryReceipt got = store.execute(0, q);
   ASSERT_EQ(got.events.size(), 4u);
   for (const Event& e : got.events) EXPECT_LE(e.id, storage::column::kBlockRows);
   EXPECT_GE(store.scan_stats()->blocks_skipped - skipped_before, 3u);
 }
 
-// ------------------------------------------- execute() vs the legacy virtual
+// ------------------------------------- execute_batch() of one vs execute()
 
-TEST(QueryClasses, ExecuteIsByteIdenticalToLegacyRangeQuery) {
+TEST(QueryClasses, ExecuteBatchOfOneIsByteIdenticalToExecute) {
   FourSystems fx(8, 3);
   query::QueryGenerator gen({.dims = 3}, 77);
   for (int trial = 0; trial < 10; ++trial) {
-    const RangeQuery q = gen.exact_range();
+    const QueryRequest q = gen.next(query::QueryClassMix::Mix);
     for (storage::DcsSystem* sys : fx.systems()) {
-      const QueryReceipt legacy = sys->query(0, q);
-      const QueryReceipt unified = sys->execute(0, QueryRequest{q});
-      EXPECT_EQ(unified.events, legacy.events) << sys->name();
-      EXPECT_EQ(unified.messages, legacy.messages) << sys->name();
-      EXPECT_EQ(unified.query_messages, legacy.query_messages) << sys->name();
-      EXPECT_EQ(unified.reply_messages, legacy.reply_messages) << sys->name();
-      EXPECT_EQ(unified.index_nodes_visited, legacy.index_nodes_visited)
-          << sys->name();
+      const QueryReceipt alone = sys->execute(0, q);
+      const auto batch = sys->execute_batch(0, {q});
+      ASSERT_EQ(batch.per_query.size(), 1u);
+      const QueryReceipt& one = batch.per_query[0];
+      EXPECT_EQ(one.events, alone.events) << sys->name();
+      EXPECT_EQ(one.rounds, alone.rounds) << sys->name();
+      for (const storage::ResultReceipt* r :
+           {static_cast<const storage::ResultReceipt*>(&one),
+            static_cast<const storage::ResultReceipt*>(&batch)}) {
+        EXPECT_EQ(r->messages, alone.messages) << sys->name();
+        EXPECT_EQ(r->query_messages, alone.query_messages) << sys->name();
+        EXPECT_EQ(r->reply_messages, alone.reply_messages) << sys->name();
+        EXPECT_EQ(r->index_nodes_visited, alone.index_nodes_visited)
+            << sys->name();
+      }
+      EXPECT_EQ(batch.messages_saved, 0u) << sys->name();
     }
   }
 }
@@ -314,8 +325,8 @@ TEST(QueryClasses, PoolSkylineVisitsFewerCellsThanFlood) {
   // every storing node).
   FourSystems fx(9, 3, /*nodes=*/300);
   const SkylineQuery q(3);
-  const QueryReceipt pool = fx.tb->pool().skyline(0, q);
-  const QueryReceipt flood = fx.ght->skyline(0, q);
+  const QueryReceipt pool = fx.tb->pool().execute(0, q);
+  const QueryReceipt flood = fx.ght->execute(0, q);
   EXPECT_EQ(pool.events, flood.events);
   EXPECT_LT(pool.index_nodes_visited, flood.index_nodes_visited);
 }

@@ -90,7 +90,7 @@ TEST(QueryEngineEquivalence, PoolAndDimMatchSerialAcrossSeeds) {
     for (storage::DcsSystem* sys :
          std::initializer_list<storage::DcsSystem*>{&tb.pool(), &tb.dim()}) {
       std::vector<QueryReceipt> serial;
-      for (const auto& q : queries) serial.push_back(sys->query(sink, q));
+      for (const auto& q : queries) serial.push_back(sys->execute(sink, q));
       for (const std::size_t b : {4u, 8u, 32u}) {
         const auto batched = run_batched(*sys, sink, queries, b);
         ASSERT_EQ(batched.size(), serial.size());
@@ -132,7 +132,7 @@ TEST(QueryEngineEquivalence, GhtMatchesSerialOnMixedWorkload) {
     Rng sink_rng(seed * 17 + 5);
     const auto sink = tb.random_node(sink_rng);
     std::vector<QueryReceipt> serial;
-    for (const auto& q : queries) serial.push_back(ght.query(sink, q));
+    for (const auto& q : queries) serial.push_back(ght.execute(sink, q));
     const auto batched = run_batched(ght, sink, queries, queries.size());
     ASSERT_EQ(batched.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -209,8 +209,10 @@ TEST(QueryEngineEconomics, MessagesSavedExactOnIdealLinks) {
                 : static_cast<storage::DcsSystem&>(batch_tb.pool());
 
     std::uint64_t serial_sum = 0;
-    for (const auto& q : queries) serial_sum += serial_sys.query(sink, q).messages;
-    const auto batch = batch_sys.query_batch(sink, queries);
+    for (const auto& q : queries)
+      serial_sum += serial_sys.execute(sink, q).messages;
+    const auto batch =
+        batch_sys.execute_batch(sink, {queries.begin(), queries.end()});
     EXPECT_EQ(batch.messages_saved, serial_sum - batch.messages)
         << (use_dim ? "dim" : "pool");
   }
@@ -265,7 +267,7 @@ TEST(QueryEngineCache, InsertIntoCachedRectangleInvalidates) {
   EXPECT_GT(after.messages, 0u) << "stale hit served after insert";
   EXPECT_GE(eng.cache_stats().invalidations, 1u);
   // And the refreshed answer matches a direct query.
-  EXPECT_EQ(after.events, tb.pool().query(sink, q).events);
+  EXPECT_EQ(after.events, tb.pool().execute(sink, q).events);
 }
 
 TEST(QueryEngineCache, DisjointInsertLeavesEntryCached) {
@@ -377,7 +379,7 @@ TEST(QueryEngineCache, DataAgingPrunesEntriesInPlace) {
 
   // The served set is the exact post-aging answer.
   auto served = after.events;
-  auto direct = tb.pool().query(0, wide).events;
+  auto direct = tb.pool().execute(0, wide).events;
   const auto by_id = [](const storage::Event& a, const storage::Event& b) {
     return a.id < b.id;
   };
@@ -401,7 +403,7 @@ TEST(QueryEngineCache, AgingEverythingLeavesEmptyButCorrectEntries) {
   const auto empty = eng.take(eng.submit(sink, q));
   EXPECT_EQ(empty.messages, 0u);
   EXPECT_TRUE(empty.events.empty());
-  EXPECT_EQ(empty.events, tb.pool().query(sink, q).events);
+  EXPECT_EQ(empty.events, tb.pool().execute(sink, q).events);
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +443,7 @@ TEST(QueryEngineEpochs, TakeFlushesAndUnknownTicketThrows) {
   const auto t = eng.submit(sink, q);
   EXPECT_FALSE(eng.ready(t));
   const auto r = eng.take(t);  // implicit flush
-  EXPECT_EQ(r.events, tb.pool().query(sink, q).events);
+  EXPECT_EQ(r.events, tb.pool().execute(sink, q).events);
   EXPECT_THROW(eng.take(t), ConfigError);      // already redeemed
   EXPECT_THROW(eng.take(123456), ConfigError);  // never issued
 }

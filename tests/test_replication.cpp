@@ -42,7 +42,7 @@ TEST(Replication, QueriesReturnNoDuplicates) {
   Rng sink_rng(8);
   for (int i = 0; i < 20; ++i) {
     const auto q = i % 2 ? qgen.partial_range(1) : qgen.exact_range();
-    const auto r = tb.pool().query(tb.random_node(sink_rng), q);
+    const auto r = tb.pool().execute(tb.random_node(sink_rng), q);
     // Exactly the oracle's answers: mirrors must be invisible.
     EXPECT_EQ(r.events.size(), tb.oracle().matching(q).size()) << q;
     std::vector<std::uint64_t> ids;
@@ -60,8 +60,9 @@ TEST(Replication, AggregatesUnaffectedByMirrors) {
   const auto want =
       tb.oracle().aggregate_oracle(q, storage::AggregateKind::Count, 0);
   const auto got =
-      tb.pool().aggregate(0, q, storage::AggregateKind::Count, 0);
-  EXPECT_DOUBLE_EQ(got.result.value, want.value);
+      tb.pool().execute(
+          0, storage::AggregateQuery{q, storage::AggregateKind::Count, 0});
+  EXPECT_DOUBLE_EQ(got.aggregate.value, want.value);
 }
 
 TEST(Replication, InsertCostScalesWithCopies) {

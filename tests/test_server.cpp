@@ -63,7 +63,7 @@ TEST(ServerTest, ResultsAreByteIdenticalToDirectExecution) {
     std::string error;
     ASSERT_TRUE(parse_select(text, 3, &query, &error)) << error;
     const storage::QueryReceipt receipt =
-        direct.system().query(direct.sink(), query);
+        direct.system().execute(direct.sink(), query);
     EXPECT_EQ(reply.body, encode_events(receipt.events)) << text;
   }
   client.close();
@@ -95,7 +95,7 @@ TEST(ServerTest, ServesAllFourSystems) {
     ASSERT_TRUE(parse_select("SELECT WHERE a0 IN [0.1, 0.9]", 3, &query,
                              &error));
     const storage::QueryReceipt receipt =
-        direct.system().query(direct.sink(), query);
+        direct.system().execute(direct.sink(), query);
     EXPECT_EQ(encode_events(events), encode_events(receipt.events))
         << to_string(system);
     client.close();
@@ -127,7 +127,7 @@ TEST(ServerTest, CentralPagedStoreMatchesFlatByteForByte) {
     storage::RangeQuery query{one};
     ASSERT_TRUE(parse_select(text, 3, &query, &error)) << error;
     const storage::QueryReceipt receipt =
-        flat.system().query(flat.sink(), query);
+        flat.system().execute(flat.sink(), query);
     EXPECT_EQ(encode_events(events), encode_events(receipt.events)) << text;
   }
   client.close();

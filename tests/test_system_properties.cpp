@@ -110,8 +110,8 @@ TEST(SystemProperties, SplitterIsStablePerSinkAndCloserSinksCostLess) {
   const NodeId near_sink = tb.pool().splitter_for(0, tb.random_node(rng));
   const NodeId far_sink =
       tb.pool_network().nearest_node({0.0, 0.0});
-  const auto near_cost = tb.pool().query(near_sink, q).messages;
-  const auto far_cost = tb.pool().query(far_sink, q).messages;
+  const auto near_cost = tb.pool().execute(near_sink, q).messages;
+  const auto far_cost = tb.pool().execute(far_sink, q).messages;
   // Not a strict inequality in general (different splitters engage), but
   // both must be positive and the near sink must not pay a large premium.
   EXPECT_GT(near_cost, 0u);
@@ -140,7 +140,7 @@ TEST(SystemProperties, PerNodeTxRxBalanceMatchesLedger) {
   benchsup::Testbed tb(config);
   tb.insert_workload();
   query::QueryGenerator qgen({.dims = 3}, 33);
-  for (int i = 0; i < 10; ++i) tb.pool().query(0, qgen.exact_range());
+  for (int i = 0; i < 10; ++i) tb.pool().execute(0, qgen.exact_range());
 
   std::uint64_t tx = 0, rx = 0;
   for (const auto& n : tb.pool_network().nodes()) {

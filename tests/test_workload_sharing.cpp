@@ -96,9 +96,9 @@ TEST(WorkloadSharing, QueriesStillReturnExactResults) {
   fx.insert_skewed(1000, 9);
   // The hotspot region query: most events live here, many at delegates.
   const RangeQuery hot({{0.7, 1.0}, {0.7, 1.0}, {0.7, 1.0}});
-  EXPECT_EQ(ids(fx.pool->query(0, hot).events), ids(fx.oracle.matching(hot)));
+  EXPECT_EQ(ids(fx.pool->execute(0, hot).events), ids(fx.oracle.matching(hot)));
   const RangeQuery all({{0, 1}, {0, 1}, {0, 1}});
-  EXPECT_EQ(ids(fx.pool->query(5, all).events), ids(fx.oracle.matching(all)));
+  EXPECT_EQ(ids(fx.pool->execute(5, all).events), ids(fx.oracle.matching(all)));
 }
 
 TEST(WorkloadSharing, DelegationCostsExtraMessages) {
@@ -119,8 +119,8 @@ TEST(WorkloadSharing, DisabledKeepsEverythingAtIndexNodes) {
   // Query cost with sharing off must involve no delegate hops: re-running
   // the same query twice gives identical cost (determinism check).
   const RangeQuery hot({{0.7, 1.0}, {0.7, 1.0}, {0.7, 1.0}});
-  const auto r1 = fx.pool->query(0, hot);
-  const auto r2 = fx.pool->query(0, hot);
+  const auto r1 = fx.pool->execute(0, hot);
+  const auto r2 = fx.pool->execute(0, hot);
   EXPECT_EQ(r1.messages, r2.messages);
 }
 
