@@ -7,10 +7,9 @@
 // Clients speak the length-prefixed frame protocol of
 // docs/wire_protocol.md; SIGTERM/SIGINT drains — every admitted query is
 // answered before the process exits 0.
+#include <pthread.h>
 #include <signal.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <iostream>
 
@@ -20,14 +19,6 @@
 #include "server/server.h"
 
 using namespace poolnet;
-
-namespace {
-
-std::atomic<int> g_stop{0};
-
-void on_signal(int) { g_stop.store(1); }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   cli::ArgParser parser("poolnetd",
@@ -92,14 +83,17 @@ int main(int argc, char** argv) {
   config.max_pending_global = static_cast<std::size_t>(*pending);
   config.flush_interval_us = static_cast<std::uint64_t>(*flush_us);
 
+  // The stop signals are blocked before any thread exists, so every
+  // server thread inherits the mask and a signal stays pending until the
+  // sigwait below takes it — whenever it arrives, it cannot be lost.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   try {
     server::Server server(config);
-
-    struct sigaction sa{};
-    sa.sa_handler = on_signal;  // no SA_RESTART: pause() must wake
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-
     server.start();
     std::printf("poolnetd: %s over %zu nodes (%llu events), engine batch=%zu\n",
                 server::to_string(config.backend.system), config.backend.nodes,
@@ -110,7 +104,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 
-    while (g_stop.load() == 0) pause();
+    int signal_number = 0;
+    sigwait(&stop_signals, &signal_number);
 
     std::printf("poolnetd: draining...\n");
     std::fflush(stdout);

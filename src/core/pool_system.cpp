@@ -1,9 +1,11 @@
 #include "core/pool_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -586,6 +588,12 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
     const storage::SkylineQuery& q;
     const std::vector<Candidate>& cands;
     std::vector<Event> collected;
+    // Per-cell scratch, reused across visits.
+    std::vector<std::uint32_t> rows;    ///< primary rows, insertion order
+    std::vector<double> vals;           ///< their selected values, row-major
+    std::vector<double> sums;           ///< Σ selected values per row
+    std::vector<std::uint32_t> order;   ///< indices into rows, sorted
+    std::vector<std::uint32_t> local;   ///< the local skyline found so far
 
     // The pruning rule: a cell whose corner is dominated by an already-
     // collected point can only hold dominated events (strictness against
@@ -597,28 +605,67 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
     // replying — an event dominated within its own cell is dominated
     // globally, so reply volume shrinks with correctness untouched.
     void visit(const CellVisit& c, HolderTally& tally) {
-      std::vector<Event> rows;
-      std::vector<net::NodeId> holders;
+      const std::size_t k = q.attr_count();
+      rows.clear();
+      vals.clear();
+      sums.clear();
       for (std::size_t row = 0; row < c.rows.size(); ++row) {
         if (c.rows.replica_at(row)) continue;
-        rows.push_back(c.rows.event_at(row));
-        holders.push_back(c.rows.holder_at(row));
+        rows.push_back(static_cast<std::uint32_t>(row));
+        double sum = 0.0;
+        for (std::size_t d = 0; d < q.dims(); ++d) {
+          if (!q.on(d)) continue;
+          vals.push_back(c.rows.value_at(row, d));
+          sum += vals.back();
+        }
+        sums.push_back(sum);
       }
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        const auto& values = rows[r].values;
-        if (std::any_of(rows.begin(), rows.end(), [&](const Event& other) {
-              return q.dominates(other.values, values);
+      const auto at = [&](std::uint32_t i) { return &vals[i * k]; };
+      // Sort-filter: by descending sum, then descending selected values,
+      // then row. A dominator is >= everywhere and > somewhere, so its
+      // rounded sum is >= (addition is monotone) and, on a tied sum, it is
+      // lexicographically greater: every dominator precedes the rows it
+      // dominates. Dominance is transitive, so testing each row against
+      // the local skyline found so far is exact.
+      order.resize(rows.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  if (sums[a] != sums[b]) return sums[a] > sums[b];
+                  const double* va = at(a);
+                  const double* vb = at(b);
+                  for (std::size_t j = 0; j < k; ++j)
+                    if (va[j] != vb[j]) return va[j] > vb[j];
+                  return a < b;
+                });
+      const auto dominates = [&](const double* a, const double* b) {
+        bool strict = false;
+        for (std::size_t j = 0; j < k; ++j) {
+          if (a[j] < b[j]) return false;
+          if (a[j] > b[j]) strict = true;
+        }
+        return strict;
+      };
+      local.clear();
+      for (const std::uint32_t i : order) {
+        if (std::none_of(local.begin(), local.end(), [&](std::uint32_t s) {
+              return dominates(at(s), at(i));
             }))
-          continue;
-        tally.add(holders[r]);
-        if (storage::skyline_admits(q, collected, values))
-          collected.push_back(rows[r]);
+          local.push_back(i);
+      }
+      // Reply in insertion order, as every other cell-local scan does.
+      std::sort(local.begin(), local.end());
+      for (const std::uint32_t i : local) {
+        tally.add(c.rows.holder_at(rows[i]));
+        Event e = c.rows.event_at(rows[i]);
+        if (storage::skyline_admits(q, collected, e.values))
+          collected.push_back(std::move(e));
       }
     }
   };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  Visitor v{{}, q, cands, {}};
+  Visitor v{{}, q, cands, {}, {}, {}, {}, {}, {}};
   receipt.index_nodes_visited = visit_relevant(sink, plan, v);
   storage::skyline_filter(q, v.collected);
   receipt.events = std::move(v.collected);
@@ -694,6 +741,20 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
   batch.per_query.resize(queries.size());
   const auto before = net_.traffic();
 
+  // Where a member's matching rows at one reached cell are recorded: a
+  // span of Visitor::hit_rows.
+  struct Hits {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool reached = false;
+  };
+  // A query that asked for a step's cell; `slot` numbers its (query, own
+  // plan step) pair across the batch.
+  struct Member {
+    std::size_t query;
+    std::size_t slot;
+  };
+
   // What issuing each query alone would have charged, replayed from the
   // hop counts of the legs the merged walk sends (every serial leg is
   // also a union leg, so the routes are already at hand).
@@ -702,10 +763,16 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
     const net::MessageSizes& sizes;
     const Plan& plan;
     std::vector<std::size_t> users;  ///< per pool: queries with cells there
-    std::vector<std::vector<std::size_t>> members;  ///< per step: askers
+    std::vector<std::vector<Member>> members;  ///< per step: askers
     std::vector<std::uint32_t> member_total;  ///< current step, per member
     std::vector<std::uint32_t> pool_matches;  ///< current pool, per query
     std::uint64_t serial_cost = 0;
+    std::vector<Hits> hits;               ///< per slot
+    std::vector<std::uint32_t> hit_rows;  ///< matching rows, member by member
+    // Per-cell scratch: rows any member matched, and one member's matches
+    // per delegate holder.
+    std::vector<std::uint64_t> matched;
+    std::vector<std::pair<net::NodeId, std::uint32_t>> at_delegate;
 
     void leg(std::size_t step, Leg kind, std::uint64_t hops) {
       switch (kind) {
@@ -728,36 +795,45 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
           break;
       }
     }
-    // One scan of the cell serves every member: count each member's
-    // matches (split by holder, for the delegate economics) and tally the
-    // DISTINCT matching events that actually travel back.
+    // One kernel scan per member records its matching rows for the demux
+    // and counts them (split by holder, for the delegate economics); the
+    // DISTINCT matching rows, tallied in row order, actually travel back.
     void visit(const CellVisit& c, HolderTally& tally) {
       const auto& m = members[c.step];
       member_total.assign(m.size(), 0);
-      std::map<net::NodeId, std::vector<std::uint32_t>> member_at_delegate;
-      for (std::size_t row = 0; row < c.rows.size(); ++row) {
-        if (c.rows.replica_at(row)) continue;
-        const net::NodeId holder = c.rows.holder_at(row);
-        bool any = false;
-        for (std::size_t mi = 0; mi < m.size(); ++mi) {
-          if (!c.rows.row_matches(queries[m[mi]], row)) continue;
-          any = true;
-          ++member_total[mi];
-          if (holder != c.index_node) {
-            auto& per = member_at_delegate[holder];
-            if (per.empty()) per.assign(m.size(), 0);
-            ++per[mi];
+      matched.assign((c.rows.size() + 63) / 64, 0);
+      for (std::size_t mi = 0; mi < m.size(); ++mi) {
+        const auto begin = static_cast<std::uint32_t>(hit_rows.size());
+        at_delegate.clear();
+        c.rows.scan(queries[m[mi].query], /*skip_replicas=*/true,
+                    [&](std::size_t row) {
+          hit_rows.push_back(static_cast<std::uint32_t>(row));
+          matched[row / 64] |= std::uint64_t{1} << (row % 64);
+          const net::NodeId holder = c.rows.holder_at(row);
+          if (holder == c.index_node) return;
+          const auto it = std::find_if(
+              at_delegate.begin(), at_delegate.end(),
+              [&](const auto& d) { return d.first == holder; });
+          if (it == at_delegate.end()) {
+            at_delegate.emplace_back(holder, 1);
+          } else {
+            ++it->second;
           }
-        }
-        if (any) tally.add(holder);
+        });
+        const auto end = static_cast<std::uint32_t>(hit_rows.size());
+        hits[m[mi].slot] = {begin, end, true};
+        member_total[mi] = end - begin;
+        pool_matches[m[mi].query] += end - begin;
+        // Serial: each member with matches at a delegate would poll it and
+        // pull its own reply batches, all single-hop.
+        for (const auto& [delegate, n] : at_delegate)
+          serial_cost += 1 + sizes.reply_batches(n);
       }
-      // Serial: each member with matches at a delegate would poll it and
-      // pull its own reply batches, all single-hop.
-      for (const auto& [delegate, per] : member_at_delegate)
-        for (const std::uint32_t n : per)
-          if (n > 0) serial_cost += 1 + sizes.reply_batches(n);
-      for (std::size_t mi = 0; mi < m.size(); ++mi)
-        pool_matches[m[mi]] += member_total[mi];
+      for (std::size_t w = 0; w < matched.size(); ++w) {
+        for (std::uint64_t bits = matched[w]; bits != 0; bits &= bits - 1)
+          tally.add(c.rows.holder_at(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
     }
     void pool_done(std::size_t, std::uint32_t) {
       std::fill(pool_matches.begin(), pool_matches.end(), 0);
@@ -767,19 +843,23 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
   // Per pool, the union of the queries' relevant cells in first-seen
   // order, with the member queries that asked for each cell.
   std::vector<Plan> own(queries.size());
+  std::vector<std::size_t> first_slot(queries.size());
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     own[qi] = range_plan(queries[qi]);
+    first_slot[qi] = batch.serial_cell_visits;
     batch.serial_cell_visits += own[qi].size();
     batch.per_query[qi].index_nodes_visited = own[qi].size();
   }
   Plan plan;
   Visitor v{{}, queries, net_.sizes(), plan, std::vector<std::size_t>(dims_),
-            {}, {}, std::vector<std::uint32_t>(queries.size()), 0};
+            {}, {}, std::vector<std::uint32_t>(queries.size()), 0,
+            std::vector<Hits>(batch.serial_cell_visits), {}, {}, {}};
   for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
     std::unordered_map<std::size_t, std::size_t> step_at;  // key → step
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       bool uses = false;
-      for (const PlanStep& s : own[qi]) {
+      for (std::size_t j = 0; j < own[qi].size(); ++j) {
+        const PlanStep& s = own[qi][j];
         if (s.pool_dim != pool_dim) continue;
         uses = true;
         const auto [it, fresh] =
@@ -788,7 +868,7 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
           plan.push_back(s);
           v.members.emplace_back();
         }
-        v.members[it->second].push_back(qi);
+        v.members[it->second].push_back({qi, first_slot[qi] + j});
       }
       v.users[pool_dim] += uses;
     }
@@ -799,13 +879,22 @@ storage::BatchQueryReceipt PoolSystem::merge_ranges(
   // Demultiplex: each query collects its events by walking ITS OWN
   // relevant-cell list in resolver order — exactly the order serial
   // query() appends in, so the per-query result is identical even
-  // though the union visited the cells in a different order.
+  // though the union visited the cells in a different order. Reached
+  // cells hand back the rows the walk recorded; the rest are scanned.
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    for (const PlanStep& s : own[qi]) {
+    auto& events = batch.per_query[qi].events;
+    for (std::size_t j = 0; j < own[qi].size(); ++j) {
+      const PlanStep& s = own[qi][j];
       const auto& cell = cells_[cell_key(s.pool_dim, s.off)];
-      cell.scan(queries[qi], /*skip_replicas=*/true, [&](std::size_t row) {
-        batch.per_query[qi].events.push_back(cell.event_at(row));
-      });
+      const Hits& h = v.hits[first_slot[qi] + j];
+      if (!h.reached) {
+        cell.scan(queries[qi], /*skip_replicas=*/true, [&](std::size_t row) {
+          events.push_back(cell.event_at(row));
+        });
+        continue;
+      }
+      for (std::uint32_t r = h.begin; r < h.end; ++r)
+        events.push_back(cell.event_at(v.hit_rows[r]));
     }
   }
 

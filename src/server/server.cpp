@@ -411,8 +411,7 @@ void Server::run_epoch() {
 
   for (const Issued& i : issued) {
     storage::QueryReceipt r = eng.take(i.ticket);
-    write_frame(i.session, encode_result(i.request_id, ResultKind::Query,
-                                         encode_events(r.events)));
+    write_frame(i.session, encode_query_result(i.request_id, r.events));
     queries_out_.inc();
   }
 

@@ -1,6 +1,9 @@
 #include "server/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace poolnet::server {
 
@@ -15,26 +18,94 @@ const char* to_string(ErrorCode code) {
   return "?";
 }
 
+namespace {
+
+/// Stores `v` little-endian at `p` and returns the byte past it: one
+/// memcpy on little-endian hosts, a byte loop elsewhere.
+template <typename T>
+std::uint8_t* store_le(std::uint8_t* p, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (std::size_t i = 0; i < sizeof(v); ++i)
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return p + sizeof(v);
+}
+
+std::uint8_t* store_f64(std::uint8_t* p, double v) {
+  return store_le(p, std::bit_cast<std::uint64_t>(v));
+}
+
+template <typename T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(v));
+  store_le(out.data() + at, v);
+}
+
+// Result frame header: u32 length, u8 type, u64 request id, u8 kind.
+constexpr std::size_t kResultHeaderBytes = 4 + 1 + 8 + 1;
+// Per event: u64 id, u32 source, u8 dims, then dims + 1 f64 fields.
+constexpr std::size_t kEventFixedBytes = 8 + 4 + 1 + 8;
+
+std::size_t events_bytes(const std::vector<storage::Event>& events) {
+  std::size_t n = 4;
+  for (const storage::Event& e : events)
+    n += kEventFixedBytes + 8 * e.values.size();
+  return n;
+}
+
+/// Writes the encode_events layout at `p`, which must hold
+/// events_bytes(events) bytes.
+void store_events(std::uint8_t* p, const std::vector<storage::Event>& events) {
+  p = store_le(p, static_cast<std::uint32_t>(events.size()));
+  for (const storage::Event& e : events) {
+    p = store_le(p, e.id);
+    p = store_le(p, static_cast<std::uint32_t>(e.source));
+    *p++ = static_cast<std::uint8_t>(e.values.size());
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t n = 8 * e.values.size();
+      if (n != 0) std::memcpy(p, e.values.begin(), n);
+      p += n;
+    } else {
+      for (const double v : e.values) p = store_f64(p, v);
+    }
+    p = store_f64(p, e.detected_at);
+  }
+}
+
+/// A Result frame with its header filled in and room for `body_bytes`
+/// body bytes, which start at kResultHeaderBytes.
+std::vector<std::uint8_t> result_frame(std::uint64_t request_id,
+                                       ResultKind kind,
+                                       std::size_t body_bytes) {
+  std::vector<std::uint8_t> frame(kResultHeaderBytes + body_bytes);
+  std::uint8_t* p = frame.data();
+  p = store_le(p, static_cast<std::uint32_t>(frame.size() - 4));
+  *p++ = static_cast<std::uint8_t>(FrameType::Result);
+  p = store_le(p, request_id);
+  *p = static_cast<std::uint8_t>(kind);
+  return frame;
+}
+
+}  // namespace
+
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  put_le(out, v);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  put_le(out, v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  put_le(out, v);
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
+  put_le(out, std::bit_cast<std::uint64_t>(v));
 }
 
 void put_text(std::vector<std::uint8_t>& out, const std::string& text) {
@@ -114,12 +185,16 @@ std::vector<std::uint8_t> encode_request(FrameType type,
 std::vector<std::uint8_t> encode_result(
     std::uint64_t request_id, ResultKind kind,
     const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, request_id);
-  payload.push_back(static_cast<std::uint8_t>(kind));
-  payload.insert(payload.end(), body.begin(), body.end());
-  std::vector<std::uint8_t> frame;
-  append_frame(frame, FrameType::Result, payload);
+  std::vector<std::uint8_t> frame = result_frame(request_id, kind, body.size());
+  std::copy(body.begin(), body.end(), frame.begin() + kResultHeaderBytes);
+  return frame;
+}
+
+std::vector<std::uint8_t> encode_query_result(
+    std::uint64_t request_id, const std::vector<storage::Event>& events) {
+  std::vector<std::uint8_t> frame =
+      result_frame(request_id, ResultKind::Query, events_bytes(events));
+  store_events(frame.data() + kResultHeaderBytes, events);
   return frame;
 }
 
@@ -137,16 +212,8 @@ std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
 
 std::vector<std::uint8_t> encode_events(
     const std::vector<storage::Event>& events) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, static_cast<std::uint32_t>(events.size()));
-  for (const storage::Event& e : events) {
-    put_u64(body, e.id);
-    put_u32(body, static_cast<std::uint32_t>(e.source));
-    body.push_back(static_cast<std::uint8_t>(e.values.size()));
-    for (std::size_t d = 0; d < e.values.size(); ++d)
-      put_f64(body, e.values[d]);
-    put_f64(body, e.detected_at);
-  }
+  std::vector<std::uint8_t> body(events_bytes(events));
+  store_events(body.data(), events);
   return body;
 }
 

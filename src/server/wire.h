@@ -114,6 +114,11 @@ std::vector<std::uint8_t> encode_request(FrameType type,
 std::vector<std::uint8_t> encode_result(std::uint64_t request_id,
                                         ResultKind kind,
                                         const std::vector<std::uint8_t>& body);
+/// The Result frame answering a query — exactly
+/// encode_result(request_id, ResultKind::Query, encode_events(events)),
+/// written into one presized buffer with no intermediate body.
+std::vector<std::uint8_t> encode_query_result(
+    std::uint64_t request_id, const std::vector<storage::Event>& events);
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
                                        ErrorCode code,
                                        const std::string& message);

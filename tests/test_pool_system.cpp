@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/error.h"
+#include "fingerprint.h"
 #include "net/deployment.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
@@ -292,6 +294,69 @@ TEST(PoolSystem, EventsOnPoolBoundariesRetrievable) {
   const RangeQuery all({{0, 1}, {0, 1}, {0, 1}});
   EXPECT_EQ(ids(fx.pool->execute(0, all).events),
             ids(fx.oracle.matching(all)));
+}
+
+// The cell-local skyline under ties: identical events, equal attribute
+// sums, values one ulp apart (including a dominator whose floating-point
+// sum equals its victim's), a cell of more than one zone-map block, and
+// mirror rows that must stay invisible. Every attribute subset of three
+// dimensions must answer exactly what the oracle's kernel does, and the
+// receipts must hash to the recorded value.
+TEST(PoolSystem, SkylineTiesMatchOracleForEverySubset) {
+  PoolConfig config;
+  config.replicas = 1;
+  Fixture fx(31, 250, 3, config);
+  std::uint64_t next_id = 1;
+  Rng rng(17);
+  const auto add = [&](std::initializer_list<double> vals) {
+    Event e = make_event(next_id++, vals);
+    e.source = static_cast<NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(fx.network->size()) - 1));
+    fx.pool->insert(e.source, e);
+    fx.oracle.insert(e.source, e);
+  };
+
+  for (int i = 0; i < 4; ++i) add({0.82, 0.61, 0.40});  // identical
+  add({0.75, 0.5, 0.25});                               // equal sums,
+  add({0.75, 0.25, 0.5});                               // different
+  add({0.75, 0.375, 0.375});                            // coordinates
+  // (0.875, 0.5, 2^-60) dominates (0.875, 0.5, 0) yet both sum to 1.375.
+  add({0.875, 0.5, 0.0});
+  add({0.875, 0.5, std::ldexp(1.0, -60)});
+  const double up = std::nextafter(0.7, 1.0);
+  const double down = std::nextafter(0.6, 0.0);
+  add({0.7, 0.6, 0.5});  // one ulp apart, each way
+  add({up, 0.6, 0.5});
+  add({0.7, down, 0.5});
+  add({up, down, std::nextafter(0.5, 1.0)});
+  // One hot cell of more than one block, with its own tied top.
+  for (int i = 0; i < 300; ++i)
+    add({rng.uniform(0.91, 0.99), rng.uniform(0.55, 0.58),
+         rng.uniform(0.2, 0.3)});
+  add({0.99, 0.58, 0.3});
+  add({0.99, 0.58, 0.3});
+  for (int i = 0; i < 150; ++i)
+    add({rng.uniform(), rng.uniform(), rng.uniform()});
+
+  const auto hot = fx.pool->choose_cell(0, make_event(0, {0.95, 0.56, 0.25}));
+  ASSERT_GT(fx.pool->cell_load(hot.pool_dim, hot.offset),
+            storage::column::kBlockRows);
+  ASSERT_GT(fx.pool->replica_count(), 0u);
+
+  Fingerprint fp;
+  for (unsigned mask = 1; mask < 8; ++mask) {
+    FixedVec<bool, storage::kMaxDims> attrs;
+    for (std::size_t d = 0; d < 3; ++d) attrs.push_back(((mask >> d) & 1) != 0);
+    const storage::SkylineQuery q(3, attrs);
+    std::vector<Event> want = fx.oracle.all();
+    storage::skyline_filter(q, want);
+    for (const NodeId sink : {NodeId{0}, NodeId{123}}) {
+      const auto got = fx.pool->execute(sink, q);
+      EXPECT_EQ(got.events, want) << "mask=" << mask << " sink=" << sink;
+      fp.add_receipt(got);
+    }
+  }
+  EXPECT_EQ(fp.hash(), 0x847254f4541239d7ULL) << std::hex << fp.hash();
 }
 
 }  // namespace

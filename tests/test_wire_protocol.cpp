@@ -3,6 +3,9 @@
 // language grammar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "server/query_language.h"
 #include "server/wire.h"
 
@@ -118,6 +121,105 @@ TEST(WireTest, EventsRoundTripExactly) {
   }
   // Deterministic bytes: re-encoding is identical.
   EXPECT_EQ(encode_events(back), bytes);
+}
+
+// Golden bytes: the answer layout written out by hand, so any change to
+// field order, width or endianness fails here even when encode and
+// decode change together.
+double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+TEST(WireTest, EncodeEventsGoldenBytes) {
+  EXPECT_EQ(encode_events({}), (std::vector<std::uint8_t>{0, 0, 0, 0}));
+
+  storage::Event one;
+  one.id = 0x0102030405060708ULL;
+  one.source = 0x0A0B0C0D;
+  one.values.push_back(1.0);
+  one.detected_at = from_bits(0x0123456789ABCDEFULL);
+  const std::vector<std::uint8_t> one_bytes = {
+      0x01, 0x00, 0x00, 0x00,                          // count
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id
+      0x0D, 0x0C, 0x0B, 0x0A,                          // source
+      0x01,                                            // dims
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // 1.0
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // detected_at bits
+  };
+  EXPECT_EQ(encode_events({one}), one_bytes);
+
+  storage::Event eight;
+  eight.id = 7;
+  eight.source = 300;
+  for (const std::uint64_t bits :
+       {0x8000000000000000ULL,    // -0.0
+        0x0000000000000001ULL,    // smallest subnormal
+        0x7FF8000000000ABCULL,    // quiet NaN with a payload
+        0x3FE0000000000000ULL,    // 0.5
+        0x3FB999999999999AULL,    // 0.1
+        0x7FEFFFFFFFFFFFFFULL,    // largest finite
+        0xFFF0000000000000ULL,    // -inf
+        0x000FFFFFFFFFFFFFULL})   // largest subnormal
+    eight.values.push_back(from_bits(bits));
+  eight.detected_at = from_bits(0xC08F400000000000ULL);  // -1000.0
+  const std::vector<std::uint8_t> eight_bytes = {
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // id
+      0x2C, 0x01, 0x00, 0x00,                          // source
+      0x08,                                            // dims
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // subnormal
+      0xBC, 0x0A, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // NaN payload
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // 0.5
+      0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xB9, 0x3F,  // 0.1
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F,  // largest finite
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0xFF,  // -inf
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00,  // largest subnormal
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x8F, 0xC0,  // detected_at
+  };
+  std::vector<std::uint8_t> both = {0x02, 0x00, 0x00, 0x00};
+  both.insert(both.end(), one_bytes.begin() + 4, one_bytes.end());
+  both.insert(both.end(), eight_bytes.begin(), eight_bytes.end());
+  EXPECT_EQ(encode_events({one, eight}), both);
+}
+
+TEST(WireTest, EncodeResultGoldenBytes) {
+  const std::vector<std::uint8_t> empty_answer = {
+      0x0E, 0x00, 0x00, 0x00,                          // length: 1 + 13
+      0x04,                                            // FrameType::Result
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // request id
+      0x01,                                            // ResultKind::Query
+      0x00, 0x00, 0x00, 0x00,                          // zero events
+  };
+  EXPECT_EQ(encode_result(0x1122334455667788ULL, ResultKind::Query,
+                          encode_events({})),
+            empty_answer);
+  EXPECT_EQ(encode_query_result(0x1122334455667788ULL, {}), empty_answer);
+
+  const std::vector<std::uint8_t> insert_ack = {
+      0x0E, 0x00, 0x00, 0x00, 0x04,                    // length, Result
+      0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request id 42
+      0x02,                                            // ResultKind::Insert
+      0xD2, 0x04, 0x00, 0x00,                          // node 1234
+  };
+  EXPECT_EQ(encode_result(42, ResultKind::Insert, {0xD2, 0x04, 0x00, 0x00}),
+            insert_ack);
+
+  // A body of 300 bytes: the length field crosses its first byte.
+  const std::vector<std::uint8_t> body(300, 0x5A);
+  const auto frame = encode_result(1, ResultKind::Metrics, body);
+  ASSERT_EQ(frame.size(), 4u + 1 + 8 + 1 + 300);
+  EXPECT_EQ((std::vector<std::uint8_t>(frame.begin(), frame.begin() + 14)),
+            (std::vector<std::uint8_t>{0x36, 0x01, 0x00, 0x00, 0x04, 0x01,
+                                       0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                       0x00, 0x03}));
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), frame.begin() + 14));
+}
+
+TEST(WireTest, QueryResultFrameEqualsEncodedBody) {
+  std::vector<storage::Event> events;
+  events.push_back(make_event(1, {0.25}));
+  events.push_back(make_event(2, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}));
+  events.push_back(make_event(3, {0.0, 1.0, 0.5}));
+  EXPECT_EQ(encode_query_result(99, events),
+            encode_result(99, ResultKind::Query, encode_events(events)));
 }
 
 TEST(WireTest, DecodeEventsRejectsTruncation) {
