@@ -14,43 +14,10 @@
 
 using namespace poolnet;
 
-namespace {
-
-bool parse_systems(const std::string& raw,
-                   std::vector<cli::SystemChoice>* out, std::string* error) {
-  std::size_t start = 0;
-  while (start <= raw.size()) {
-    const auto comma = raw.find(',', start);
-    const std::string token =
-        raw.substr(start, comma == std::string::npos ? raw.size() - start
-                                                     : comma - start);
-    if (token == "pool") {
-      out->push_back(cli::SystemChoice::Pool);
-    } else if (token == "dim") {
-      out->push_back(cli::SystemChoice::Dim);
-    } else if (token == "ght") {
-      out->push_back(cli::SystemChoice::Ght);
-    } else if (token == "central") {
-      out->push_back(cli::SystemChoice::Central);
-    } else if (token == "all") {
-      *out = {cli::SystemChoice::Pool, cli::SystemChoice::Dim,
-              cli::SystemChoice::Ght, cli::SystemChoice::Central};
-    } else {
-      *error = "--systems: unknown system '" + token + "'";
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return !out->empty();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   cli::ArgParser parser(
       "poolnet_cli",
-      "run a Pool/DIM/GHT sensor-network storage experiment");
+      "run a Pool/DIM/GHT/central sensor-network storage experiment");
   parser.add_option("systems", "pool,dim",
                     "comma-separated: pool, dim, ght, central, or all");
   parser.add_option("nodes", "900", "network size (sensors)");
@@ -98,7 +65,8 @@ int main(int argc, char** argv) {
   }
 
   cli::CliConfig config;
-  if (!parse_systems(parser.option("systems"), &config.systems, &error)) {
+  if (!cli::parse_systems(parser.option("systems"), &config.systems,
+                          &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
@@ -191,7 +159,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "CORRECTNESS VIOLATION: %s mismatched the oracle on "
                      "%zu queries\n",
-                     cli::to_string(r.system), r.mismatches);
+                     benchsup::to_string(r.system), r.mismatches);
         return 1;
       }
     }

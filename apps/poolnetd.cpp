@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   obs::TelemetryConfig telemetry;
   if (!port || !nodes || !dims || !epn || !seed || !inflight || !pending ||
       !flush_us ||
-      !server::parse_system_kind(parser.option("system"),
-                                 &config.backend.system, &error) ||
+      !benchsup::parse_system_kind(parser.option("system"),
+                                   &config.backend.system, &error) ||
       !cli::parse_engine_options(parser, &config.backend.engine, &error) ||
       !cli::parse_telemetry_options(parser, &telemetry, &error) ||
       !cli::parse_store_options(parser, &config.backend.store, &error)) {
@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
     server::Server server(config);
     server.start();
     std::printf("poolnetd: %s over %zu nodes (%llu events), engine batch=%zu\n",
-                server::to_string(config.backend.system), config.backend.nodes,
+                benchsup::to_string(config.backend.system),
+                config.backend.nodes,
                 static_cast<unsigned long long>(
                     server.backend().preloaded_events()),
                 std::max<std::size_t>(1, config.backend.engine.batch_size));

@@ -6,9 +6,7 @@
 
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
-#include "ght/ght_system.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
 
 using namespace poolnet;
 using namespace poolnet::benchsup;
@@ -28,22 +26,7 @@ int main(int argc, char** argv) {
   Testbed tb(config);
   tb.insert_workload();
 
-  // GHT gets its own network copy over the same positions, like the others.
-  net::Network ght_net(
-      [&] {
-        std::vector<Point> pts;
-        for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-        return pts;
-      }(),
-      tb.pool_network().field(), config.radio_range, config.sizes);
-  const routing::Gpsr ght_gpsr(ght_net);
-  const routing::RouteCache ght_cache(ght_gpsr, opts.route_cache);
-  const routing::Router& ght_router =
-      opts.route_cache.enabled ? static_cast<const routing::Router&>(ght_cache)
-                               : ght_gpsr;
-  ght::GhtSystem ght(ght_net, ght_router, 3);
-  for (const auto& e : tb.oracle().all()) ght.insert(e.source, e);
-  ght_net.reset_traffic();
+  storage::DcsSystem& ght = tb.deploy(SystemKind::Ght);
 
   query::QueryGenerator qgen(
       {.dims = 3, .dist = query::RangeSizeDistribution::Exponential,

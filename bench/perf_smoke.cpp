@@ -91,8 +91,10 @@ SweepOutcome run_sweep(std::size_t threads,
             kQueriesPerSeed, [&] { return qgen.exact_range(); });
         SeedRun out;
         out.run = run_paired_queries(tb, queries, j.seed * 7 + 1);
-        if (tb.pool_route_cache()) out.pool_cache = tb.pool_route_cache()->stats();
-        if (tb.dim_route_cache()) out.dim_cache = tb.dim_route_cache()->stats();
+        if (const auto* c = tb.route_cache(SystemKind::Pool))
+          out.pool_cache = c->stats();
+        if (const auto* c = tb.route_cache(SystemKind::Dim))
+          out.dim_cache = c->stats();
         return out;
       });
   const auto end = std::chrono::steady_clock::now();

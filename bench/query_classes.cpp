@@ -13,17 +13,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_support/experiment.h"
 #include "bench_support/testbed.h"
 #include "cli/args.h"
-#include "ght/ght_system.h"
-#include "net/deployment.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
 #include "sim/stats.h"
 #include "storage/query_request.h"
 
@@ -140,25 +136,7 @@ int main(int argc, char** argv) {
     benchsup::Testbed tb(config);
     tb.insert_workload();
 
-    // GHT rides its own deployment of the same size (like Pool and DIM it
-    // must not share a traffic ledger with the others).
-    std::unique_ptr<net::Network> ght_net;
-    const double side =
-        net::field_side_for_density(config.nodes, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed * 977 + attempt * 7919 + 3);
-      auto pts = net::deploy_uniform(config.nodes, field, rng);
-      auto candidate =
-          std::make_unique<net::Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        ght_net = std::move(candidate);
-        break;
-      }
-    }
-    routing::Gpsr ght_gpsr(*ght_net);
-    ght::GhtSystem ght(*ght_net, ght_gpsr, k);
-    for (const storage::Event& e : tb.oracle().all()) ght.insert(e.source, e);
+    storage::DcsSystem& ght = tb.deploy(benchsup::SystemKind::Ght);
 
     Rng sink_rng(seed * 5 + 13);
     for (std::size_t c = 0; c < kClasses.size(); ++c) {

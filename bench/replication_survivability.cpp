@@ -138,13 +138,11 @@ int main(int argc, char** argv) {
       online_jobs.size(), opts.threads, [&online_jobs](std::size_t i) {
         const OnlineJob& j = online_jobs[i];
         cli::CliConfig config;
-        config.systems = j.replicas == 0
-                             ? std::vector<cli::SystemChoice>{
-                                   cli::SystemChoice::Pool,
-                                   cli::SystemChoice::Dim,
-                                   cli::SystemChoice::Ght}
-                             : std::vector<cli::SystemChoice>{
-                                   cli::SystemChoice::Pool};
+        config.systems =
+            j.replicas == 0
+                ? std::vector<SystemKind>{SystemKind::Pool, SystemKind::Dim,
+                                          SystemKind::Ght}
+                : std::vector<SystemKind>{SystemKind::Pool};
         config.nodes = 300;
         config.events_per_node = 5;
         config.queries = 60;
@@ -168,7 +166,7 @@ int main(int argc, char** argv) {
     const OnlineJob& j = online_jobs[i];
     for (const cli::CliResult& r : online[i].rows) {
       online_table.add_row({fmt(j.fail_frac * 100, 0),
-                            cli::to_string(r.system),
+                            to_string(r.system),
                             std::to_string(j.replicas), fmt(r.recall, 3),
                             std::to_string(r.retries),
                             std::to_string(r.failovers),

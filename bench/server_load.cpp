@@ -279,8 +279,8 @@ int main(int argc, char** argv) {
   const auto queries = parser.int_option("queries", 0, 1 << 20, &error);
   query::QueryClassMix mix = query::QueryClassMix::Range;
   if (!nodes || !dims || !epn || !seed || !conns || !queries ||
-      !server::parse_system_kind(parser.option("system"), &backend.system,
-                                 &error) ||
+      !benchsup::parse_system_kind(parser.option("system"), &backend.system,
+                                   &error) ||
       !query::parse_query_class(parser.option("query-class"), &mix, &error) ||
       !cli::parse_engine_options(parser, &backend.engine, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
 
   // The verification arm: same deployment, direct serial execution.
   std::printf("server_load: building direct %s backend (%zu nodes)...\n",
-              server::to_string(backend.system), backend.nodes);
+              benchsup::to_string(backend.system), backend.nodes);
   server::BackendConfig direct_config = backend;
   direct_config.engine.batch_size = 0;  // unused: we query the system itself
   server::Backend direct(direct_config);
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"server\": {\n");
     std::fprintf(f, "    \"system\": \"%s\",\n",
-                 server::to_string(backend.system));
+                 benchsup::to_string(backend.system));
     std::fprintf(f, "    \"query_class\": \"%s\",\n", query::to_string(mix));
     std::fprintf(f, "    \"nodes\": %zu,\n", backend.nodes);
     std::fprintf(f, "    \"batch\": %zu,\n", backend.engine.batch_size);

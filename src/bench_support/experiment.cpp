@@ -91,6 +91,12 @@ void TablePrinter::add_row(std::vector<std::string> cells) {
 }
 
 void TablePrinter::print() const {
+  std::ostringstream out;
+  print(out);
+  std::fputs(out.str().c_str(), stdout);
+}
+
+void TablePrinter::print(std::ostream& out) const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c)
     widths[c] = headers_[c].size();
@@ -99,18 +105,16 @@ void TablePrinter::print() const {
       widths[c] = std::max(widths[c], row[c].size());
   }
   const auto print_row = [&](const std::vector<std::string>& row) {
-    std::string line;
     for (std::size_t c = 0; c < widths.size(); ++c) {
       const std::string& cell = c < row.size() ? row[c] : std::string{};
-      line += cell;
-      line.append(widths[c] - cell.size() + 2, ' ');
+      out << cell << std::string(widths[c] - cell.size() + 2, ' ');
     }
-    std::printf("%s\n", line.c_str());
+    out << '\n';
   };
   print_row(headers_);
   std::string rule;
   for (const auto w : widths) rule.append(w + 2, '-');
-  std::printf("%s\n", rule.c_str());
+  out << rule << '\n';
   for (const auto& row : rows_) print_row(row);
 }
 

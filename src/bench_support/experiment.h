@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,7 @@ class TablePrinter {
   explicit TablePrinter(std::vector<std::string> headers);
   void add_row(std::vector<std::string> cells);
   void print() const;  // to stdout
+  void print(std::ostream& out) const;
 
  private:
   std::vector<std::string> headers_;

@@ -1,11 +1,10 @@
 // The one canonical "replay oracle events into a system" loop.
 //
-// GHT and central deployments (and the server backend) are built after
-// the testbed has already generated + inserted the workload, so they
-// bootstrap by replaying the oracle's event log in insertion order.
-// Keeping that loop in one place pins the contract: source-preserving
-// inserts, oracle order — the order every serial-equivalence fingerprint
-// depends on.
+// Testbed::deploy builds GHT and central after the testbed has already
+// generated + inserted the workload, so they bootstrap by replaying the
+// oracle's event log in insertion order. Keeping that loop in one place
+// pins the contract: source-preserving inserts, oracle order — the order
+// every serial-equivalence fingerprint depends on.
 #pragma once
 
 #include <cstddef>

@@ -94,21 +94,19 @@ void publish_buffer_pool(obs::Snapshot& snap, const std::string& prefix,
 
 obs::Snapshot scrape_testbed(Testbed& tb) {
   obs::Snapshot snap = tb.metrics().scrape();
-  publish_network(snap, "pool", tb.pool_network());
-  publish_network(snap, "dim", tb.dim_network());
   publish_buffer_pool(snap, "pool", tb.path_pool().stats());
-  publish_fault_stats(snap, "pool", tb.pool().fault_stats());
-  publish_fault_stats(snap, "dim", tb.dim().fault_stats());
-  if (const auto* s = tb.pool().scan_stats())
-    publish_scan_stats(snap, "pool", *s);
-  if (const auto* s = tb.dim().scan_stats()) publish_scan_stats(snap, "dim", *s);
-  if (tb.pool_trace() != nullptr) {
-    snap.gauges["pool.trace.recorded"] +=
-        static_cast<double>(tb.pool_trace()->recorded());
-  }
-  if (tb.dim_trace() != nullptr) {
-    snap.gauges["dim.trace.recorded"] +=
-        static_cast<double>(tb.dim_trace()->recorded());
+  for (const SystemKind kind : kAllSystemKinds) {
+    if (!tb.deployed(kind)) continue;
+    const std::string prefix = to_string(kind);
+    const storage::DcsSystem& system = tb.deploy(kind);
+    publish_network(snap, prefix, tb.network(kind));
+    publish_fault_stats(snap, prefix, system.fault_stats());
+    if (const auto* s = system.scan_stats())
+      publish_scan_stats(snap, prefix, *s);
+    if (const auto* trace = tb.trace(kind)) {
+      snap.gauges[prefix + ".trace.recorded"] +=
+          static_cast<double>(trace->recorded());
+    }
   }
   return snap;
 }

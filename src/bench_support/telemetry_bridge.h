@@ -58,9 +58,9 @@ void publish_system_query_stats(obs::Snapshot& snap, const std::string& prefix,
                                 const SystemQueryStats& stats);
 
 /// One-call scrape of a whole testbed: the registry (route caches plus
-/// whatever callers registered), both networks under "pool."/"dim.",
-/// both systems' fault stats, and hop-trace depth gauges when tracing
-/// is on.
+/// whatever callers registered), the shared path pool under
+/// "pool.buffers", and for every deployed kind its network, fault stats,
+/// scan stats and hop-trace depth gauge under "<kind>.".
 obs::Snapshot scrape_testbed(Testbed& tb);
 
 }  // namespace poolnet::benchsup

@@ -1,9 +1,34 @@
 #include "bench_support/testbed.h"
 
+#include "bench_support/replay.h"
+#include "common/assert.h"
 #include "common/error.h"
 #include "common/logging.h"
+#include "ght/ght_system.h"
 
 namespace poolnet::benchsup {
+
+const char* to_string(SystemKind kind) {
+  switch (kind) {
+    case SystemKind::Pool: return "pool";
+    case SystemKind::Dim: return "dim";
+    case SystemKind::Ght: return "ght";
+    case SystemKind::Central: return "central";
+  }
+  return "?";
+}
+
+bool parse_system_kind(const std::string& name, SystemKind* out,
+                       std::string* error) {
+  for (const SystemKind kind : kAllSystemKinds) {
+    if (name == to_string(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  *error = "unknown system '" + name + "' (expected pool, dim, ght or central)";
+  return false;
+}
 
 Testbed::Testbed(TestbedConfig config)
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
@@ -19,6 +44,7 @@ Testbed::Testbed(TestbedConfig config)
   // pure function of its config.
   Rng master(config.seed);
   constexpr int kMaxDraws = 64;
+  std::unique_ptr<net::Network> pool_net;
   for (int attempt = 0; attempt < kMaxDraws; ++attempt) {
     Rng deploy = master.split();
     positions_ = net::deploy_uniform(config.nodes, field, deploy);
@@ -26,51 +52,78 @@ Testbed::Testbed(TestbedConfig config)
         positions_, field, config.radio_range, config.sizes,
         sim::EnergyModel{}, config.loss, config.seed * 3 + 1);
     if (candidate->is_connected()) {
-      pool_net_ = std::move(candidate);
+      pool_net = std::move(candidate);
       break;
     }
     POOLNET_DEBUG("Testbed: disconnected deployment, retrying (attempt "
                   << attempt << ")");
   }
-  if (!pool_net_)
+  if (!pool_net)
     throw ConfigError(
         "Testbed: could not draw a connected deployment; density too low");
 
-  dim_net_ = std::make_unique<net::Network>(
-      positions_, field, config.radio_range, config.sizes,
-      sim::EnergyModel{}, config.loss, config.seed * 3 + 2);
-  pool_gpsr_ = std::make_unique<routing::Gpsr>(*pool_net_);
-  dim_gpsr_ = std::make_unique<routing::Gpsr>(*dim_net_);
-  if (config.route_cache.enabled) {
-    routing::RouteCacheConfig cc = config.route_cache;
-    cc.location_quantum = config.pool.cell_size;  // α-grid bucketing
-    pool_cache_ = std::make_unique<routing::RouteCache>(
-        *pool_gpsr_, cc, metrics_.get(), "pool.route_cache",
-        path_pool_.get());
-    dim_cache_ = std::make_unique<routing::RouteCache>(
-        *dim_gpsr_, cc, metrics_.get(), "dim.route_cache", path_pool_.get());
-  }
-  if (config.trace_capacity > 0) {
-    pool_trace_ = std::make_unique<obs::RingTraceSink>(config.trace_capacity);
-    dim_trace_ = std::make_unique<obs::RingTraceSink>(config.trace_capacity);
-    pool_net_->set_trace(pool_trace_.get());
-    dim_net_->set_trace(dim_trace_.get());
-  }
-  pool_ = std::make_unique<core::PoolSystem>(*pool_net_, pool_router(),
-                                             config.dims, config.pool);
-  dim_ = std::make_unique<dim::DimSystem>(*dim_net_, dim_router(),
-                                          config.dims);
+  Deployment& pool = wire(SystemKind::Pool, std::move(pool_net));
+  pool.system = std::make_unique<core::PoolSystem>(
+      *pool.network, pool.router(), config.dims, config.pool);
+  Deployment& dim = wire(
+      SystemKind::Dim,
+      std::make_unique<net::Network>(positions_, field, config.radio_range,
+                                     config.sizes, sim::EnergyModel{},
+                                     config.loss, config.seed * 3 + 2));
+  dim.system = std::make_unique<dim::DimSystem>(*dim.network, dim.router(),
+                                                config.dims);
   oracle_ = std::make_unique<storage::BruteForceStore>(config.dims);
 }
 
-const routing::Router& Testbed::pool_router() const {
-  if (pool_cache_) return *pool_cache_;
-  return *pool_gpsr_;
+Testbed::Deployment& Testbed::wire(SystemKind kind,
+                                   std::unique_ptr<net::Network> network) {
+  Deployment& d = slot(kind);
+  d.network = std::move(network);
+  d.gpsr = std::make_unique<routing::Gpsr>(*d.network);
+  if (config_.route_cache.enabled) {
+    routing::RouteCacheConfig cc = config_.route_cache;
+    cc.location_quantum = config_.pool.cell_size;  // α-grid bucketing
+    d.cache = std::make_unique<routing::RouteCache>(
+        *d.gpsr, cc, metrics_.get(),
+        std::string(to_string(kind)) + ".route_cache", path_pool_.get());
+  }
+  if (config_.trace_capacity > 0) {
+    d.trace = std::make_unique<obs::RingTraceSink>(config_.trace_capacity);
+    d.network->set_trace(d.trace.get());
+  }
+  return d;
 }
 
-const routing::Router& Testbed::dim_router() const {
-  if (dim_cache_) return *dim_cache_;
-  return *dim_gpsr_;
+storage::DcsSystem& Testbed::deploy(SystemKind kind,
+                                    const storage::StoreConfig& store) {
+  Deployment& d = slot(kind);
+  if (d.system) return *d.system;
+
+  // GHT and central ride on the Network defaults (ideal links, default
+  // sizes and energy model), over the same positions and field.
+  wire(kind, std::make_unique<net::Network>(
+                 positions_, pool_network().field(), config_.radio_range));
+  if (kind == SystemKind::Ght) {
+    d.system = std::make_unique<ght::GhtSystem>(*d.network, d.router(),
+                                                config_.dims);
+  } else {
+    // Base station = node 0, the server's sink(), so client operations
+    // and answers share one endpoint.
+    d.system = storage::make_central_store(config_.dims, store,
+                                           d.network.get(), &d.router(),
+                                           net::NodeId{0}, metrics_.get());
+  }
+  replay_oracle(*oracle_, *d.system);
+  d.insert_traffic = d.network->traffic();
+  d.network->reset_traffic();
+  return *d.system;
+}
+
+net::Network& Testbed::network(SystemKind kind) {
+  Deployment& d = slot(kind);
+  POOLNET_ASSERT_MSG(d.network != nullptr,
+                     std::string(to_string(kind)) + " is not deployed");
+  return *d.network;
 }
 
 std::size_t Testbed::insert_workload() {
@@ -79,29 +132,30 @@ std::size_t Testbed::insert_workload() {
   Rng seed_stream(config_.seed ^ 0x9e3779b97f4a7c15ULL);
   query::EventGenerator gen(wc, seed_stream());
 
-  pool_net_->reset_traffic();
-  dim_net_->reset_traffic();
+  for (Deployment& d : slots_)
+    if (d.system) d.network->reset_traffic();
 
   std::size_t inserted = 0;
-  for (net::NodeId n = 0; n < pool_net_->size(); ++n) {
+  for (net::NodeId n = 0; n < positions_.size(); ++n) {
     for (std::size_t i = 0; i < config_.events_per_node; ++i) {
       const storage::Event e = gen.next(n);
-      pool_->insert(n, e);
-      dim_->insert(n, e);
+      for (Deployment& d : slots_)
+        if (d.system) d.system->insert(n, e);
       oracle_->insert(n, e);
       ++inserted;
     }
   }
-  pool_insert_traffic_ = pool_net_->traffic();
-  dim_insert_traffic_ = dim_net_->traffic();
-  pool_net_->reset_traffic();
-  dim_net_->reset_traffic();
+  for (Deployment& d : slots_) {
+    if (!d.system) continue;
+    d.insert_traffic = d.network->traffic();
+    d.network->reset_traffic();
+  }
   return inserted;
 }
 
 net::NodeId Testbed::random_node(Rng& rng) const {
   return static_cast<net::NodeId>(
-      rng.uniform_int(0, static_cast<std::int64_t>(pool_net_->size()) - 1));
+      rng.uniform_int(0, static_cast<std::int64_t>(positions_.size()) - 1));
 }
 
 }  // namespace poolnet::benchsup

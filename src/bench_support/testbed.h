@@ -1,15 +1,18 @@
 // A fully deployed experimental testbed (§5.1 of the paper).
 //
 // One Testbed = one random sensor deployment (optionally over lossy
-// links) with both DCS systems bound
-// to it and a brute-force oracle for correctness checking. Pool and DIM
-// each get their OWN Network instance over the same node positions, so
+// links) with every DCS system bound to it and a brute-force oracle for
+// correctness checking. It is the one place that deploys a system: Pool
+// and DIM at construction, GHT and central on their first deploy(). Each
+// system gets its OWN Network instance over the same node positions, so
 // per-node accounting (stored events, energy, tx/rx) never mixes across
 // systems — in particular Pool's workload-sharing threshold must not see
 // DIM's storage load.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/object_pool.h"
@@ -23,8 +26,25 @@
 #include "routing/gpsr.h"
 #include "routing/route_cache.h"
 #include "storage/brute_force_store.h"
+#include "storage/store_config.h"
 
 namespace poolnet::benchsup {
+
+/// The four schemes a Testbed deploys. Central is the paper's strawman
+/// baseline: every event shipped to a base station (node 0), queries
+/// answered there, through the flat or the paged store.
+enum class SystemKind { Pool, Dim, Ght, Central };
+
+/// Every kind, in report order (what `--systems all` selects).
+inline constexpr std::array<SystemKind, 4> kAllSystemKinds = {
+    SystemKind::Pool, SystemKind::Dim, SystemKind::Ght, SystemKind::Central};
+
+/// "pool", "dim", "ght" or "central" — also the metrics prefix.
+const char* to_string(SystemKind kind);
+
+/// Inverse of to_string. Returns false and sets `error` on any other name.
+bool parse_system_kind(const std::string& name, SystemKind* out,
+                       std::string* error);
 
 struct TestbedConfig {
   std::size_t nodes = 900;        ///< network size (paper: 300..2700)
@@ -38,12 +58,12 @@ struct TestbedConfig {
   net::MessageSizes sizes;          ///< packet size model
   net::LinkLossModel loss;          ///< per-hop loss + ARQ (default ideal)
 
-  /// Route memoization over both GPSR instances. `location_quantum` is
-  /// overridden with the Pool α at construction so cell-center routes
-  /// share hash buckets.
+  /// Route memoization over every system's GPSR instance.
+  /// `location_quantum` is overridden with the Pool α at construction so
+  /// cell-center routes share hash buckets.
   routing::RouteCacheConfig route_cache;
 
-  /// Hop-trace ring size attached to both networks; 0 (default) leaves
+  /// Hop-trace ring size attached to every network; 0 (default) leaves
   /// tracing disabled at its one-branch-per-hop cost.
   std::size_t trace_capacity = 0;
 
@@ -58,60 +78,116 @@ class Testbed {
  public:
   /// Deploys until the unit-disk graph is connected (re-drawing positions
   /// with derived seeds; disconnected draws are rare at 20 neighbors).
+  /// Builds Pool, DIM and the oracle; GHT and central wait for deploy().
   explicit Testbed(TestbedConfig config);
 
   const TestbedConfig& config() const { return config_; }
 
-  net::Network& pool_network() { return *pool_net_; }
-  net::Network& dim_network() { return *dim_net_; }
-  core::PoolSystem& pool() { return *pool_; }
-  dim::DimSystem& dim() { return *dim_; }
-  storage::BruteForceStore& oracle() { return *oracle_; }
-  const routing::Gpsr& pool_gpsr() const { return *pool_gpsr_; }
-  const routing::Gpsr& dim_gpsr() const { return *dim_gpsr_; }
+  /// The `kind` system over this deployment. Pool and DIM exist from
+  /// construction. The first call for GHT or central builds it on its own
+  /// network copy over the same positions (default radio, energy and
+  /// ideal-link model), replays the oracle into it — recorded as
+  /// insert_traffic(kind) — and resets its ledger; later calls return
+  /// the same object. `store` selects central's engine and is read by
+  /// that first call only.
+  storage::DcsSystem& deploy(SystemKind kind,
+                             const storage::StoreConfig& store = {});
 
-  /// The router each system actually sees: the cache when enabled,
-  /// otherwise the raw Gpsr.
-  const routing::Router& pool_router() const;
-  const routing::Router& dim_router() const;
+  /// Whether `kind` has a system yet (Pool and DIM always do).
+  bool deployed(SystemKind kind) const { return slot(kind).system != nullptr; }
 
-  /// Null when the cache is disabled.
-  const routing::RouteCache* pool_route_cache() const {
-    return pool_cache_.get();
+  /// `kind`'s own network; `kind` must be deployed.
+  net::Network& network(SystemKind kind);
+
+  /// Insertion traffic charged to `kind` by insert_workload() or, for
+  /// GHT and central, by the replay in deploy().
+  net::TrafficTally insert_traffic(SystemKind kind) const {
+    return slot(kind).insert_traffic;
   }
-  const routing::RouteCache* dim_route_cache() const {
-    return dim_cache_.get();
+
+  /// `kind`'s route cache; null when caching is disabled or `kind` is
+  /// not deployed.
+  const routing::RouteCache* route_cache(SystemKind kind) const {
+    return slot(kind).cache.get();
+  }
+
+  /// `kind`'s hop-trace ring; null unless config.trace_capacity > 0 and
+  /// `kind` is deployed.
+  const obs::RingTraceSink* trace(SystemKind kind) const {
+    return slot(kind).trace.get();
+  }
+
+  net::Network& pool_network() { return network(SystemKind::Pool); }
+  net::Network& dim_network() { return network(SystemKind::Dim); }
+  core::PoolSystem& pool() {
+    return static_cast<core::PoolSystem&>(*slot(SystemKind::Pool).system);
+  }
+  dim::DimSystem& dim() {
+    return static_cast<dim::DimSystem&>(*slot(SystemKind::Dim).system);
+  }
+  storage::BruteForceStore& oracle() { return *oracle_; }
+  const routing::Gpsr& pool_gpsr() const {
+    return *slot(SystemKind::Pool).gpsr;
   }
 
   /// Generates events_per_node events at every node and inserts each into
-  /// Pool, DIM, and the oracle. Returns the number of events inserted.
+  /// every deployed system and the oracle. Returns the number of events
+  /// inserted.
   std::size_t insert_workload();
 
-  /// Insertion traffic charged to each system by insert_workload().
-  net::TrafficTally pool_insert_traffic() const { return pool_insert_traffic_; }
-  net::TrafficTally dim_insert_traffic() const { return dim_insert_traffic_; }
+  net::TrafficTally pool_insert_traffic() const {
+    return insert_traffic(SystemKind::Pool);
+  }
+  net::TrafficTally dim_insert_traffic() const {
+    return insert_traffic(SystemKind::Dim);
+  }
 
   /// Uniformly random node id (query sinks).
   net::NodeId random_node(Rng& rng) const;
 
   /// The deployment-wide metrics registry: the route caches register
-  /// under "pool.route_cache"/"dim.route_cache", and callers (query
-  /// engines, benches) should register their own instruments here so one
-  /// scrape sees the whole testbed.
+  /// under "<kind>.route_cache", and callers (query engines, benches)
+  /// should register their own instruments here so one scrape sees the
+  /// whole testbed.
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// Ring trace sinks; null unless config.trace_capacity > 0.
-  const obs::RingTraceSink* pool_trace() const { return pool_trace_.get(); }
-  const obs::RingTraceSink* dim_trace() const { return dim_trace_.get(); }
-
-  /// Free-list pool backing both route caches' stored path buffers
+  /// Free-list pool backing every route cache's stored path buffers
   /// (disabled pass-through when config.pooled_buffers is false).
   const common::BufferPool<net::NodeId>& path_pool() const {
     return *path_pool_;
   }
 
  private:
+  /// One system and everything it routes over. Members are declared in
+  /// dependency order, so the system dies before its cache and network.
+  struct Deployment {
+    std::unique_ptr<net::Network> network;
+    std::unique_ptr<routing::Gpsr> gpsr;
+    std::unique_ptr<routing::RouteCache> cache;  ///< null when disabled
+    std::unique_ptr<obs::RingTraceSink> trace;   ///< null when disabled
+    std::unique_ptr<storage::DcsSystem> system;
+    net::TrafficTally insert_traffic;
+
+    /// The router the system sees: the cache when enabled, else Gpsr.
+    const routing::Router& router() const {
+      if (cache) return *cache;
+      return *gpsr;
+    }
+  };
+
+  Deployment& slot(SystemKind kind) {
+    return slots_[static_cast<std::size_t>(kind)];
+  }
+  const Deployment& slot(SystemKind kind) const {
+    return slots_[static_cast<std::size_t>(kind)];
+  }
+
+  /// Binds `network` into `kind`'s slot: Gpsr, then the route cache
+  /// under "<kind>.route_cache" (when enabled), then the trace ring
+  /// (when trace_capacity > 0).
+  Deployment& wire(SystemKind kind, std::unique_ptr<net::Network> network);
+
   /// Heap-held (registry owns a mutex) so Testbed stays movable; declared
   /// before its users so the caches can register in the ctor.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
@@ -120,19 +196,8 @@ class Testbed {
   /// caches); declared before the caches, which release buffers into it.
   std::unique_ptr<common::BufferPool<net::NodeId>> path_pool_;
   std::vector<Point> positions_;
-  std::unique_ptr<net::Network> pool_net_;
-  std::unique_ptr<net::Network> dim_net_;
-  std::unique_ptr<routing::Gpsr> pool_gpsr_;
-  std::unique_ptr<routing::Gpsr> dim_gpsr_;
-  std::unique_ptr<routing::RouteCache> pool_cache_;
-  std::unique_ptr<routing::RouteCache> dim_cache_;
-  std::unique_ptr<core::PoolSystem> pool_;
-  std::unique_ptr<dim::DimSystem> dim_;
+  std::array<Deployment, kAllSystemKinds.size()> slots_;
   std::unique_ptr<storage::BruteForceStore> oracle_;
-  std::unique_ptr<obs::RingTraceSink> pool_trace_;
-  std::unique_ptr<obs::RingTraceSink> dim_trace_;
-  net::TrafficTally pool_insert_traffic_;
-  net::TrafficTally dim_insert_traffic_;
 };
 
 }  // namespace poolnet::benchsup

@@ -6,31 +6,16 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <sstream>
 
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
-#include "bench_support/replay.h"
 #include "bench_support/telemetry_bridge.h"
 #include "common/error.h"
-#include "ght/ght_system.h"
 #include "net/fault_injector.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
-#include "routing/route_cache.h"
 #include "sim/stats.h"
 
 namespace poolnet::cli {
-
-const char* to_string(SystemChoice s) {
-  switch (s) {
-    case SystemChoice::Pool: return "pool";
-    case SystemChoice::Dim: return "dim";
-    case SystemChoice::Ght: return "ght";
-    case SystemChoice::Central: return "central";
-  }
-  return "?";
-}
 
 const char* to_string(QueryFlavor f) {
   switch (f) {
@@ -40,6 +25,40 @@ const char* to_string(QueryFlavor f) {
     case QueryFlavor::Point: return "point";
   }
   return "?";
+}
+
+bool parse_systems(const std::string& list,
+                   std::vector<benchsup::SystemKind>* out, std::string* error) {
+  std::vector<benchsup::SystemKind> kinds;
+  const auto add = [&](benchsup::SystemKind kind) {
+    if (std::find(kinds.begin(), kinds.end(), kind) != kinds.end()) {
+      *error = std::string("--systems: '") + benchsup::to_string(kind) +
+               "' listed twice";
+      return false;
+    }
+    kinds.push_back(kind);
+    return true;
+  };
+  std::size_t start = 0;
+  for (;;) {
+    const auto comma = list.find(',', start);
+    const std::string token = list.substr(start, comma - start);
+    if (token == "all") {
+      for (const auto kind : benchsup::kAllSystemKinds)
+        if (!add(kind)) return false;
+    } else {
+      benchsup::SystemKind kind;
+      if (!benchsup::parse_system_kind(token, &kind, error)) {
+        *error = "--systems: " + *error;
+        return false;
+      }
+      if (!add(kind)) return false;
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  *out = std::move(kinds);
+  return true;
 }
 
 namespace {
@@ -108,21 +127,19 @@ void merge(Accumulator& into, const Accumulator& from) {
 /// scraped telemetry Snapshot (empty when metrics are off), and the
 /// systems' describe() lines (captured once, from deployment 0).
 struct DeploymentOut {
-  std::map<SystemChoice, Accumulator> acc;
+  std::map<benchsup::SystemKind, Accumulator> acc;
   obs::Snapshot snap;
   std::vector<std::string> describes;  ///< config.systems order
 };
 
 /// One deployment, start to finish: the unit of parallelism. Each call
-/// owns every bit of mutable state it touches (testbed, GHT copy, RNGs),
-/// so deployments can run on any thread; results merge in deployment
-/// order, making the aggregates independent of the thread count.
+/// owns every bit of mutable state it touches (testbed, RNGs), so
+/// deployments can run on any thread; results merge in deployment order,
+/// making the aggregates independent of the thread count.
 DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
+  using benchsup::SystemKind;
   DeploymentOut out;
-  std::map<SystemChoice, Accumulator>& acc = out.acc;
-  for (const auto s : config.systems) acc[s];
-  const bool want_ght = acc.count(SystemChoice::Ght) > 0;
-  const bool want_central = acc.count(SystemChoice::Central) > 0;
+  std::map<SystemKind, Accumulator>& acc = out.acc;
 
   benchsup::TestbedConfig tb_config;
   tb_config.nodes = config.nodes;
@@ -136,98 +153,18 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   benchsup::Testbed tb(tb_config);
   const auto events = tb.insert_workload();
 
-  // GHT rides on its own network copy, like the Testbed systems. It
-  // shares the testbed's registry so one scrape covers all three.
-  std::unique_ptr<net::Network> ght_net;
-  std::unique_ptr<routing::Gpsr> ght_gpsr;
-  std::unique_ptr<routing::RouteCache> ght_cache;
-  std::unique_ptr<ght::GhtSystem> ght_sys;
-  std::unique_ptr<obs::RingTraceSink> ght_trace;
-  if (want_ght) {
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-    ght_net = std::make_unique<net::Network>(
-        std::move(pts), tb.pool_network().field(), tb_config.radio_range);
-    if (config.telemetry.wants_trace()) {
-      ght_trace =
-          std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);
-      ght_net->set_trace(ght_trace.get());
-    }
-    ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
-    const routing::Router* ght_router = ght_gpsr.get();
-    if (config.route_cache.enabled) {
-      ght_cache = std::make_unique<routing::RouteCache>(
-          *ght_gpsr, config.route_cache, &tb.metrics(), "ght.route_cache");
-      ght_router = ght_cache.get();
-    }
-    ght_sys =
-        std::make_unique<ght::GhtSystem>(*ght_net, *ght_router, config.dims);
-    benchsup::replay_oracle(tb.oracle(), *ght_sys);
-    acc[SystemChoice::Ght].insert_msgs +=
-        static_cast<double>(ght_net->traffic().total);
-    acc[SystemChoice::Ght].events += events;
-    ght_net->reset_traffic();
-  }
-  // Central (the collect-everything baseline) likewise runs on its own
-  // network copy; node 0 plays the base station, and --store decides
-  // whether events land in the flat vector or the paged store.
-  std::unique_ptr<net::Network> central_net;
-  std::unique_ptr<routing::Gpsr> central_gpsr;
-  std::unique_ptr<routing::RouteCache> central_cache;
-  std::unique_ptr<storage::DcsSystem> central_sys;
-  std::unique_ptr<obs::RingTraceSink> central_trace;
-  if (want_central) {
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-    central_net = std::make_unique<net::Network>(
-        std::move(pts), tb.pool_network().field(), tb_config.radio_range);
-    if (config.telemetry.wants_trace()) {
-      central_trace =
-          std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);
-      central_net->set_trace(central_trace.get());
-    }
-    central_gpsr = std::make_unique<routing::Gpsr>(*central_net);
-    const routing::Router* central_router = central_gpsr.get();
-    if (config.route_cache.enabled) {
-      central_cache = std::make_unique<routing::RouteCache>(
-          *central_gpsr, config.route_cache, &tb.metrics(),
-          "central.route_cache");
-      central_router = central_cache.get();
-    }
-    central_sys = storage::make_central_store(
-        config.dims, config.store, central_net.get(), central_router,
-        net::NodeId{0}, &tb.metrics());
-    benchsup::replay_oracle(tb.oracle(), *central_sys);
-    acc[SystemChoice::Central].insert_msgs +=
-        static_cast<double>(central_net->traffic().total);
-    acc[SystemChoice::Central].events += events;
-    central_net->reset_traffic();
-  }
-  if (acc.count(SystemChoice::Pool)) {
-    acc[SystemChoice::Pool].insert_msgs +=
-        static_cast<double>(tb.pool_insert_traffic().total);
-    acc[SystemChoice::Pool].events += events;
-  }
-  if (acc.count(SystemChoice::Dim)) {
-    acc[SystemChoice::Dim].insert_msgs +=
-        static_cast<double>(tb.dim_insert_traffic().total);
-    acc[SystemChoice::Dim].events += events;
-  }
-
   // Every query flows through a per-system QueryEngine. With batching and
   // the cache off the engine executes each submit immediately — the exact
   // call sequence of the direct loop — so default runs are unchanged;
   // with --batch/--qcache the engine merges and caches per its config.
-  std::map<SystemChoice, std::unique_ptr<engine::QueryEngine>> engines;
+  std::map<SystemKind, std::unique_ptr<engine::QueryEngine>> engines;
   // Query latency in hops (forwarding legs on ideal links), one histogram
   // per system in the testbed registry.
-  std::map<SystemChoice, obs::MetricsRegistry::Histogram> latency;
+  std::map<SystemKind, obs::MetricsRegistry::Histogram> latency;
   for (const auto s : config.systems) {
-    storage::DcsSystem& sys =
-        s == SystemChoice::Pool ? static_cast<storage::DcsSystem&>(tb.pool())
-        : s == SystemChoice::Dim ? static_cast<storage::DcsSystem&>(tb.dim())
-        : s == SystemChoice::Ght ? static_cast<storage::DcsSystem&>(*ght_sys)
-                                 : *central_sys;
+    storage::DcsSystem& sys = tb.deploy(s, config.store);
+    acc[s].insert_msgs = static_cast<double>(tb.insert_traffic(s).total);
+    acc[s].events = events;
     const std::string prefix = to_string(s);
     engines[s] = std::make_unique<engine::QueryEngine>(
         sys, config.engine, &tb.metrics(), prefix + ".engine");
@@ -243,7 +180,8 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   std::unique_ptr<net::FaultInjector> injector;
   if (faults_on) {
     std::vector<net::Network*> nets{&tb.pool_network(), &tb.dim_network()};
-    if (want_ght) nets.push_back(ght_net.get());
+    if (tb.deployed(SystemKind::Ght))
+      nets.push_back(&tb.network(SystemKind::Ght));
     // Central's copy is deliberately exempt: the baseline models a
     // reliable backhaul to the base station and has no failover to
     // exercise, so injecting kills there would only crash routing.
@@ -252,7 +190,7 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
 
   struct Issued {
     std::size_t oracle_count;
-    std::map<SystemChoice, engine::QueryEngine::Ticket> tickets;
+    std::map<SystemKind, engine::QueryEngine::Ticket> tickets;
   };
   std::vector<Issued> issued;
   issued.reserve(config.queries);
@@ -310,28 +248,7 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
     acc[s].events_lost += f.events_lost;
   }
 
-  if (config.telemetry.wants_metrics()) {
-    out.snap = benchsup::scrape_testbed(tb);
-    if (want_ght) {
-      benchsup::publish_network(out.snap, "ght", *ght_net);
-      benchsup::publish_fault_stats(out.snap, "ght", ght_sys->fault_stats());
-      if (const auto* s = ght_sys->scan_stats())
-        benchsup::publish_scan_stats(out.snap, "ght", *s);
-      if (ght_trace) {
-        out.snap.gauges["ght.trace.recorded"] +=
-            static_cast<double>(ght_trace->recorded());
-      }
-    }
-    if (want_central) {
-      benchsup::publish_network(out.snap, "central", *central_net);
-      if (const auto* s = central_sys->scan_stats())
-        benchsup::publish_scan_stats(out.snap, "central", *s);
-      if (central_trace) {
-        out.snap.gauges["central.trace.recorded"] +=
-            static_cast<double>(central_trace->recorded());
-      }
-    }
-  }
+  if (config.telemetry.wants_metrics()) out.snap = benchsup::scrape_testbed(tb);
   return out;
 }
 
@@ -349,8 +266,7 @@ std::vector<CliResult> run_experiment(const CliConfig& config,
       config.deployments, config.threads,
       [&config](std::size_t dep) { return run_deployment(config, dep); });
 
-  std::map<SystemChoice, Accumulator> acc;
-  for (const auto s : config.systems) acc[s];
+  std::map<benchsup::SystemKind, Accumulator> acc;
   // Merge aggregates AND snapshots in deployment order — the float sums
   // are then bit-identical at any --threads value.
   obs::Snapshot snap;
@@ -392,57 +308,32 @@ std::vector<CliResult> run_experiment(const CliConfig& config,
     out << per_dep.front().describes[i];
   }
   out << "\n\n";
-  // TablePrinter prints to stdout; reproduce rows into `out` via a string
-  // table for stream-agnostic output.
-  {
-    std::ostringstream oss;
-    // Render manually so `out` can be any stream (tests capture it).
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> headers{"system", "msgs/query", "query msgs",
-                                     "reply msgs", "results",
-                                     "nodes visited", "insert msgs/event",
-                                     "mismatches"};
-    // Degradation accounting rides along only when failures were injected,
-    // keeping fault-free output byte-identical.
+  std::vector<std::string> headers{"system", "msgs/query", "query msgs",
+                                   "reply msgs", "results", "nodes visited",
+                                   "insert msgs/event", "mismatches"};
+  // Degradation accounting rides along only when failures were injected,
+  // keeping fault-free output byte-identical.
+  if (faults_on)
+    headers.insert(headers.end(),
+                   {"recall", "retries", "failovers", "events lost"});
+  benchsup::TablePrinter table(std::move(headers));
+  for (const auto& r : results) {
+    std::vector<std::string> row{
+        to_string(r.system), benchsup::fmt(r.mean_messages),
+        benchsup::fmt(r.mean_query_messages),
+        benchsup::fmt(r.mean_reply_messages), benchsup::fmt(r.mean_results),
+        benchsup::fmt(r.mean_nodes_visited),
+        benchsup::fmt(r.insert_messages_per_event, 2),
+        std::to_string(r.mismatches)};
     if (faults_on) {
-      headers.insert(headers.end(),
-                     {"recall", "retries", "failovers", "events lost"});
+      row.insert(row.end(), {benchsup::fmt(r.recall, 3),
+                             std::to_string(r.retries),
+                             std::to_string(r.failovers),
+                             std::to_string(r.events_lost)});
     }
-    for (const auto& r : results) {
-      rows.push_back({to_string(r.system), benchsup::fmt(r.mean_messages),
-                      benchsup::fmt(r.mean_query_messages),
-                      benchsup::fmt(r.mean_reply_messages),
-                      benchsup::fmt(r.mean_results),
-                      benchsup::fmt(r.mean_nodes_visited),
-                      benchsup::fmt(r.insert_messages_per_event, 2),
-                      std::to_string(r.mismatches)});
-      if (faults_on) {
-        auto& row = rows.back();
-        row.push_back(benchsup::fmt(r.recall, 3));
-        row.push_back(std::to_string(r.retries));
-        row.push_back(std::to_string(r.failovers));
-        row.push_back(std::to_string(r.events_lost));
-      }
-    }
-    std::vector<std::size_t> widths(headers.size());
-    for (std::size_t c = 0; c < headers.size(); ++c) {
-      widths[c] = headers[c].size();
-      for (const auto& row : rows)
-        widths[c] = std::max(widths[c], row[c].size());
-    }
-    const auto emit = [&](const std::vector<std::string>& row) {
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        oss << row[c] << std::string(widths[c] - row[c].size() + 2, ' ');
-      }
-      oss << "\n";
-    };
-    emit(headers);
-    std::size_t total = 0;
-    for (const auto w : widths) total += w + 2;
-    oss << std::string(total, '-') << "\n";
-    for (const auto& row : rows) emit(row);
-    out << oss.str();
+    table.add_row(std::move(row));
   }
+  table.print(out);
 
   if (config.telemetry.wants_metrics())
     obs::emit_snapshot(config.telemetry, snap, out);

@@ -1,5 +1,5 @@
 // The poolnet CLI experiment runner: one configurable experiment —
-// deploy, insert, query — over any subset of the three DCS systems, with
+// deploy, insert, query — over any subset of the four DCS systems, with
 // a text report and optional CSV export for plotting.
 #pragma once
 
@@ -16,17 +16,18 @@
 
 namespace poolnet::cli {
 
-/// Central is the paper's strawman baseline: every event shipped to a
-/// base station (node 0), queries answered there — run through either
-/// the flat or the paged store per CliConfig::store.
-enum class SystemChoice { Pool, Dim, Ght, Central };
 enum class QueryFlavor { Exact, OnePartial, TwoPartial, Point };
 
-const char* to_string(SystemChoice s);
 const char* to_string(QueryFlavor f);
 
+/// Parses a --systems list: comma-separated system names, where "all"
+/// stands for all four in report order. Returns false and sets `error`
+/// on an unknown or empty name, or on a system listed twice.
+bool parse_systems(const std::string& list,
+                   std::vector<benchsup::SystemKind>* out, std::string* error);
+
 struct CliConfig {
-  std::vector<SystemChoice> systems;  // which systems to run
+  std::vector<benchsup::SystemKind> systems;  // which systems to run
   std::size_t nodes = 900;
   std::size_t dims = 3;
   std::size_t events_per_node = 3;
@@ -66,13 +67,13 @@ struct CliConfig {
 
   /// Engine behind the central baseline (--store): the flat in-memory
   /// vector or the paged out-of-core store. Ignored unless the run
-  /// includes SystemChoice::Central.
+  /// includes SystemKind::Central.
   storage::StoreConfig store;
 };
 
 /// One result row (per system).
 struct CliResult {
-  SystemChoice system;
+  benchsup::SystemKind system;
   double mean_messages = 0.0;
   double mean_query_messages = 0.0;
   double mean_reply_messages = 0.0;

@@ -1,5 +1,5 @@
 // The serving stack poolnetd fronts: one deployed Testbed, ONE of the
-// three DCS systems chosen at startup, and a batched QueryEngine over it.
+// four DCS systems chosen at startup, and a batched QueryEngine over it.
 //
 // Built identically by the server binary and by bench/server_load's
 // direct-execution arm — same config, same seeds, same construction
@@ -12,20 +12,13 @@
 
 #include "bench_support/testbed.h"
 #include "engine/query_engine.h"
-#include "ght/ght_system.h"
-#include "routing/route_cache.h"
 #include "storage/store_config.h"
 
 namespace poolnet::server {
 
-/// Central is the collect-at-the-base-station baseline; its local store
-/// engine (flat vector or paged out-of-core) comes from
-/// BackendConfig::store.
-enum class SystemKind { Pool, Dim, Ght, Central };
-
-const char* to_string(SystemKind kind);
-bool parse_system_kind(const std::string& name, SystemKind* out,
-                       std::string* error);
+/// The Testbed's enum; server code and its clients spell it
+/// server::SystemKind.
+using SystemKind = benchsup::SystemKind;
 
 struct BackendConfig {
   SystemKind system = SystemKind::Pool;
@@ -37,10 +30,9 @@ struct BackendConfig {
   storage::StoreConfig store;        ///< central store engine (--store)
 };
 
-/// Deploys the testbed, preloads the workload into every system (the
-/// Testbed inserts into Pool/DIM/oracle; a GHT choice adds its own
-/// network copy, as the CLI runner does), and binds a QueryEngine to the
-/// chosen system. Single-threaded, like the Testbed underneath.
+/// Deploys the testbed, preloads the workload, deploys the chosen system
+/// through Testbed::deploy, and binds a QueryEngine to it.
+/// Single-threaded, like the Testbed underneath.
 class Backend {
  public:
   explicit Backend(BackendConfig config);
@@ -62,14 +54,6 @@ class Backend {
  private:
   BackendConfig config_;
   std::unique_ptr<benchsup::Testbed> testbed_;
-  // GHT and Central each ride on their own network over the same
-  // positions (the runner's pattern), so per-node accounting never mixes
-  // systems.
-  std::unique_ptr<net::Network> extra_net_;
-  std::unique_ptr<routing::Gpsr> extra_gpsr_;
-  std::unique_ptr<routing::RouteCache> extra_cache_;
-  std::unique_ptr<ght::GhtSystem> ght_;
-  std::unique_ptr<storage::DcsSystem> central_;
   storage::DcsSystem* system_ = nullptr;
   std::unique_ptr<engine::QueryEngine> engine_;
   std::uint64_t preloaded_ = 0;

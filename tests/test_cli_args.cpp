@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/runner.h"
+
 namespace poolnet::cli {
 namespace {
 
@@ -250,6 +252,51 @@ TEST(SharedOptions, TelemetrySpecsParseAndReject) {
 
   ASSERT_TRUE(parse(p, {"--trace", "-1"}, &error));
   EXPECT_FALSE(parse_telemetry_options(p, &telemetry, &error));
+}
+
+// --- the --systems list -------------------------------------------------
+
+using benchsup::SystemKind;
+
+TEST(SystemsList, ParsesNamesInOrder) {
+  std::vector<SystemKind> systems;
+  std::string error;
+  ASSERT_TRUE(parse_systems("central,pool", &systems, &error)) << error;
+  EXPECT_EQ(systems,
+            (std::vector<SystemKind>{SystemKind::Central, SystemKind::Pool}));
+}
+
+TEST(SystemsList, AllSelectsEveryKindInReportOrder) {
+  std::vector<SystemKind> systems;
+  std::string error;
+  ASSERT_TRUE(parse_systems("all", &systems, &error)) << error;
+  EXPECT_EQ(systems, (std::vector<SystemKind>{SystemKind::Pool, SystemKind::Dim,
+                                              SystemKind::Ght,
+                                              SystemKind::Central}));
+}
+
+TEST(SystemsList, RejectsARepeat) {
+  std::vector<SystemKind> systems;
+  std::string error;
+  EXPECT_FALSE(parse_systems("pool,pool", &systems, &error));
+  EXPECT_EQ(error, "--systems: 'pool' listed twice");
+  // "all" already names every kind, so anything beside it repeats.
+  EXPECT_FALSE(parse_systems("pool,all", &systems, &error));
+  EXPECT_EQ(error, "--systems: 'pool' listed twice");
+  EXPECT_FALSE(parse_systems("all,ght", &systems, &error));
+  EXPECT_EQ(error, "--systems: 'ght' listed twice");
+  EXPECT_TRUE(systems.empty()) << "a rejected list must not leak entries";
+}
+
+TEST(SystemsList, RejectsEmptyAndUnknownNames) {
+  std::vector<SystemKind> systems;
+  std::string error;
+  EXPECT_FALSE(parse_systems("pool,", &systems, &error));
+  EXPECT_NE(error.find("unknown system ''"), std::string::npos) << error;
+  EXPECT_FALSE(parse_systems("", &systems, &error));
+  EXPECT_FALSE(parse_systems("pool,ghost", &systems, &error));
+  EXPECT_EQ(error.rfind("--systems: unknown system 'ghost'", 0), 0u) << error;
+  EXPECT_TRUE(systems.empty());
 }
 
 }  // namespace

@@ -7,13 +7,17 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "fingerprint.h"
+#include "sim/fault_plan.h"
 
 namespace poolnet::cli {
 namespace {
 
+using benchsup::SystemKind;
+
 CliConfig small_config() {
   CliConfig config;
-  config.systems = {SystemChoice::Pool, SystemChoice::Dim};
+  config.systems = {SystemKind::Pool, SystemKind::Dim};
   config.nodes = 150;
   config.queries = 10;
   config.seed = 5;
@@ -37,7 +41,7 @@ TEST(CliRunner, RunsPoolAndDimWithZeroMismatches) {
 
 TEST(CliRunner, GhtSystemRunsToo) {
   auto config = small_config();
-  config.systems = {SystemChoice::Ght};
+  config.systems = {SystemKind::Ght};
   config.flavor = QueryFlavor::Point;
   std::ostringstream out;
   const auto results = run_experiment(config, out);
@@ -102,9 +106,62 @@ TEST(CliRunner, RejectsPartialQueriesOnOneDimension) {
   EXPECT_THROW(run_experiment(config, out), poolnet::ConfigError);
 }
 
+/// Every CliResult field plus the exact stdout bytes of one
+/// `--systems all` run, folded into one FNV-1a hash.
+std::uint64_t all_systems_hash(const CliConfig& config) {
+  std::ostringstream out;
+  const auto results = run_experiment(config, out);
+  Fingerprint fp;
+  for (const CliResult& r : results) {
+    fp.add(static_cast<std::uint64_t>(r.system));
+    fp.add_bits(r.mean_messages);
+    fp.add_bits(r.mean_query_messages);
+    fp.add_bits(r.mean_reply_messages);
+    fp.add_bits(r.mean_results);
+    fp.add_bits(r.mean_nodes_visited);
+    fp.add_bits(r.insert_messages_per_event);
+    fp.add(r.mismatches);
+    fp.add_bits(r.recall);
+    fp.add(r.retries);
+    fp.add(r.failovers);
+    fp.add(r.events_lost);
+  }
+  for (const char c : out.str()) fp.add(static_cast<unsigned char>(c));
+  return fp.hash();
+}
+
+// Pins every system's numbers and the rendered report across the run
+// shapes that exercise deployment: plain, the query-class mix, live
+// faults, a non-default α (route-cache quantum) and parallel seeds.
+// Recorded when GHT and central were still hand-built per caller.
+TEST(CliRunner, AllSystemsMatchParentFingerprint) {
+  CliConfig base = small_config();
+  base.systems.assign(benchsup::kAllSystemKinds.begin(),
+                      benchsup::kAllSystemKinds.end());
+  base.queries = 20;
+
+  CliConfig mix = base;
+  mix.query_class = query::QueryClassMix::Mix;
+  CliConfig faults = base;
+  std::string error;
+  ASSERT_TRUE(sim::parse_fault_spec("kill:0.2@15", &faults.faults, &error))
+      << error;
+  CliConfig alpha = base;
+  alpha.pool.cell_size = 7.5;
+  CliConfig seeds = base;
+  seeds.deployments = 3;
+  seeds.threads = 2;
+
+  EXPECT_EQ(all_systems_hash(base), 0x9613c7b6dc4b6cc3ULL);
+  EXPECT_EQ(all_systems_hash(mix), 0xa20ba7583bf5d765ULL);
+  EXPECT_EQ(all_systems_hash(faults), 0x2b6de4cf6d526331ULL);
+  EXPECT_EQ(all_systems_hash(alpha), 0x494fbba07c839aaeULL);
+  EXPECT_EQ(all_systems_hash(seeds), 0x717c52404f9d3813ULL);
+}
+
 TEST(CliRunner, NamesAreStable) {
-  EXPECT_STREQ(to_string(SystemChoice::Pool), "pool");
-  EXPECT_STREQ(to_string(SystemChoice::Ght), "ght");
+  EXPECT_STREQ(to_string(SystemKind::Pool), "pool");
+  EXPECT_STREQ(to_string(SystemKind::Ght), "ght");
   EXPECT_STREQ(to_string(QueryFlavor::TwoPartial), "2-partial");
 }
 

@@ -486,8 +486,8 @@ TEST(Failover, GhtReclaimsDeadStoreAndKeepsAnswering) {
 
 TEST(OnlineFaults, TwentyPercentMidRunKillKeepsAllSystemsAnswering) {
   cli::CliConfig config;
-  config.systems = {cli::SystemChoice::Pool, cli::SystemChoice::Dim,
-                    cli::SystemChoice::Ght};
+  config.systems = {benchsup::SystemKind::Pool, benchsup::SystemKind::Dim,
+                    benchsup::SystemKind::Ght};
   config.nodes = 200;
   config.events_per_node = 3;
   config.queries = 30;
@@ -502,10 +502,10 @@ TEST(OnlineFaults, TwentyPercentMidRunKillKeepsAllSystemsAnswering) {
   ASSERT_EQ(rows.size(), 3u);
   std::uint64_t failovers = 0;
   for (const auto& r : rows) {
-    EXPECT_GT(r.recall, 0.3) << cli::to_string(r.system)
+    EXPECT_GT(r.recall, 0.3) << benchsup::to_string(r.system)
                              << " stopped answering";
-    EXPECT_LE(r.recall, 1.0) << cli::to_string(r.system);
-    EXPECT_GT(r.mean_results, 0.0) << cli::to_string(r.system);
+    EXPECT_LE(r.recall, 1.0) << benchsup::to_string(r.system);
+    EXPECT_GT(r.mean_results, 0.0) << benchsup::to_string(r.system);
     failovers += r.failovers;
   }
   EXPECT_GE(failovers, 1u) << "a 20% cut must trigger failover somewhere";
@@ -515,8 +515,8 @@ TEST(OnlineFaults, TwentyPercentMidRunKillKeepsAllSystemsAnswering) {
 
 TEST(OnlineFaults, NeverFiringPlanIsByteIdenticalToDisabled) {
   cli::CliConfig base;
-  base.systems = {cli::SystemChoice::Pool, cli::SystemChoice::Dim,
-                  cli::SystemChoice::Ght};
+  base.systems = {benchsup::SystemKind::Pool, benchsup::SystemKind::Dim,
+                  benchsup::SystemKind::Ght};
   base.nodes = 150;
   base.events_per_node = 3;
   base.queries = 20;

@@ -191,14 +191,15 @@ TEST(Trace, NetworkEmitsOrderedHopsWhenAttached) {
   config.trace_capacity = 1 << 14;
   benchsup::Testbed tb(config);
   tb.insert_workload();
-  ASSERT_NE(tb.pool_trace(), nullptr);
-  EXPECT_GT(tb.pool_trace()->recorded(), 0u);
+  const obs::RingTraceSink* trace = tb.trace(benchsup::SystemKind::Pool);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_GT(trace->recorded(), 0u);
 
   // Within one message, hop indices ascend from 0 along the path.
   std::uint64_t multi_hop_messages = 0;
   std::uint64_t last_msg = ~std::uint64_t{0};
   std::uint16_t last_hop = 0;
-  for (const auto& hop : tb.pool_trace()->drain()) {
+  for (const auto& hop : trace->drain()) {
     if (hop.msg_id == last_msg) {
       EXPECT_EQ(hop.hop_index, last_hop + 1);
       ++multi_hop_messages;
@@ -207,7 +208,7 @@ TEST(Trace, NetworkEmitsOrderedHopsWhenAttached) {
     last_hop = hop.hop_index;
   }
   EXPECT_GT(multi_hop_messages, 0u);
-  EXPECT_NE(tb.pool_trace()->to_csv().find("msg_id"), std::string::npos);
+  EXPECT_NE(trace->to_csv().find("msg_id"), std::string::npos);
 }
 
 // The telemetry surface and the receipt accounting must agree: the sum of
@@ -312,9 +313,10 @@ TEST(RegistryViews, RouteCacheAndEngineShareOneRegistry) {
   EXPECT_EQ(snap.counters.at("pool.engine.submitted"), 6u);
   EXPECT_EQ(snap.counters.at("pool.engine.submitted"),
             eng.stats().submitted);
-  ASSERT_NE(tb.pool_route_cache(), nullptr);
-  EXPECT_EQ(snap.counters.at("pool.route_cache.hits"),
-            tb.pool_route_cache()->stats().hits);
+  const routing::RouteCache* cache =
+      tb.route_cache(benchsup::SystemKind::Pool);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(snap.counters.at("pool.route_cache.hits"), cache->stats().hits);
   EXPECT_GT(snap.counters.at("pool.route_cache.hits") +
                 snap.counters.at("pool.route_cache.misses"),
             0u);

@@ -74,7 +74,9 @@ Fingerprint run_testbed(std::uint64_t seed, bool pooled) {
   fp.add(agg.index_nodes_visited);
 
   // Cache counters see the same hit/miss sequence either way.
-  for (const auto* cache : {tb.pool_route_cache(), tb.dim_route_cache()}) {
+  for (const auto kind :
+       {benchsup::SystemKind::Pool, benchsup::SystemKind::Dim}) {
+    const auto* cache = tb.route_cache(kind);
     EXPECT_NE(cache, nullptr) << "route cache should default on";
     if (!cache) continue;
     const auto s = cache->stats();

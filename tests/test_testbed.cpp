@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/experiment.h"
+#include "bench_support/replay.h"
+#include "fingerprint.h"
+#include "ght/ght_system.h"
 #include "query/query_gen.h"
 
 namespace poolnet::benchsup {
@@ -56,6 +59,137 @@ TEST(Testbed, DeterministicAcrossRebuilds) {
   b.insert_workload();
   EXPECT_EQ(a.pool_insert_traffic().total, b.pool_insert_traffic().total);
   EXPECT_EQ(a.dim_insert_traffic().total, b.dim_insert_traffic().total);
+}
+
+// --- Testbed::deploy against the hand-built copy it replaced -------------
+
+/// GHT or central built the way every caller did before Testbed::deploy:
+/// its own Network over the testbed's positions with the Network
+/// defaults, Gpsr, an unquantized RouteCache, then the oracle replayed in.
+struct HandBuilt {
+  HandBuilt(Testbed& tb, SystemKind kind, const storage::StoreConfig& store)
+      : net(positions(tb), tb.pool_network().field(), tb.config().radio_range),
+        gpsr(net),
+        cache(gpsr, tb.config().route_cache) {
+    if (kind == SystemKind::Ght)
+      system = std::make_unique<ght::GhtSystem>(net, cache, tb.config().dims);
+    else
+      system = storage::make_central_store(tb.config().dims, store, &net,
+                                           &cache, net::NodeId{0});
+    replay_oracle(tb.oracle(), *system);
+    insert_traffic = net.traffic();
+    net.reset_traffic();
+  }
+
+  static std::vector<Point> positions(Testbed& tb) {
+    std::vector<Point> pts;
+    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
+    return pts;
+  }
+
+  net::Network net;
+  routing::Gpsr gpsr;
+  routing::RouteCache cache;
+  std::unique_ptr<storage::DcsSystem> system;
+  net::TrafficTally insert_traffic;
+};
+
+/// Receipts (cost, content and order) of a fixed range, skyline, k-NN
+/// and aggregate list, from fixed sinks.
+Fingerprint run_fixed_queries(storage::DcsSystem& system) {
+  query::QueryGenerator gen({.dims = 3}, 91);
+  Rng sinks(92);
+  Fingerprint fp;
+  for (int i = 0; i < 4; ++i) {
+    for (const auto mix : {query::QueryClassMix::Range,
+                           query::QueryClassMix::Skyline,
+                           query::QueryClassMix::Knn}) {
+      const auto sink = static_cast<net::NodeId>(sinks.uniform_int(0, 199));
+      fp.add_receipt(system.execute(sink, gen.next(mix)));
+    }
+    const auto sink = static_cast<net::NodeId>(sinks.uniform_int(0, 199));
+    const auto agg = system.execute(
+        sink, storage::AggregateQuery{gen.exact_range(),
+                                      storage::AggregateKind::Sum, 1});
+    fp.add_cost(agg);
+    fp.add_bits(agg.aggregate.value);
+    fp.add(agg.aggregate.count);
+  }
+  return fp;
+}
+
+void expect_deploy_matches_hand_built(SystemKind kind,
+                                      const std::string& store_spec) {
+  SCOPED_TRACE(std::string(to_string(kind)) + " " + store_spec);
+  storage::StoreConfig store;
+  std::string error;
+  ASSERT_TRUE(storage::parse_store_spec(store_spec, &store, &error)) << error;
+
+  Testbed tb(small_config(8));
+  tb.insert_workload();
+  ASSERT_FALSE(tb.deployed(kind));
+  storage::DcsSystem& deployed = tb.deploy(kind, store);
+  EXPECT_TRUE(tb.deployed(kind));
+  EXPECT_EQ(&tb.deploy(kind, store), &deployed) << "second deploy rebuilt";
+  HandBuilt twin(tb, kind, store);
+
+  EXPECT_EQ(deployed.stored_count(), tb.oracle().stored_count());
+  EXPECT_GT(tb.insert_traffic(kind).total, 0u);
+  EXPECT_EQ(tb.insert_traffic(kind).total, twin.insert_traffic.total);
+  EXPECT_EQ(tb.insert_traffic(kind).lost, twin.insert_traffic.lost);
+  EXPECT_EQ(tb.network(kind).traffic().total, 0u);
+  EXPECT_EQ(run_fixed_queries(deployed), run_fixed_queries(*twin.system));
+}
+
+TEST(TestbedDeploy, GhtMatchesHandBuiltCopy) {
+  expect_deploy_matches_hand_built(SystemKind::Ght, "flat");
+}
+
+TEST(TestbedDeploy, CentralFlatMatchesHandBuiltCopy) {
+  expect_deploy_matches_hand_built(SystemKind::Central, "flat");
+}
+
+TEST(TestbedDeploy, CentralPagedMatchesHandBuiltCopy) {
+  expect_deploy_matches_hand_built(SystemKind::Central, "paged:4:512");
+}
+
+TEST(TestbedDeploy, PoolAndDimAreTheConstructedSystems) {
+  Testbed tb(small_config(9));
+  EXPECT_EQ(&tb.deploy(SystemKind::Pool), &tb.pool());
+  EXPECT_EQ(&tb.deploy(SystemKind::Dim), &tb.dim());
+  EXPECT_FALSE(tb.deployed(SystemKind::Ght));
+  EXPECT_FALSE(tb.deployed(SystemKind::Central));
+  EXPECT_THROW(tb.network(SystemKind::Ght), AssertionError);
+}
+
+// A system deployed before the workload is generated still receives it:
+// insert_workload feeds every deployed system, in the replay's order.
+TEST(TestbedDeploy, DeployBeforeWorkloadMatchesDeployAfter) {
+  Testbed before(small_config(10));
+  storage::DcsSystem& early = before.deploy(SystemKind::Ght);
+  before.insert_workload();
+  Testbed after(small_config(10));
+  after.insert_workload();
+  storage::DcsSystem& late = after.deploy(SystemKind::Ght);
+
+  EXPECT_EQ(early.stored_count(), late.stored_count());
+  EXPECT_EQ(before.insert_traffic(SystemKind::Ght).total,
+            after.insert_traffic(SystemKind::Ght).total);
+  EXPECT_EQ(run_fixed_queries(early), run_fixed_queries(late));
+}
+
+TEST(SystemKindNames, RoundTrip) {
+  for (const SystemKind kind : kAllSystemKinds) {
+    SystemKind parsed = SystemKind::Pool;
+    std::string error;
+    ASSERT_TRUE(parse_system_kind(to_string(kind), &parsed, &error)) << error;
+    EXPECT_EQ(parsed, kind);
+  }
+  SystemKind parsed;
+  std::string error;
+  EXPECT_FALSE(parse_system_kind("Pool", &parsed, &error));
+  EXPECT_EQ(error,
+            "unknown system 'Pool' (expected pool, dim, ght or central)");
 }
 
 TEST(PairedRunner, BothSystemsMatchOracleEverywhere) {
