@@ -5,6 +5,7 @@
 // per-event tree walk and to one GPSR routing step.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -87,12 +88,24 @@ void BM_DimLeavesOverlapping(benchmark::State& state) {
 BENCHMARK(BM_DimLeavesOverlapping);
 
 void BM_GpsrRouteAcrossField(benchmark::State& state) {
+  // Cold cross-field routes from one corner to 16 distinct nodes along the
+  // far edge, in turn. Gpsr memoizes greedy hops only for a destination
+  // that recurs within its last 8 unmemoized routes, so cycling through
+  // 16 keeps every iteration a full greedy/perimeter computation.
   auto& tb = shared_testbed();
-  const auto src = tb.pool_network().nearest_node({0, 0});
-  const auto dst = tb.pool_network().nearest_node(
-      {tb.pool_network().field().max_x, tb.pool_network().field().max_y});
+  const auto& network = tb.pool_network();
+  const auto src = network.nearest_node({0, 0});
+  std::vector<net::NodeId> dsts;
+  for (int i = 0; i <= 64 && dsts.size() < 16; ++i) {
+    const auto dst = network.nearest_node(
+        {network.field().max_x, network.field().max_y * (1.0 - i / 64.0)});
+    if (std::find(dsts.begin(), dsts.end(), dst) == dsts.end())
+      dsts.push_back(dst);
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tb.pool_gpsr().route_to_node(src, dst));
+    benchmark::DoNotOptimize(
+        tb.pool_gpsr().route_to_node(src, dsts[i++ % dsts.size()]));
   }
 }
 BENCHMARK(BM_GpsrRouteAcrossField);

@@ -1,5 +1,7 @@
 #include "routing/gpsr.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.h"
@@ -36,6 +38,43 @@ void Gpsr::route_to_node_into(NodeId src, NodeId dst, RouteResult& out) const {
 void Gpsr::route_to_location_into(NodeId src, Point dest,
                                   RouteResult& out) const {
   route_impl(src, dest, net::kNoNode, out);
+}
+
+Gpsr::GreedyMemo* Gpsr::memo_for(Point dest) const {
+  const auto same = [dest](Point p) {
+    return std::bit_cast<std::uint64_t>(p.x) ==
+               std::bit_cast<std::uint64_t>(dest.x) &&
+           std::bit_cast<std::uint64_t>(p.y) ==
+               std::bit_cast<std::uint64_t>(dest.y);
+  };
+  const auto it = std::find_if(memo_.begin(), memo_.end(),
+                               [&](const GreedyMemo& m) {
+                                 return m.epoch != 0 && same(m.dest);
+                               });
+  const bool bound = it != memo_.end();
+  if (!bound &&
+      std::none_of(recent_dests_.begin(), recent_dests_.end(), same)) {
+    recent_dests_[recent_next_++ % kRecentDests] = dest;
+    return nullptr;
+  }
+  GreedyMemo& slot =
+      bound ? *it
+            : *std::min_element(memo_.begin(), memo_.end(),
+                                [](const GreedyMemo& a, const GreedyMemo& b) {
+                                  return a.last_used < b.last_used;
+                                });
+  slot.last_used = ++memo_clock_;
+  if (bound && slot.dead_count == net_.dead_count()) return &slot;
+
+  // Rebind: a new destination, or a node died since the table was filled.
+  if (slot.hop.empty()) slot.hop.resize(net_.size());
+  if (++slot.epoch == 0) {  // wrapped: stale stamps could match again
+    slot.hop.assign(net_.size(), GreedyMemo::Hop{});
+    slot.epoch = 1;
+  }
+  slot.dest = dest;
+  slot.dead_count = net_.dead_count();
+  return &slot;
 }
 
 NodeId Gpsr::first_ccw_neighbor(NodeId at, double ref_angle,
@@ -94,6 +133,8 @@ void Gpsr::route_impl(NodeId src, Point dest, NodeId exact_target,
 
   const std::size_t max_hops = 16 * net_.size() + 256;
 
+  GreedyMemo* const memo = memo_for(dest);
+
   // Chooses the perimeter edge out of `cur`, applying GPSR's face-change
   // rule: while the candidate edge crosses the segment lp->dest strictly
   // closer to dest than the current face's crossing point, move to the new
@@ -144,18 +185,27 @@ void Gpsr::route_impl(NodeId src, Point dest, NodeId exact_target,
     }
 
     if (mode == Mode::Greedy) {
-      // Forward to the neighbor strictly closest to dest.
+      // Forward to the neighbor strictly closest to dest. Any neighbor
+      // chosen is strictly closer than cur, so kNoNode marks a local
+      // minimum.
       NodeId next = net::kNoNode;
-      double next_d2 = cur_d2;
-      for (const NodeId nb : net_.neighbors(cur)) {
-        if (!net_.alive(nb)) continue;  // beacons stopped: not a candidate
-        const double d2 = distance_sq(net_.position(nb), dest);
-        if (d2 < next_d2 || (d2 == next_d2 && next != net::kNoNode && nb < next)) {
-          next_d2 = d2;
-          next = nb;
+      GreedyMemo::Hop* const hop = memo ? &memo->hop[cur] : nullptr;
+      if (hop != nullptr && hop->stamp == memo->epoch) {
+        next = hop->next;
+      } else {
+        double next_d2 = cur_d2;
+        for (const NodeId nb : net_.neighbors(cur)) {
+          if (!net_.alive(nb)) continue;  // beacons stopped: not a candidate
+          const double d2 = distance_sq(net_.position(nb), dest);
+          if (d2 < next_d2 ||
+              (d2 == next_d2 && next != net::kNoNode && nb < next)) {
+            next_d2 = d2;
+            next = nb;
+          }
         }
+        if (hop != nullptr) *hop = {next, memo->epoch};
       }
-      if (next != net::kNoNode && next_d2 < cur_d2) {
+      if (next != net::kNoNode) {
         prev = cur;
         cur = next;
         result.path.push_back(cur);

@@ -15,9 +15,25 @@
 // perimeter tour would re-traverse its first edge — it is then delivered
 // at the node that started the tour (the GHT "home node" convention, used
 // by data-centric storage to make locations addressable).
+//
+// Greedy next-hop memo: the greedy step out of a node depends only on that
+// node, the exact destination point and the set of living nodes. Nodes
+// never revive (Network::kill is the only writer of `alive`), so
+// Network::dead_count() is a generation number for that set. Gpsr keeps a
+// few per-destination tables of greedy choices for recurring destinations
+// and reuses one while its destination is bit-identical and no node has
+// died since it was filled, so the many legs that converge on one sink
+// (GHT's flood replies, DIM's owner replies) compute each shared greedy
+// hop once. Perimeter mode is not memoized. Every RouteResult is
+// identical to a memo-less router's.
+//
+// NOT thread-safe: the memo is mutable state behind the const routing
+// calls. One Gpsr per testbed, like RouteCache and the Network it routes.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/geometry.h"
@@ -29,8 +45,8 @@ namespace poolnet::routing {
 
 class Gpsr final : public Router {
  public:
-  /// Builds the planarized view once; the router itself is stateless
-  /// per-packet, exactly like the protocol.
+  /// Builds the planarized view once. Packets carry no state between
+  /// calls; only the greedy next-hop memo persists.
   explicit Gpsr(const net::Network& network,
                 PlanarizationRule rule = PlanarizationRule::Gabriel);
 
@@ -61,8 +77,40 @@ class Gpsr final : public Router {
   net::NodeId first_ccw_neighbor(net::NodeId at, double ref_angle,
                                  net::NodeId skip) const;
 
+  /// Greedy choices toward one destination point: hop[n].next is the
+  /// greedy next hop out of n (kNoNode at a local minimum), valid only
+  /// where hop[n].stamp == epoch. Bumping `epoch` empties the table in
+  /// O(1).
+  struct GreedyMemo {
+    struct Hop {
+      net::NodeId next = net::kNoNode;
+      std::uint32_t stamp = 0;
+    };
+    Point dest{};
+    std::size_t dead_count = 0;
+    std::uint64_t last_used = 0;
+    std::uint32_t epoch = 0;  ///< 0 = never bound
+    std::vector<Hop> hop;
+  };
+  /// Enough for DIM's sink->owner / owner->sink alternation to keep the
+  /// sink's table.
+  static constexpr std::size_t kMemoSlots = 4;
+  /// A destination gets a table only when it recurs within this many
+  /// unmemoized routes, so one-shot legs (inserts to hashed homes, cold
+  /// probes) pay no memo writes and evict no converging leg's table.
+  static constexpr std::size_t kRecentDests = 8;
+
+  /// The table for `dest` under the current dead set: its bound slot,
+  /// or, for a recurring destination, the least recently used slot
+  /// emptied and rebound to it. nullptr for a first sighting.
+  GreedyMemo* memo_for(Point dest) const;
+
   const net::Network& net_;
   PlanarGraph planar_;
+  mutable std::array<GreedyMemo, kMemoSlots> memo_;
+  mutable std::uint64_t memo_clock_ = 0;
+  mutable std::array<Point, kRecentDests> recent_dests_{};
+  mutable std::size_t recent_next_ = 0;
 };
 
 }  // namespace poolnet::routing

@@ -1,5 +1,6 @@
 #include "routing/route_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -90,6 +91,22 @@ RouteCache::Key RouteCache::node_key(net::NodeId src, net::NodeId dst) const {
              static_cast<std::int64_t>(dst), 0};
 }
 
+std::size_t RouteCache::node_slot(std::uint64_t key) const {
+  const std::size_t mask = node_index_.size() - 1;
+  std::size_t h = mix64(key) & mask;
+  while (node_index_[h] != 0 && node_keys_[node_index_[h] - 1] != key)
+    h = (h + 1) & mask;
+  return h;
+}
+
+void RouteCache::rebuild_node_index() const {
+  std::size_t slots = std::max<std::size_t>(node_index_.size(), 64);
+  while (2 * node_keys_.size() > slots) slots *= 2;
+  node_index_.assign(slots, 0);
+  for (std::size_t i = 0; i < node_keys_.size(); ++i)
+    node_index_[node_slot(node_keys_[i])] = static_cast<std::uint32_t>(i + 1);
+}
+
 RouteCache::Key RouteCache::location_key(net::NodeId src, Point dest) const {
   Key key;
   key.src_kind = (static_cast<std::uint64_t>(src) << 1) | 1u;
@@ -123,7 +140,7 @@ RouteCache::Entry& RouteCache::touch(
 
 void RouteCache::account_and_evict(std::size_t delta) const {
   bytes_ += delta;
-  entries_ = map_.size() + flat_entries_;
+  entries_ = map_.size() + node_keys_.size();
   if (config_.max_bytes == 0) return;
   while (bytes_ > config_.max_bytes && !lru_.empty()) {
     const auto victim = map_.find(lru_.back());
@@ -134,7 +151,7 @@ void RouteCache::account_and_evict(std::size_t delta) const {
     map_.erase(victim);
     lru_.pop_back();
   }
-  entries_ = map_.size() + flat_entries_;
+  entries_ = map_.size() + node_keys_.size();
 }
 
 RouteResult RouteCache::copy_for_store(const RouteResult& r) const {
@@ -171,22 +188,23 @@ void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
   }
 
   if (config_.max_bytes == 0) {
-    if (src < by_src_.size()) {
-      for (const NodeEntry& e : by_src_[src]) {
-        if (e.dst == dst) {
-          hits_.inc();
-          out = e.result;  // copy-assign: out.path's capacity is reused
-          return;
-        }
-      }
+    if (node_index_.empty()) rebuild_node_index();
+    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+    const std::size_t slot = node_slot(key);
+    if (node_index_[slot] != 0) {
+      hits_.inc();
+      // copy-assign: out.path's capacity is reused
+      out = node_routes_[node_index_[slot] - 1];
+      return;
     }
     misses_.inc();
     inner_.route_to_node_into(src, dst, out);
     if (config_.max_hops != 0 && out.path.size() > config_.max_hops) return;
-    if (src >= by_src_.size()) by_src_.resize(src + 1);
-    by_src_[src].push_back(NodeEntry{dst, copy_for_store(out)});
-    ++flat_entries_;
-    entries_ = map_.size() + flat_entries_;
+    node_keys_.push_back(key);
+    node_routes_.push_back(copy_for_store(out));
+    node_index_[slot] = static_cast<std::uint32_t>(node_keys_.size());
+    if (2 * node_keys_.size() > node_index_.size()) rebuild_node_index();
+    entries_ = map_.size() + node_keys_.size();
     bytes_ += result_bytes(out);
     return;
   }
@@ -257,17 +275,19 @@ void RouteCache::note_dead(net::NodeId dead) const {
   };
 
   // Flat (unbounded) node-route storage.
-  for (auto& bucket : by_src_) {
-    for (std::size_t i = bucket.size(); i-- > 0;) {
-      if (!traverses(bucket[i].result)) continue;
-      bytes_ -= result_bytes(bucket[i].result);
-      recycle(std::move(bucket[i].result));
-      bucket[i] = std::move(bucket.back());
-      bucket.pop_back();
-      --flat_entries_;
-      invalidated_.inc();
-    }
+  bool dropped = false;
+  for (std::size_t i = node_routes_.size(); i-- > 0;) {
+    if (!traverses(node_routes_[i])) continue;
+    bytes_ -= result_bytes(node_routes_[i]);
+    recycle(std::move(node_routes_[i]));
+    node_routes_[i] = std::move(node_routes_.back());
+    node_routes_.pop_back();
+    node_keys_[i] = node_keys_.back();
+    node_keys_.pop_back();
+    invalidated_.inc();
+    dropped = true;
   }
+  if (dropped) rebuild_node_index();
 
   // Map storage (LRU mode node routes + all location routes).
   for (auto it = map_.begin(); it != map_.end();) {
@@ -289,7 +309,7 @@ void RouteCache::note_dead(net::NodeId dead) const {
       ++it;
     }
   }
-  entries_ = map_.size() + flat_entries_;
+  entries_ = map_.size() + node_keys_.size();
 
   inner_.note_dead(dead);
 }
@@ -297,12 +317,12 @@ void RouteCache::note_dead(net::NodeId dead) const {
 void RouteCache::clear() {
   for (auto& [key, entry] : map_)
     for (auto& [point, result] : entry.items) recycle(std::move(result));
-  for (auto& bucket : by_src_)
-    for (auto& e : bucket) recycle(std::move(e.result));
+  for (auto& result : node_routes_) recycle(std::move(result));
   map_.clear();
   lru_.clear();
-  by_src_.clear();
-  flat_entries_ = 0;
+  node_keys_.clear();
+  node_routes_.clear();
+  node_index_.clear();
   bytes_ = 0;
   entries_ = 0;
 }

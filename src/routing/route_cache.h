@@ -4,8 +4,12 @@
 // pair always yields the same path — yet Pool recomputes the same
 // splitter→cell legs for every query and DIM re-walks the same zone legs.
 // RouteCache stores each computed RouteResult and replays it verbatim, so
-// the traffic ledger sees byte-identical paths whether the cache is on or
-// off; only wall-clock changes.
+// on a fault-free run the traffic ledger sees byte-identical paths whether
+// the cache is on or off; only wall-clock changes. Under faults the two
+// diverge: a stored path through a node killed after it was stored is
+// replayed (and only dropped by note_dead() once a send fails on it),
+// where an uncached route would avoid the dead node from the start, so
+// retries and message counts differ between on and off.
 //
 // Keying: node routes are keyed (src, dst). Location routes are bucketed
 // by (src, ⌊x/q⌋, ⌊y/q⌋) with q = location_quantum (the Pool α-grid, so
@@ -143,18 +147,16 @@ class RouteCache final : public Router {
     std::list<Key>::iterator lru_pos;
   };
 
-  /// Unbounded-mode fast path for node routes: one flat bucket per source
-  /// (max_hops keeps each to the handful of repeating short legs), probed
-  /// by linear scan — an indexed load plus a few compares beats a hash of
-  /// the same data. LRU mode falls back to the map so eviction stays
-  /// uniform.
-  struct NodeEntry {
-    net::NodeId dst;
-    RouteResult result;
-  };
-
   Key node_key(net::NodeId src, net::NodeId dst) const;
   Key location_key(net::NodeId src, Point dest) const;
+
+  /// The node_index_ slot holding `key`, or the empty slot where it
+  /// belongs.
+  std::size_t node_slot(std::uint64_t key) const;
+
+  /// Sizes node_index_ for node_keys_ (at most half full) and re-indexes
+  /// every stored node route.
+  void rebuild_node_index() const;
 
   /// Moves `it` to the MRU position and returns its entry.
   Entry& touch(std::unordered_map<Key, Entry, KeyHash>::iterator it) const;
@@ -176,8 +178,17 @@ class RouteCache final : public Router {
   common::BufferPool<net::NodeId>* path_pool_;
   mutable std::unordered_map<Key, Entry, KeyHash> map_;
   mutable std::list<Key> lru_;  ///< front = most recently used
-  mutable std::vector<std::vector<NodeEntry>> by_src_;  ///< unbounded mode
-  mutable std::size_t flat_entries_ = 0;  ///< total items across by_src_
+  /// Unbounded-mode fast path for node routes: the stored routes with
+  /// their (src, dst) keys in step, and an open-addressing index over the
+  /// keys (linear probing, entry index + 1 per slot, 0 = empty, at most
+  /// half full). A probe costs a hash and a few compares however many
+  /// routes a source accumulates (~100 per node in long GHT k-NN runs).
+  /// Kept out of map_ because a map node plus an items vector per stored
+  /// route gave ~23% lower end-to-end qps on the GHT and DIM sweeps
+  /// (DESIGN.md §7). LRU mode uses the map so eviction stays uniform.
+  mutable std::vector<std::uint64_t> node_keys_;
+  mutable std::vector<RouteResult> node_routes_;
+  mutable std::vector<std::uint32_t> node_index_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  ///< fallback
   obs::MetricsRegistry::Counter hits_, misses_, evictions_, invalidated_;

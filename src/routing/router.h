@@ -5,8 +5,11 @@
 // Router is that two-method interface; Gpsr is the protocol implementation
 // and RouteCache a memoizing decorator over any Router. Systems hold a
 // `const Router&` so a testbed can interpose the cache without the systems
-// knowing — the returned RouteResult is identical either way, which keeps
-// every message count bit-identical with caching on or off.
+// knowing. Without faults the returned RouteResult is identical either
+// way, which keeps every message count bit-identical with caching on or
+// off. Under faults it is not: a cached path through a node killed after
+// it was stored is replayed until a failed hop reports the death, while
+// an uncached route steers around the corpse from the start.
 #pragma once
 
 #include <cstddef>
@@ -64,7 +67,8 @@ class Router {
   }
 
   /// Failure feedback from the delivery layer: `dead` was discovered
-  /// unreachable (ack timeouts exhausted). Stateless routers ignore it;
+  /// unreachable (ack timeouts exhausted). Routers that store no paths
+  /// ignore it (Gpsr's greedy memo keys on Network::dead_count());
   /// caching decorators must drop every stored path traversing the node so
   /// stale routes through dead nodes are never served again. `const`
   /// because systems hold routers by const reference (caches mutate their

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -186,6 +187,52 @@ TEST(RouteCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.stats().hits, 1u);  // counters survive
   cache.route_to_node(0, 100);
   EXPECT_EQ(cache.stats().misses, 2u);  // refilled after clear
+}
+
+// The unbounded node-route probe goes through a (src, dst) index kept in
+// step with the stored routes. note_dead() must drop exactly the routes
+// through the dead node, and every survivor must still hit with its own
+// stored route, also after the drop and the refills reorder them.
+TEST(RouteCache, NoteDeadDropsExactlyRoutesThroughNode) {
+  const auto net = random_connected_net(14, 300);
+  const Gpsr gpsr(net);
+  RouteCacheConfig config;
+  config.max_hops = 0;  // store every route from the source
+  const RouteCache cache(gpsr, config);
+  const NodeId src = 0;
+  std::vector<RouteResult> stored(net.size());
+  for (NodeId dst = 1; dst < net.size(); ++dst)
+    stored[dst] = cache.route_to_node(src, dst);
+  ASSERT_EQ(cache.stats().entries, net.size() - 1);
+  ASSERT_GE(cache.stats().entries, 100u);
+
+  const auto traverses = [](const RouteResult& r, NodeId node) {
+    return std::find(r.path.begin(), r.path.end(), node) != r.path.end();
+  };
+  // A first hop of the source: on some of its routes, not on all.
+  const NodeId dead = stored[net.size() - 1].path[1];
+  std::size_t through = 0;
+  for (NodeId dst = 1; dst < net.size(); ++dst)
+    through += traverses(stored[dst], dead) ? 1 : 0;
+  ASSERT_GT(through, 1u);
+  ASSERT_LT(through, net.size() - 2);
+
+  cache.note_dead(dead);
+  EXPECT_EQ(cache.stats().invalidated, through);
+  EXPECT_EQ(cache.stats().entries, net.size() - 1 - through);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (NodeId dst = 1; dst < net.size(); ++dst) {
+      const auto before = cache.stats();
+      RouteResult got;
+      cache.route_to_node_into(src, dst, got);
+      const bool dropped = pass == 0 && traverses(stored[dst], dead);
+      EXPECT_EQ(cache.stats().hits, before.hits + (dropped ? 0 : 1))
+          << "dst " << dst << " pass " << pass;
+      expect_same_result(got, stored[dst]);
+    }
+  }
+  EXPECT_EQ(cache.stats().entries, net.size() - 1);
 }
 
 TEST(RouteCacheSpec, ParsesOnOffAndLru) {
