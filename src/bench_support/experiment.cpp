@@ -19,11 +19,11 @@ std::vector<std::uint64_t> signature(const std::vector<storage::Event>& evs) {
 
 void record(SystemQueryStats& stats, const storage::QueryReceipt& r,
             double energy_delta_j) {
-  stats.messages.add(static_cast<double>(r.messages));
-  stats.query_messages.add(static_cast<double>(r.query_messages));
-  stats.reply_messages.add(static_cast<double>(r.reply_messages));
-  stats.index_nodes.add(static_cast<double>(r.index_nodes_visited));
-  stats.results.add(static_cast<double>(r.events.size()));
+  stats.messages.add(r.messages);
+  stats.query_messages.add(r.query_messages);
+  stats.reply_messages.add(r.reply_messages);
+  stats.index_nodes.add(r.index_nodes_visited);
+  stats.results.add(r.events.size());
   stats.energy_mj.add(energy_delta_j * 1e3);
 }
 
@@ -128,13 +128,6 @@ void print_banner(const std::string& experiment,
                   const std::string& description) {
   std::printf("\n=== %s ===\n%s\n\n", experiment.c_str(),
               description.c_str());
-}
-
-void print_banner(const std::string& experiment,
-                  const std::string& description, Testbed& testbed) {
-  std::printf("\n=== %s ===\n%s\nsystems: %s; %s\n\n", experiment.c_str(),
-              description.c_str(), testbed.pool().describe().c_str(),
-              testbed.dim().describe().c_str());
 }
 
 }  // namespace poolnet::benchsup

@@ -17,14 +17,33 @@
 
 namespace poolnet::benchsup {
 
+/// Exact integer sum over a query batch. Merging adds sums, so the merged
+/// mean is one division however the batch was split across seeds or
+/// threads.
+struct Tally {
+  std::uint64_t sum = 0, n = 0;
+  void add(std::uint64_t x) {
+    sum += x;
+    ++n;
+  }
+  void merge(const Tally& other) {
+    sum += other.sum;
+    n += other.n;
+  }
+  std::uint64_t count() const { return n; }
+  double mean() const {
+    return n ? static_cast<double>(sum) / static_cast<double>(n) : 0.0;
+  }
+};
+
 /// Per-system aggregates over a query batch.
 struct SystemQueryStats {
-  sim::RunningStat messages;        ///< total per-hop messages per query
-  sim::RunningStat query_messages;  ///< forwarding legs
-  sim::RunningStat reply_messages;  ///< retrieval legs
-  sim::RunningStat index_nodes;     ///< storage nodes visited
-  sim::RunningStat results;         ///< qualifying events returned
-  sim::RunningStat energy_mj;       ///< radio energy per query, millijoules
+  Tally messages;              ///< total per-hop messages per query
+  Tally query_messages;        ///< forwarding legs
+  Tally reply_messages;        ///< retrieval legs
+  Tally index_nodes;           ///< storage nodes visited
+  Tally results;               ///< qualifying events returned
+  sim::RunningStat energy_mj;  ///< radio energy per query, millijoules
 };
 
 struct PairedRun {
@@ -67,10 +86,5 @@ std::string fmt(double v, int prec = 1);
 /// Standard bench banner: experiment id + settings line.
 void print_banner(const std::string& experiment,
                   const std::string& description);
-
-/// Banner plus a "systems:" line built from DcsSystem::describe(), so
-/// benches never hard-code per-scheme parameter strings.
-void print_banner(const std::string& experiment,
-                  const std::string& description, Testbed& testbed);
 
 }  // namespace poolnet::benchsup

@@ -100,17 +100,6 @@ std::size_t default_threads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::vector<PairedRun> run_sweep_parallel(std::size_t n_groups,
-                                          std::vector<SweepJob> jobs,
-                                          std::size_t threads) {
-  auto results = parallel_map<PairedRun>(
-      jobs.size(), threads, [&jobs](std::size_t i) { return jobs[i].run(); });
-  std::vector<PairedRun> merged(n_groups);
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    merge_into(merged[jobs[i].group], results[i]);
-  return merged;
-}
-
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions opts;
   opts.threads = default_threads();

@@ -4,10 +4,9 @@
 // Every figure sweep is embarrassingly parallel — each Testbed owns its
 // RNGs, Networks, routers and route caches, so two testbeds never share
 // mutable state. The engine exploits that: jobs are full testbed runs
-// (deploy + insert + query batch), results come back in SUBMISSION order,
-// and the per-group merge applies the same merge_into calls in the same
-// order as the serial loop — the merged PairedRun is byte-identical at
-// any thread count.
+// (deploy + insert + query batch) and results come back in SUBMISSION
+// order, so a caller that merges them in that order (merge_into over a
+// group's seeds) gets byte-identical totals at any thread count.
 #pragma once
 
 #include <condition_variable>
@@ -20,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_support/experiment.h"
 #include "engine/query_engine.h"
 #include "obs/telemetry.h"
 #include "routing/route_cache.h"
@@ -111,22 +109,6 @@ std::vector<T> parallel_map(std::size_t n, std::size_t threads, Fn&& fn) {
     if (e) std::rethrow_exception(e);
   return out;
 }
-
-/// One unit of sweep work: produces a PairedRun that belongs to result
-/// group `group` (e.g. one network size in a Fig-6 sweep; the seeds of a
-/// size share a group).
-struct SweepJob {
-  std::size_t group = 0;
-  std::function<PairedRun()> run;
-};
-
-/// Runs every job (any order, `threads` wide) and merges each group's
-/// results IN SUBMISSION ORDER via merge_into — the exact float-operation
-/// sequence of the serial `for (seed) merge_into(acc, run)` loop, so the
-/// returned per-group PairedRuns are byte-identical at 1 or N threads.
-std::vector<PairedRun> run_sweep_parallel(std::size_t n_groups,
-                                          std::vector<SweepJob> jobs,
-                                          std::size_t threads);
 
 /// Shared bench command line, parsed through the cli::ArgParser option
 /// table so every bench and the CLI accept identical spellings:

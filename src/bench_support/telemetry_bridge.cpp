@@ -64,20 +64,6 @@ void publish_scan_stats(obs::Snapshot& snap, const std::string& prefix,
   snap.counters[prefix + ".store.scan.bytes_touched"] += stats.bytes_touched;
 }
 
-void publish_system_query_stats(obs::Snapshot& snap, const std::string& prefix,
-                                const SystemQueryStats& stats) {
-  snap.gauges[prefix + ".query.messages_mean"] = stats.messages.mean();
-  snap.gauges[prefix + ".query.query_messages_mean"] =
-      stats.query_messages.mean();
-  snap.gauges[prefix + ".query.reply_messages_mean"] =
-      stats.reply_messages.mean();
-  snap.gauges[prefix + ".query.index_nodes_mean"] = stats.index_nodes.mean();
-  snap.gauges[prefix + ".query.results_mean"] = stats.results.mean();
-  snap.gauges[prefix + ".query.energy_mj_mean"] = stats.energy_mj.mean();
-  snap.counters[prefix + ".query.count"] +=
-      static_cast<std::uint64_t>(stats.messages.count());
-}
-
 void publish_buffer_pool(obs::Snapshot& snap, const std::string& prefix,
                          const common::BufferPoolStats& stats) {
   snap.counters[prefix + ".buffers.acquires"] += stats.acquires;

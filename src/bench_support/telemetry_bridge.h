@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "bench_support/experiment.h"
 #include "bench_support/testbed.h"
 #include "common/object_pool.h"
 #include "net/network.h"
@@ -49,13 +48,6 @@ void publish_fault_stats(obs::Snapshot& snap, const std::string& prefix,
 /// how much column data the zone-map kernels actually read vs pruned.
 void publish_scan_stats(obs::Snapshot& snap, const std::string& prefix,
                         const storage::column::ScanStats& stats);
-
-/// Publishes a paired-run per-system aggregate as gauges:
-/// <prefix>.query.messages_mean, .query_messages_mean,
-/// .reply_messages_mean, .index_nodes_mean, .results_mean,
-/// .energy_mj_mean and the sample count <prefix>.query.count.
-void publish_system_query_stats(obs::Snapshot& snap, const std::string& prefix,
-                                const SystemQueryStats& stats);
 
 /// One-call scrape of a whole testbed: the registry (route caches plus
 /// whatever callers registered), the shared path pool under

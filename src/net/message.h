@@ -45,7 +45,7 @@ struct MessageSizes {
   /// many events qualify, which is the counting convention that matches
   /// the paper's near-flat Pool curves (its metric counts message
   /// exchanges, not payload volume). Finite values model real mote frame
-  /// limits; bench/ablation_reply_packing sweeps the knob.
+  /// limits; bench/paper_figures sweeps the knob (ablation_reply_packing).
   std::uint32_t events_per_message = 0;
 
   /// Reply messages needed for `events` qualifying events under the

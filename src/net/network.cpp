@@ -219,17 +219,4 @@ Network::PathDelivery Network::transmit_path(const std::vector<NodeId>& path,
 
 void Network::reset_traffic() { traffic_.clear(); }
 
-void Network::reset_all_accounting() {
-  traffic_.clear();
-  next_msg_id_ = 0;
-  for (auto& n : nodes_) {
-    n.tx_count = 0;
-    n.rx_count = 0;
-    n.retry_count = 0;
-    n.drop_count = 0;
-    n.stored_events = 0;
-    n.energy_spent_j = 0.0;
-  }
-}
-
 }  // namespace poolnet::net

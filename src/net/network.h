@@ -103,9 +103,6 @@ class Network {
   const TrafficTally& traffic() const { return traffic_; }
   void reset_traffic();
 
-  /// Clears per-node tx/rx/energy/stored counters and the global tally.
-  void reset_all_accounting();
-
   // --- hop tracing ---
   /// Attaches (or with nullptr, detaches) a hop-trace sink. Not owned.
   /// Disabled tracing costs one null-pointer test per hop. Each

@@ -5,7 +5,7 @@
 //  * Hot paths (route-cache probes, engine submits) increment through
 //    pre-resolved handles — a counter add is an indexed bump on a
 //    per-thread SHARD, no lock, no string hashing.
-//  * run_sweep_parallel runs whole testbeds concurrently; shards keep the
+//  * parallel_map runs whole testbeds concurrently; shards keep the
 //    registry contention-free (the only lock is taken once per thread, on
 //    its first touch of a registry).
 //  * Scrapes merge shards by summing unsigned integers, so the merged

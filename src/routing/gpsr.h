@@ -65,6 +65,8 @@ class Gpsr final : public Router {
   void route_to_location_into(net::NodeId src, Point dest,
                               RouteResult& out) const override;
 
+  const net::Network* network() const override { return &net_; }
+
   const PlanarGraph& planar() const { return planar_; }
 
  private:

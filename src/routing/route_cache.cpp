@@ -57,7 +57,10 @@ bool parse_route_cache_spec(const std::string& spec, RouteCacheConfig* config,
 RouteCache::RouteCache(const Router& inner, RouteCacheConfig config,
                        obs::MetricsRegistry* metrics, const std::string& prefix,
                        common::BufferPool<net::NodeId>* path_pool)
-    : inner_(inner), config_(config), path_pool_(path_pool) {
+    : inner_(inner),
+      net_(inner.network()),
+      config_(config),
+      path_pool_(path_pool) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -186,6 +189,7 @@ void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
     inner_.route_to_node_into(src, dst, out);
     return;
   }
+  forget_new_deaths();
 
   if (config_.max_bytes == 0) {
     if (node_index_.empty()) rebuild_node_index();
@@ -233,6 +237,7 @@ void RouteCache::route_to_location_into(net::NodeId src, Point dest,
     inner_.route_to_location_into(src, dest, out);
     return;
   }
+  forget_new_deaths();
 
   const Key key = location_key(src, dest);
   const auto it = map_.find(key);
@@ -268,14 +273,18 @@ void RouteCache::route_to_location_into(net::NodeId src, Point dest,
 }
 
 void RouteCache::note_dead(net::NodeId dead) const {
-  const auto traverses = [dead](const RouteResult& r) {
-    for (const net::NodeId n : r.path)
-      if (n == dead) return true;
-    return false;
+  drop_routes([dead](net::NodeId n) { return n == dead; });
+  inner_.note_dead(dead);
+}
+
+void RouteCache::drop_routes(
+    const std::function<bool(net::NodeId)>& dropped) const {
+  const auto traverses = [&dropped](const RouteResult& r) {
+    return std::any_of(r.path.begin(), r.path.end(), dropped);
   };
 
   // Flat (unbounded) node-route storage.
-  bool dropped = false;
+  bool any = false;
   for (std::size_t i = node_routes_.size(); i-- > 0;) {
     if (!traverses(node_routes_[i])) continue;
     bytes_ -= result_bytes(node_routes_[i]);
@@ -285,9 +294,9 @@ void RouteCache::note_dead(net::NodeId dead) const {
     node_keys_[i] = node_keys_.back();
     node_keys_.pop_back();
     invalidated_.inc();
-    dropped = true;
+    any = true;
   }
-  if (dropped) rebuild_node_index();
+  if (any) rebuild_node_index();
 
   // Map storage (LRU mode node routes + all location routes).
   for (auto it = map_.begin(); it != map_.end();) {
@@ -310,8 +319,6 @@ void RouteCache::note_dead(net::NodeId dead) const {
     }
   }
   entries_ = map_.size() + node_keys_.size();
-
-  inner_.note_dead(dead);
 }
 
 void RouteCache::clear() {

@@ -4,12 +4,11 @@
 // pair always yields the same path — yet Pool recomputes the same
 // splitter→cell legs for every query and DIM re-walks the same zone legs.
 // RouteCache stores each computed RouteResult and replays it verbatim, so
-// on a fault-free run the traffic ledger sees byte-identical paths whether
-// the cache is on or off; only wall-clock changes. Under faults the two
-// diverge: a stored path through a node killed after it was stored is
-// replayed (and only dropped by note_dead() once a send fails on it),
-// where an uncached route would avoid the dead node from the start, so
-// retries and message counts differ between on and off.
+// the traffic ledger sees byte-identical paths whether the cache is on or
+// off; only wall-clock changes. That holds under faults too: the cache
+// remembers the inner router's Network::dead_count(), and the first lookup
+// after it changes drops every stored path through a dead node, so no
+// path through a node killed after it was stored is ever replayed.
 //
 // Keying: node routes are keyed (src, dst). Location routes are bucketed
 // by (src, ⌊x/q⌋, ⌊y/q⌋) with q = location_quantum (the Pool α-grid, so
@@ -27,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <string>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/object_pool.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "routing/router.h"
 
@@ -173,7 +174,22 @@ class RouteCache final : public Router {
   /// Returns a dropped entry's path buffer to the pool.
   void recycle(RouteResult&& r) const;
 
+  /// Drops every stored route with a node on its path for which
+  /// `dropped(node)` holds (in both storage modes).
+  void drop_routes(const std::function<bool(net::NodeId)>& dropped) const;
+
+  /// Drops the routes through nodes killed since the last look, when the
+  /// network's dead_count() has moved.
+  void forget_new_deaths() const {
+    if (net_ != nullptr && net_->dead_count() != seen_dead_) {
+      seen_dead_ = net_->dead_count();
+      drop_routes([this](net::NodeId n) { return !net_->alive(n); });
+    }
+  }
+
   const Router& inner_;
+  const net::Network* net_;            ///< inner_.network(); may be null
+  mutable std::size_t seen_dead_ = 0;  ///< net_->dead_count() last seen
   RouteCacheConfig config_;
   common::BufferPool<net::NodeId>* path_pool_;
   mutable std::unordered_map<Key, Entry, KeyHash> map_;

@@ -5,11 +5,10 @@
 // Router is that two-method interface; Gpsr is the protocol implementation
 // and RouteCache a memoizing decorator over any Router. Systems hold a
 // `const Router&` so a testbed can interpose the cache without the systems
-// knowing. Without faults the returned RouteResult is identical either
-// way, which keeps every message count bit-identical with caching on or
-// off. Under faults it is not: a cached path through a node killed after
-// it was stored is replayed until a failed hop reports the death, while
-// an uncached route steers around the corpse from the start.
+// knowing. The returned RouteResult is identical either way, which keeps
+// every message count bit-identical with caching on or off, under faults
+// too: the cache drops every stored path through a node killed since the
+// path was stored before it serves another route.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +16,10 @@
 
 #include "common/geometry.h"
 #include "net/node.h"
+
+namespace poolnet::net {
+class Network;
+}
 
 namespace poolnet::routing {
 
@@ -74,6 +77,10 @@ class Router {
   /// because systems hold routers by const reference (caches mutate their
   /// internal, already-mutable state).
   virtual void note_dead(net::NodeId dead) const { (void)dead; }
+
+  /// The network this router routes over (null if none). Caching
+  /// decorators read its dead_count() to notice kills nobody reported.
+  virtual const net::Network* network() const { return nullptr; }
 };
 
 }  // namespace poolnet::routing

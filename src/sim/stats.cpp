@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.h"
-
 namespace poolnet::sim {
 
 void RunningStat::add(double x) {
@@ -39,48 +37,5 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double bucket_width, std::size_t bucket_count)
-    : width_(bucket_width), buckets_(bucket_count, 0) {
-  POOLNET_ASSERT(bucket_width > 0.0 && bucket_count > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < 0.0) x = 0.0;
-  const auto idx = static_cast<std::size_t>(x / width_);
-  if (idx >= buckets_.size()) {
-    ++overflow_;
-  } else {
-    ++buckets_[idx];
-  }
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  POOLNET_ASSERT(i < buckets_.size());
-  return buckets_[i];
-}
-
-double Histogram::quantile(double q) const {
-  POOLNET_ASSERT(q > 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cum += buckets_[i];
-    if (cum >= target) return width_ * static_cast<double>(i + 1);
-  }
-  return width_ * static_cast<double>(buckets_.size());  // in overflow
-}
-
-void CounterSet::add(const std::string& name, double delta) {
-  counters_[name] += delta;
-}
-
-double CounterSet::get(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
-}
 
 }  // namespace poolnet::sim

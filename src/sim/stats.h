@@ -3,9 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace poolnet::sim {
 
@@ -29,29 +26,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bucket histogram over [0, bucket_width * bucket_count); values
-/// beyond the last bucket land in an overflow bucket.
-class Histogram {
- public:
-  Histogram(double bucket_width, std::size_t bucket_count);
-
-  void add(double x);
-  std::uint64_t total() const { return total_; }
-  std::uint64_t bucket(std::size_t i) const;
-  std::size_t bucket_count() const { return buckets_.size(); }
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// Smallest x such that at least `q` (0..1] of samples are <= x,
-  /// resolved to bucket upper edges.
-  double quantile(double q) const;
-
- private:
-  double width_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 /// Recall against a ground-truth oracle, for runs where nodes die mid-run
@@ -92,19 +66,6 @@ class RecallStat {
   std::uint64_t returned_ = 0;
   std::uint64_t expected_ = 0;
   RunningStat per_query_;
-};
-
-/// Named counters; cheap string-keyed registry used by the experiment
-/// driver to expose whatever a bench wants to print.
-class CounterSet {
- public:
-  void add(const std::string& name, double delta = 1.0);
-  double get(const std::string& name) const;
-  const std::map<std::string, double>& all() const { return counters_; }
-  void clear() { counters_.clear(); }
-
- private:
-  std::map<std::string, double> counters_;
 };
 
 }  // namespace poolnet::sim

@@ -104,17 +104,6 @@ TEST(Network, TransmitPathChargesEveryHop) {
   EXPECT_EQ(net.traffic().total, 3u);
 }
 
-TEST(Network, ResetAccountingClearsEverything) {
-  auto net = make_line_network();
-  net.transmit(0, 1, MessageKind::Insert, 256);
-  net.node_mut(1).stored_events = 5;
-  net.reset_all_accounting();
-  EXPECT_EQ(net.traffic().total, 0u);
-  EXPECT_EQ(net.node(0).tx_count, 0u);
-  EXPECT_EQ(net.node(1).stored_events, 0u);
-  EXPECT_DOUBLE_EQ(net.node(0).energy_spent_j, 0.0);
-}
-
 TEST(Network, TallySubtractionGivesDeltas) {
   auto net = make_line_network();
   net.transmit(0, 1, MessageKind::Query, 64);

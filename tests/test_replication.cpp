@@ -96,7 +96,7 @@ TEST(Replication, SurvivabilityOfLoadedNodes) {
   // Load-targeted failure is the adversarial case — mirrors carry load
   // too, so the heaviest nodes hold copies of many events. Mirrors must
   // still rescue a meaningful share (random failures, the common case,
-  // recover nearly everything; see bench/replication_survivability).
+  // recover nearly everything; see bench/paper_figures).
   EXPECT_GT(report.recovered, 0u);
   EXPECT_LT(report.lost, report.primaries_lost);
 }

@@ -235,6 +235,45 @@ TEST(RouteCache, NoteDeadDropsExactlyRoutesThroughNode) {
   EXPECT_EQ(cache.stats().entries, net.size() - 1);
 }
 
+// Kills nobody reported through note_dead(): the cache reads the network's
+// dead count on every lookup, so after a kill it serves exactly what the
+// uncached router computes — node and location routes, in both storage
+// modes — and never a stored path through a dead node.
+TEST(RouteCache, KillsAreForgottenBeforeTheNextLookup) {
+  for (const std::size_t max_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    auto net = random_connected_net(15, 250);
+    const Gpsr gpsr(net);
+    RouteCacheConfig config;
+    config.max_hops = 0;  // store every route, including long legs
+    config.max_bytes = max_bytes;
+    const RouteCache cache(gpsr, config);
+    Rng rng(29);
+    const auto n = static_cast<std::int64_t>(net.size());
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 300; ++i) {
+      pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, n - 1)),
+                         static_cast<NodeId>(rng.uniform_int(0, n - 1)));
+    }
+    const auto dest = [&net](NodeId d) {
+      return Point{net.position(d).x + 1.5, net.position(d).y - 0.5};
+    };
+    for (const auto& [s, d] : pairs) {
+      cache.route_to_node(s, d);
+      cache.route_to_location(s, dest(d));
+    }
+
+    for (int k = 0; k < 25; ++k)
+      net.kill(static_cast<NodeId>(rng.uniform_int(0, n - 1)));
+    for (const auto& [s, d] : pairs) {
+      if (!net.alive(s)) continue;
+      expect_same_result(cache.route_to_node(s, d), gpsr.route_to_node(s, d));
+      expect_same_result(cache.route_to_location(s, dest(d)),
+                         gpsr.route_to_location(s, dest(d)));
+    }
+    EXPECT_GT(cache.stats().invalidated, 0u) << "max_bytes " << max_bytes;
+  }
+}
+
 TEST(RouteCacheSpec, ParsesOnOffAndLru) {
   RouteCacheConfig config;
   std::string error;
@@ -261,6 +300,10 @@ TEST(RouteCacheSpec, ParsesOnOffAndLru) {
 bool bit_identical(const sim::RunningStat& a, const sim::RunningStat& b) {
   return a.count() == b.count() &&
          std::memcmp(&a, &b, sizeof(sim::RunningStat)) == 0;
+}
+
+bool bit_identical(const benchsup::Tally& a, const benchsup::Tally& b) {
+  return a.sum == b.sum && a.n == b.n;
 }
 
 bool bit_identical(const benchsup::SystemQueryStats& a,
@@ -293,29 +336,30 @@ benchsup::PairedRun sweep_job(std::size_t size, std::uint64_t seed,
   return benchsup::run_paired_queries(tb, queries, seed * 31 + 9);
 }
 
-std::vector<benchsup::SweepJob> make_jobs(const RouteCacheConfig& rc) {
-  std::vector<benchsup::SweepJob> jobs;
+/// Two sizes x two seeds on `threads` workers, each size's seeds merged
+/// in submission order.
+std::vector<benchsup::PairedRun> sweep(const RouteCacheConfig& rc,
+                                       std::size_t threads) {
   const std::vector<std::size_t> sizes{150, 250};
-  for (std::size_t g = 0; g < sizes.size(); ++g) {
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      jobs.push_back({g, [size = sizes[g], seed, rc] {
-                        return sweep_job(size, seed, rc);
-                      }});
-    }
-  }
-  return jobs;
+  const auto runs = benchsup::parallel_map<benchsup::PairedRun>(
+      4, threads, [&](std::size_t i) {
+        return sweep_job(sizes[i / 2], i % 2 + 1, rc);
+      });
+  std::vector<benchsup::PairedRun> merged(sizes.size());
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    benchsup::merge_into(merged[i / 2], runs[i]);
+  return merged;
 }
 
 TEST(RunSweepParallel, ThreadCountIsInvisibleInResults) {
   const RouteCacheConfig rc;  // cache on, defaults
-  const auto serial = benchsup::run_sweep_parallel(2, make_jobs(rc), 1);
+  const auto serial = sweep(rc, 1);
   ASSERT_EQ(serial.size(), 2u);
   EXPECT_EQ(serial[0].pool_mismatches, 0u);
   EXPECT_EQ(serial[0].dim_mismatches, 0u);
   EXPECT_EQ(serial[0].queries, 12u);  // 6 queries x 2 seeds
   for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel =
-        benchsup::run_sweep_parallel(2, make_jobs(rc), threads);
+    const auto parallel = sweep(rc, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t g = 0; g < serial.size(); ++g) {
       EXPECT_TRUE(bit_identical(serial[g], parallel[g]))
@@ -327,8 +371,8 @@ TEST(RunSweepParallel, ThreadCountIsInvisibleInResults) {
 TEST(RunSweepParallel, RouteCacheIsInvisibleInResults) {
   RouteCacheConfig off;
   off.enabled = false;
-  const auto uncached = benchsup::run_sweep_parallel(2, make_jobs(off), 1);
-  const auto cached = benchsup::run_sweep_parallel(2, make_jobs({}), 4);
+  const auto uncached = sweep(off, 1);
+  const auto cached = sweep({}, 4);
   ASSERT_EQ(uncached.size(), cached.size());
   for (std::size_t g = 0; g < uncached.size(); ++g) {
     EXPECT_TRUE(bit_identical(uncached[g], cached[g])) << "group " << g;

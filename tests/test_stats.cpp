@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "common/assert.h"
 #include "common/rng.h"
 
 namespace poolnet::sim {
@@ -62,47 +61,6 @@ TEST(RunningStat, MergeWithEmptyIsIdentity) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(1.0, 4);  // [0,1) [1,2) [2,3) [3,4)
-  for (const double x : {0.5, 1.5, 1.9, 3.0, 10.0}) h.add(x);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, NegativeClampsToFirstBucket) {
-  Histogram h(1.0, 2);
-  h.add(-3.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-}
-
-TEST(Histogram, QuantileResolvesToBucketEdge) {
-  Histogram h(1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.1), 1.0);
-}
-
-TEST(Histogram, InvalidConfigAsserts) {
-  EXPECT_THROW(Histogram(0.0, 4), poolnet::AssertionError);
-  EXPECT_THROW(Histogram(1.0, 0), poolnet::AssertionError);
-}
-
-TEST(CounterSet, AccumulatesByName) {
-  CounterSet c;
-  c.add("msgs");
-  c.add("msgs", 2.0);
-  c.add("drops", 0.5);
-  EXPECT_DOUBLE_EQ(c.get("msgs"), 3.0);
-  EXPECT_DOUBLE_EQ(c.get("drops"), 0.5);
-  EXPECT_DOUBLE_EQ(c.get("unknown"), 0.0);
-  EXPECT_EQ(c.all().size(), 2u);
 }
 
 }  // namespace
