@@ -9,7 +9,9 @@
 // shell-bounded k-NN must not visit more storage nodes than GHT's flood
 // baseline. Writes the `query_classes` bench section
 // (BENCH_query_classes.json; scripts/merge_perf_section.py folds it into
-// BENCH_perf.json behind scripts/check_perf_regression.py).
+// BENCH_perf.json behind scripts/check_perf_regression.py). With the
+// default options the output is an exact ledger: ctest's
+// query_classes_ledger compares it byte for byte with the committed file.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -71,10 +71,13 @@ fi
 # The query-class arm: range vs skyline vs k-NN through the unified
 # execute() surface on Pool/DIM/GHT, every result set checked against the
 # canonical kernels and Pool's pruning pinned against the flood baseline.
+# It writes under the build directory: the committed
+# BENCH_query_classes.json is the ledger ctest's query_classes_ledger
+# compares against, byte for byte.
 if [[ -x "$QUERY_CLASSES" ]]; then
-  "$QUERY_CLASSES" --json BENCH_query_classes.json
+  "$QUERY_CLASSES" --json "$BUILD/BENCH_query_classes.json"
   python3 scripts/merge_perf_section.py BENCH_perf.json \
-    BENCH_query_classes.json query_classes
+    "$BUILD/BENCH_query_classes.json" query_classes
 fi
 
 if [[ -x "$CLI" ]]; then

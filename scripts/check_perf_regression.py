@@ -289,6 +289,10 @@ def check_query_classes_section(current: dict) -> None:
       * skyline/knn_pool_visits_leq_flood == true — Pool's dominance
         pruning (skyline) and shell-bounded expansion (k-NN) must not
         visit more storage nodes than GHT's flood baseline.
+
+    The per-class message and visit counts are not repeated here: ctest's
+    query_classes_ledger pins them byte for byte against the committed
+    BENCH_query_classes.json.
     """
     section = current.get("query_classes")
     if section is None:
@@ -309,12 +313,6 @@ def check_query_classes_section(current: dict) -> None:
                  "pruning visited more nodes than the flood baseline")
         else:
             print(f"ok: Pool {label} visits <= flood baseline")
-
-    for row in section.get("classes", []):
-        pool, ght = row.get("pool", {}), row.get("ght", {})
-        print(f"note: {row.get('class')} -> pool {pool.get('messages')} "
-              f"msgs/{pool.get('visits')} visits, ght {ght.get('messages')} "
-              f"msgs/{ght.get('visits')} visits")
 
 
 if __name__ == "__main__":

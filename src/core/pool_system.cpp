@@ -5,12 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
+#include "storage/column/row_kernels.h"
 
 namespace poolnet::core {
 
@@ -588,12 +588,6 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
     const storage::SkylineQuery& q;
     const std::vector<Candidate>& cands;
     std::vector<Event> collected;
-    // Per-cell scratch, reused across visits.
-    std::vector<std::uint32_t> rows;    ///< primary rows, insertion order
-    std::vector<double> vals;           ///< their selected values, row-major
-    std::vector<double> sums;           ///< Σ selected values per row
-    std::vector<std::uint32_t> order;   ///< indices into rows, sorted
-    std::vector<std::uint32_t> local;   ///< the local skyline found so far
 
     // The pruning rule: a cell whose corner is dominated by an already-
     // collected point can only hold dominated events (strictness against
@@ -603,61 +597,14 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
     }
     // The cell reduces its residents to their LOCAL skyline before
     // replying — an event dominated within its own cell is dominated
-    // globally, so reply volume shrinks with correctness untouched.
+    // globally, so reply volume shrinks with correctness untouched. The
+    // reply walks it in insertion order, as every cell-local scan does.
     void visit(const CellVisit& c, HolderTally& tally) {
-      const std::size_t k = q.attr_count();
-      rows.clear();
-      vals.clear();
-      sums.clear();
-      for (std::size_t row = 0; row < c.rows.size(); ++row) {
-        if (c.rows.replica_at(row)) continue;
-        rows.push_back(static_cast<std::uint32_t>(row));
-        double sum = 0.0;
-        for (std::size_t d = 0; d < q.dims(); ++d) {
-          if (!q.on(d)) continue;
-          vals.push_back(c.rows.value_at(row, d));
-          sum += vals.back();
-        }
-        sums.push_back(sum);
-      }
-      const auto at = [&](std::uint32_t i) { return &vals[i * k]; };
-      // Sort-filter: by descending sum, then descending selected values,
-      // then row. A dominator is >= everywhere and > somewhere, so its
-      // rounded sum is >= (addition is monotone) and, on a tied sum, it is
-      // lexicographically greater: every dominator precedes the rows it
-      // dominates. Dominance is transitive, so testing each row against
-      // the local skyline found so far is exact.
-      order.resize(rows.size());
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  if (sums[a] != sums[b]) return sums[a] > sums[b];
-                  const double* va = at(a);
-                  const double* vb = at(b);
-                  for (std::size_t j = 0; j < k; ++j)
-                    if (va[j] != vb[j]) return va[j] > vb[j];
-                  return a < b;
-                });
-      const auto dominates = [&](const double* a, const double* b) {
-        bool strict = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (a[j] < b[j]) return false;
-          if (a[j] > b[j]) strict = true;
-        }
-        return strict;
-      };
-      local.clear();
-      for (const std::uint32_t i : order) {
-        if (std::none_of(local.begin(), local.end(), [&](std::uint32_t s) {
-              return dominates(at(s), at(i));
-            }))
-          local.push_back(i);
-      }
-      // Reply in insertion order, as every other cell-local scan does.
-      std::sort(local.begin(), local.end());
-      for (const std::uint32_t i : local) {
-        tally.add(c.rows.holder_at(rows[i]));
-        Event e = c.rows.event_at(rows[i]);
+      std::vector<std::uint32_t> local;
+      storage::column::skyline_rows(c.rows, q, /*skip_replicas=*/true, local);
+      for (const std::uint32_t row : local) {
+        tally.add(c.rows.holder_at(row));
+        Event e = c.rows.event_at(row);
         if (storage::skyline_admits(q, collected, e.values))
           collected.push_back(std::move(e));
       }
@@ -665,7 +612,7 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  Visitor v{{}, q, cands, {}, {}, {}, {}, {}, {}};
+  Visitor v{{}, q, cands, {}};
   receipt.index_nodes_visited = visit_relevant(sink, plan, v);
   storage::skyline_filter(q, v.collected);
   receipt.events = std::move(v.collected);
@@ -683,15 +630,11 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
     // chooses WHICH cells to visit; reporting the true local optimum
     // means a visited cell never needs re-querying when the box grows.
     void visit(const CellVisit& c, HolderTally& tally) {
-      std::vector<Event> local;
-      for (std::size_t row = 0; row < c.rows.size(); ++row)
-        if (!c.rows.replica_at(row)) local.push_back(c.rows.event_at(row));
-      storage::knn_filter(q, local);
-      for (Event& e : local) {
-        std::size_t row = 0;
-        while (c.rows.replica_at(row) || c.rows.id_at(row) != e.id) ++row;
+      std::vector<std::uint32_t> local;
+      storage::column::knn_rows(c.rows, q, /*skip_replicas=*/true, local);
+      for (const std::uint32_t row : local) {
         tally.add(c.rows.holder_at(row));
-        cand.push_back(std::move(e));
+        cand.push_back(c.rows.event_at(row));
       }
     }
     // The sink keeps only the running top-k.

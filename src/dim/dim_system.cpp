@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "storage/column/row_kernels.h"
 
 namespace poolnet::dim {
 
@@ -161,10 +162,14 @@ std::vector<Event> DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
                   [&] { return representative(leaf); });
   if (owner == net::kNoNode) return {};
   ++receipt.index_nodes_visited;
-  std::vector<Event> local = zone_store(leaf);
-  reduce(local);
-  if (!legs_.reply(owner, sink, static_cast<std::uint32_t>(local.size())))
-    local.clear();
+  const auto& cs = store_[leaf];
+  std::vector<std::uint32_t> rows;
+  reduce(cs, rows);
+  std::vector<Event> local;
+  if (!legs_.reply(owner, sink, static_cast<std::uint32_t>(rows.size())))
+    return local;
+  local.reserve(rows.size());
+  for (const std::uint32_t row : rows) local.push_back(cs.event_at(row));
   return local;
 }
 
@@ -225,9 +230,11 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
     if (!storage::skyline_admits(q, collected, c.corner)) continue;
     // The owner replies with its LOCAL skyline: an event dominated within
     // its own zone is dominated globally.
-    for (Event& e : visit_leaf(sink, c.leaf, receipt, [&](auto& local) {
-           storage::skyline_filter(q, local);
-         }))
+    for (Event& e : visit_leaf(sink, c.leaf, receipt,
+                               [&](const auto& cs, auto& rows) {
+                                 storage::column::skyline_rows(cs, q, false,
+                                                               rows);
+                               }))
       if (storage::skyline_admits(q, collected, e.values))
         collected.push_back(std::move(e));
   }
@@ -254,9 +261,10 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
       // The owner answers with its local top-k, box or not — the box
       // only picks WHICH zones to visit, so a visited zone never needs
       // re-querying when the ring later grows.
-      const auto local = visit_leaf(sink, leaf, receipt, [&](auto& events) {
-        storage::knn_filter(q, events);
-      });
+      const auto local =
+          visit_leaf(sink, leaf, receipt, [&](const auto& cs, auto& rows) {
+            storage::column::knn_rows(cs, q, false, rows);
+          });
       if (local.empty()) continue;
       cand.insert(cand.end(), local.begin(), local.end());
       storage::knn_filter(q, cand);  // sink keeps only the running top-k
@@ -409,15 +417,6 @@ std::size_t DimSystem::expire_before(double cutoff) {
   }
   stored_count_ -= removed;
   return removed;
-}
-
-std::vector<Event> DimSystem::zone_store(ZoneIndex leaf) const {
-  POOLNET_ASSERT(leaf < store_.size());
-  std::vector<Event> out;
-  const auto& cs = store_[leaf];
-  out.reserve(cs.size());
-  cs.for_each([&](std::size_t row) { out.push_back(cs.event_at(row)); });
-  return out;
 }
 
 }  // namespace poolnet::dim

@@ -56,10 +56,6 @@ class DimSystem final : public storage::DcsSystem {
     return &scan_stats_;
   }
 
-  /// Events resident in a given leaf zone, materialized from the column
-  /// store in insertion order (diagnostics, load analysis).
-  std::vector<storage::Event> zone_store(ZoneIndex leaf) const;
-
   /// Number of leaf zones a query must visit (pruning diagnostic).
   std::size_t relevant_zone_count(const storage::RangeQuery& q) const {
     return tree_.leaves_overlapping(q).size();
@@ -117,8 +113,9 @@ class DimSystem final : public storage::DcsSystem {
                    LeafFn&& on_leaf);
 
   /// Skyline's and k-NN's direct visit: query leg sink → leaf owner, the
-  /// owner applies `reduce` to its residents, the reduced events reply.
-  /// Returns them once they reached the sink (empty otherwise).
+  /// owner runs `reduce(store, rows)` over its leaf's ColumnStore to pick
+  /// the rows it replies with, and only those rows become events. Returns
+  /// them once they reached the sink (empty otherwise).
   template <typename Reduce>
   std::vector<storage::Event> visit_leaf(net::NodeId sink, ZoneIndex leaf,
                                          storage::QueryReceipt& receipt,

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "common/error.h"
+#include "storage/column/row_kernels.h"
 
 namespace poolnet::ght {
 
@@ -18,14 +19,6 @@ std::uint64_t mix(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// Every event a home node holds, in insertion order.
-std::vector<Event> all_events(const storage::column::ColumnStore& cs) {
-  std::vector<Event> out;
-  out.reserve(cs.size());
-  cs.for_each([&](std::size_t row) { out.push_back(cs.event_at(row)); });
-  return out;
 }
 }  // namespace
 
@@ -223,17 +216,18 @@ QueryReceipt GhtSystem::skyline(net::NodeId sink,
   // home is dominated globally) and the sink merges.
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  std::vector<Event> local;
+  const storage::column::ColumnStore* home = nullptr;
+  std::vector<std::uint32_t> local;
   receipt.index_nodes_visited = flood_collect(
       sink, false,
       [&](const auto& cs) {
-        local = all_events(cs);
-        storage::skyline_filter(q, local);
+        home = &cs;
+        storage::column::skyline_rows(cs, q, false, local);
         return local.size();
       },
       [&] {
-        receipt.events.insert(receipt.events.end(), local.begin(),
-                              local.end());
+        for (const std::uint32_t row : local)
+          receipt.events.push_back(home->event_at(row));
       });
   storage::skyline_filter(q, receipt.events);
   receipt.cost() = storage::cost_of(net_.traffic() - before);
@@ -248,17 +242,18 @@ QueryReceipt GhtSystem::k_nearest(net::NodeId sink,
   QueryReceipt receipt;
   const auto before = net_.traffic();
   receipt.rounds = 1;
-  std::vector<Event> local;
+  const storage::column::ColumnStore* home = nullptr;
+  std::vector<std::uint32_t> local;
   receipt.index_nodes_visited = flood_collect(
       sink, false,
       [&](const auto& cs) {
-        local = all_events(cs);
-        storage::knn_filter(q, local);
+        home = &cs;
+        storage::column::knn_rows(cs, q, false, local);
         return local.size();
       },
       [&] {
-        receipt.events.insert(receipt.events.end(), local.begin(),
-                              local.end());
+        for (const std::uint32_t row : local)
+          receipt.events.push_back(home->event_at(row));
         storage::knn_filter(q, receipt.events);  // the running top-k
       });
   storage::knn_filter(q, receipt.events);

@@ -58,6 +58,7 @@ class ColumnStore {
   }
 
   std::size_t dims() const { return dims_; }
+  bool has_meta() const { return with_meta_; }
   std::size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
 
@@ -97,6 +98,8 @@ class ColumnStore {
   }
   net::NodeId holder_at(std::size_t row) const { return holders_[row]; }
   bool replica_at(std::size_t row) const { return replica_[row] != 0; }
+  /// Attribute `d`'s column, size() doubles in row order.
+  const double* column(std::size_t d) const { return cols_[d].data(); }
 
   // Block-level views for scans whose veto predicate is not a rectangle
   // (skyline dominance, k-NN shell distance). The zone maps are the same

@@ -28,6 +28,8 @@ void DcsSystem::validate(const QueryRequest& request) const {
   if (request.cls() == QueryClass::KNearest &&
       !(request.k_nearest().initial_radius >= 0.0))
     throw ConfigError(name() + ": k-NN initial radius must not be negative");
+  if (request.cls() == QueryClass::KNearest && request.k_nearest().k == 0)
+    throw ConfigError(name() + ": k-NN needs k >= 1");
 }
 
 QueryReceipt DcsSystem::dispatch(net::NodeId sink,

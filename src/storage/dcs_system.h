@@ -154,7 +154,8 @@ class DcsSystem {
   /// retrieval (the paper's metric). Throws ConfigError, before any
   /// traffic, when the request does not fit this deployment: its
   /// dimensionality differs from dims(), an aggregate's value_dim is not
-  /// below dims(), or a k-NN initial_radius is negative.
+  /// below dims(), or a k-NN asks for k = 0 or has a negative
+  /// initial_radius.
   QueryReceipt execute(net::NodeId sink, const QueryRequest& request);
 
   /// Evaluate several requests issued together from one sink. Every

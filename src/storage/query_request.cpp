@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 
+#include "common/assert.h"
 #include "common/error.h"
 
 namespace poolnet::storage {
@@ -102,24 +103,6 @@ std::ostream& operator<<(std::ostream& os, const QueryRequest& r) {
   return os;
 }
 
-void skyline_filter(const SkylineQuery& q, std::vector<Event>& candidates) {
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Event& a, const Event& b) { return a.id < b.id; });
-  std::vector<Event> keep;
-  keep.reserve(candidates.size());
-  for (const Event& e : candidates) {
-    bool dominated = false;
-    for (const Event& other : candidates) {
-      if (q.dominates(other.values, e.values)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) keep.push_back(e);
-  }
-  candidates.swap(keep);
-}
-
 bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
                     const Values& values) {
   for (const Event& e : collected)
@@ -127,35 +110,9 @@ bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
   return true;
 }
 
-void knn_filter(const KNearestQuery& q, std::vector<Event>& candidates) {
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const Event& a, const Event& b) {
-              const double da = squared_distance(q.target, a.values);
-              const double db = squared_distance(q.target, b.values);
-              if (da != db) return da < db;
-              return a.id < b.id;
-            });
-  // Distributed collection can hand the same event to the sink twice
-  // (mirrors, overlapping shells); keep the first of each id.
-  std::vector<Event> keep;
-  keep.reserve(std::min(candidates.size(), q.k));
-  for (const Event& e : candidates) {
-    if (keep.size() == q.k) break;
-    bool dup = false;
-    for (const Event& k : keep)
-      if (k.id == e.id) {
-        dup = true;
-        break;
-      }
-    if (!dup) keep.push_back(e);
-  }
-  candidates.swap(keep);
-}
-
 double knn_kth_distance2(const KNearestQuery& q,
                          const std::vector<Event>& candidates) {
-  if (q.k == 0)  // degenerate: nothing wanted, everything prunable
-    return -std::numeric_limits<double>::infinity();
+  POOLNET_ASSERT(q.k > 0);  // execute() rejects k = 0
   if (candidates.size() < q.k)
     return std::numeric_limits<double>::infinity();
   return squared_distance(q.target, candidates[q.k - 1].values);

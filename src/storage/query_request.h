@@ -65,7 +65,7 @@ class SkylineQuery {
 /// attribute space (Euclidean).
 struct KNearestQuery {
   Values target;       ///< query point, each coordinate in [0, 1]
-  std::size_t k = 1;   ///< how many neighbors to return
+  std::size_t k = 1;   ///< how many neighbors to return; at least 1
 
   /// First half-width of the expanding search box; 0 picks the system
   /// default. A schedule knob only — the answer never depends on it.
@@ -136,10 +136,13 @@ std::ostream& operator<<(std::ostream& os, const QueryRequest& r);
 //
 // Every system reduces its distributed answer to these local kernels at
 // the sink, so cross-system results are byte-identical by construction.
+// skyline_filter and knn_filter are the Event-vector entry points of the
+// same cores the stores run over their rows (storage/column/row_kernels.h).
 
 /// Filters `candidates` down to its skyline, canonically ordered by
-/// ascending event id. O(n * skyline) pairwise scan — candidates at the
-/// sink are already reduced by distributed pruning.
+/// ascending event id (input order among equal ids). A sort-filter:
+/// O(n log n) to order the candidates, then each is tested only against
+/// the skyline found so far.
 void skyline_filter(const SkylineQuery& q, std::vector<Event>& candidates);
 
 /// True when no event in `collected` dominates `values`.
@@ -148,11 +151,13 @@ bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
 
 /// Reduces `candidates` to the k nearest to `q.target`, ordered by
 /// (squared distance, id) ascending — nearest first, deterministic ties.
+/// The first candidate of each id is kept; a partial sort selects them.
 void knn_filter(const KNearestQuery& q, std::vector<Event>& candidates);
 
 /// The squared distance of the current k-th best in a knn_filter-ordered
 /// candidate list, or +infinity while fewer than k are held. The search
 /// may stop expanding once this is <= the covered shell radius squared.
+/// Requires k >= 1 (DcsSystem::execute rejects k = 0).
 double knn_kth_distance2(const KNearestQuery& q,
                          const std::vector<Event>& candidates);
 

@@ -3,8 +3,9 @@
 // Three contracts, held over every system (Pool, DIM, GHT and both
 // central stores):
 //  * a request that does not fit the deployment — wrong dimensionality,
-//    an aggregate value_dim outside it, a negative k-NN initial radius —
-//    throws ConfigError before a single message is charged;
+//    an aggregate value_dim outside it, a k-NN with k = 0 or a negative
+//    initial radius — throws ConfigError before a single message is
+//    charged;
 //  * a mixed batch (ranges, skyline, k-NN, aggregate) answers exactly what
 //    execute() answers one request at a time on a twin deployment: the
 //    members that run alone keep their exact cost, and on ideal links the
@@ -107,10 +108,11 @@ class Deployment {
   std::vector<Member> members_;
 };
 
-KNearestQuery knn(Values target, double initial_radius = 0.0) {
+KNearestQuery knn(Values target, double initial_radius = 0.0,
+                  std::size_t k = 3) {
   KNearestQuery q;
   q.target = target;
-  q.k = 3;
+  q.k = k;
   q.initial_radius = initial_radius;
   return q;
 }
@@ -129,7 +131,9 @@ TEST(ExecuteValidation, MisfitRequestsThrowBeforeAnyTraffic) {
       AggregateQuery{r3, AggregateKind::Max, 5},
       // negative (or no) initial radius
       knn({0.5, 0.5, 0.5}, -0.1),
-      knn({0.5, 0.5, 0.5}, std::numeric_limits<double>::quiet_NaN())};
+      knn({0.5, 0.5, 0.5}, std::numeric_limits<double>::quiet_NaN()),
+      // k = 0: nothing to find, so no search may run
+      knn({0.5, 0.5, 0.5}, 0.0, 0)};
 
   Deployment d(3);
   for (const auto& [sys, net] : d.members()) {
