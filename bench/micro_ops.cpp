@@ -110,6 +110,37 @@ void BM_GpsrRouteAcrossField(benchmark::State& state) {
 }
 BENCHMARK(BM_GpsrRouteAcrossField);
 
+void BM_TransmitPath(benchmark::State& state) {
+  // The per-hop ledger every routed message pays: one fixed cross-field
+  // GPSR path on the paper's largest (2700-node) deployment, charged hop
+  // by hop through Network::transmit_path (link check, ARQ, counters,
+  // energy). `hop_time` is the time per charged hop.
+  static benchsup::Testbed tb = [] {
+    benchsup::TestbedConfig config;
+    config.nodes = 2700;
+    config.seed = 1;
+    return benchsup::Testbed(config);
+  }();
+  net::Network& network = tb.pool_network();
+  const auto path =
+      tb.pool_gpsr()
+          .route_to_node(network.nearest_node({0, 0}),
+                         network.nearest_node({network.field().max_x,
+                                               network.field().max_y}))
+          .path;
+  const auto bits = network.sizes().query_bits(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        network.transmit_path(path, net::MessageKind::Query, bits));
+  }
+  state.counters["hops"] = static_cast<double>(path.size() - 1);
+  state.counters["hop_time"] = benchmark::Counter(
+      static_cast<double>(path.size() - 1),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TransmitPath);
+
 void BM_CachedRouteAcrossField(benchmark::State& state) {
   // Same cross-field route through a RouteCache: after the first miss every
   // iteration is a hash lookup plus a RouteResult copy. (max_hops = 0

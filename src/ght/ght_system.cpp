@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <queue>
 
 #include "common/error.h"
 #include "storage/column/row_kernels.h"
@@ -128,16 +127,18 @@ std::size_t GhtSystem::charge_flood(net::NodeId sink) {
   // tree edge is one Query transmission. (Real floods cost MORE — every
   // node transmits regardless of tree membership — so this undercounts in
   // GHT's favor; Pool still wins by orders of magnitude.)
-  std::vector<char> seen(net_.size(), 0);
-  std::queue<net::NodeId> frontier;
   if (!net_.alive(sink)) return 0;
-  frontier.push(sink);
+  std::vector<char>& seen = flood_seen_;
+  std::vector<net::NodeId>& frontier = flood_frontier_;
+  seen.assign(net_.size(), 0);
+  frontier.clear();
+  frontier.push_back(sink);
   seen[sink] = 1;
-  std::size_t reached = 1;
   const auto bits = net_.sizes().query_bits(dims_);
-  while (!frontier.empty()) {
-    const net::NodeId u = frontier.front();
-    frontier.pop();
+  // Every reached node is pushed once, so the vector is the FIFO queue:
+  // `head` walks it in BFS order while the tail grows.
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const net::NodeId u = frontier[head];
     for (const net::NodeId v : net_.neighbors(u)) {
       if (seen[v]) continue;
       // Broadcasts are unacked: a dead neighbor simply never rebroadcasts,
@@ -145,11 +146,10 @@ std::size_t GhtSystem::charge_flood(net::NodeId sink) {
       if (!net_.alive(v)) continue;
       seen[v] = 1;
       net_.transmit(u, v, net::MessageKind::Query, bits);
-      frontier.push(v);
-      ++reached;
+      frontier.push_back(v);
     }
   }
-  return reached;
+  return frontier.size();
 }
 
 template <class Local, class Keep>

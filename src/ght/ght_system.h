@@ -119,8 +119,9 @@ class GhtSystem final : public storage::DcsSystem {
                             Keep&& keep);
 
   /// Charges a network-wide flood rooted at `sink` (each node rebroadcasts
-  /// once: n-1 Query transmissions over a BFS tree) and returns per-node
-  /// visit order. The tree is recomputed per call — GHT keeps no state.
+  /// once: n-1 Query transmissions over a BFS tree) and returns the number
+  /// of nodes reached. The tree is recomputed per call — GHT keeps no
+  /// routing state; only the BFS buffers below persist.
   std::size_t charge_flood(net::NodeId sink);
 
   net::Network& net_;
@@ -140,6 +141,11 @@ class GhtSystem final : public storage::DcsSystem {
   /// Nodes whose failure has already been absorbed (failover is
   /// idempotent per node). Allocated lazily on the first failure.
   std::vector<char> known_dead_;
+
+  /// charge_flood's scratch, reused across floods: reached-node marks
+  /// and the BFS frontier, kept as a vector read front to back.
+  std::vector<char> flood_seen_;
+  std::vector<net::NodeId> flood_frontier_;
 };
 
 }  // namespace poolnet::ght

@@ -1,6 +1,8 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/assert.h"
 #include "common/error.h"
@@ -24,6 +26,7 @@ Network::Network(std::vector<Point> positions, Rect field,
                  std::uint64_t loss_seed)
     : field_(field),
       radio_range_(radio_range_m),
+      range_sq_(radio_range_m * radio_range_m),
       sizes_(sizes),
       energy_(energy),
       loss_(loss),
@@ -38,34 +41,24 @@ Network::Network(std::vector<Point> positions, Rect field,
     nodes_[i].id = static_cast<NodeId>(i);
     nodes_[i].pos = positions[i];
   }
-  // Neighbor tables via the spatial index (the paper's periodic beacons).
-  // The scan itself is unsorted (cheaper); the filtered table is then
-  // sorted because are_neighbors binary-searches it.
+  // Neighbor tables via the spatial index (the paper's periodic beacons),
+  // one CSR row per node. The scan itself is unsorted (cheaper); each row
+  // is then sorted so neighbor order is by id.
+  adj_offsets_.reserve(nodes_.size() + 1);
+  adj_offsets_.push_back(0);
   std::vector<std::size_t> near;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     index_.within(nodes_[i].pos, radio_range_, near, /*sorted=*/false);
-    auto& nb = nodes_[i].neighbors;
-    nb.reserve(near.size());
+    const auto row = static_cast<std::ptrdiff_t>(adj_ids_.size());
     for (const std::size_t j : near) {
-      if (j != i) nb.push_back(static_cast<NodeId>(j));
+      if (j != i) adj_ids_.push_back(static_cast<NodeId>(j));
     }
-    std::sort(nb.begin(), nb.end());
+    std::sort(adj_ids_.begin() + row, adj_ids_.end());
+    if (adj_ids_.size() > std::numeric_limits<std::uint32_t>::max())
+      throw ConfigError("Network: too many links for 32-bit row offsets");
+    adj_offsets_.push_back(static_cast<std::uint32_t>(adj_ids_.size()));
   }
-}
-
-const Node& Network::node(NodeId id) const {
-  POOLNET_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-Node& Network::node_mut(NodeId id) {
-  POOLNET_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-bool Network::are_neighbors(NodeId a, NodeId b) const {
-  const auto& nb = node(a).neighbors;
-  return std::binary_search(nb.begin(), nb.end(), b);
+  adj_ids_.shrink_to_fit();
 }
 
 NodeId Network::nearest_node(Point p) const {
@@ -121,7 +114,7 @@ bool Network::is_connected() const {
     const NodeId u = stack.back();
     stack.pop_back();
     ++visited;
-    for (const NodeId v : nodes_[u].neighbors) {
+    for (const NodeId v : neighbors(u)) {
       if (!seen[v]) {
         seen[v] = 1;
         stack.push_back(v);
@@ -133,9 +126,8 @@ bool Network::is_connected() const {
 
 double Network::average_degree() const {
   if (nodes_.empty()) return 0.0;
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n.neighbors.size();
-  return static_cast<double>(total) / static_cast<double>(nodes_.size());
+  return static_cast<double>(adj_ids_.size()) /
+         static_cast<double>(nodes_.size());
 }
 
 bool Network::transmit(NodeId from, NodeId to, MessageKind kind,
@@ -145,9 +137,14 @@ bool Network::transmit(NodeId from, NodeId to, MessageKind kind,
 
 bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
                            std::uint64_t bits, std::uint64_t msg_id,
-                           std::uint16_t hop_index) {
+                           std::uint32_t hop_index) {
   if (from == to) return true;  // local delivery, no radio use
-  POOLNET_ASSERT_MSG(are_neighbors(from, to),
+  POOLNET_ASSERT(from < nodes_.size() && to < nodes_.size());
+  // The neighbor predicate itself, on the squared distance the table was
+  // built from ((a-b)^2 == (b-a)^2 exactly), so no table lookup is needed
+  // and the energy charge below reuses the same distance.
+  const double d2 = distance_sq(nodes_[from].pos, nodes_[to].pos);
+  POOLNET_ASSERT_MSG(within_reach(d2, range_sq_),
                      "transmit between non-neighbors");
   Node& src = nodes_[from];
   Node& dst = nodes_[to];
@@ -175,8 +172,7 @@ bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
 
   src.tx_count += attempts;
   src.retry_count += attempts - 1;
-  const double d = distance(src.pos, dst.pos);
-  const double tx_e = energy_.tx_cost(bits, d) * attempts;
+  const double tx_e = energy_.tx_cost(bits, std::sqrt(d2)) * attempts;
   src.energy_spent_j += tx_e;
   traffic_.by_kind[static_cast<std::size_t>(kind)] += attempts;
   traffic_.total += attempts;
@@ -207,7 +203,7 @@ Network::PathDelivery Network::transmit_path(const std::vector<NodeId>& path,
   const std::uint64_t msg_id = next_msg_id_++;
   for (std::size_t i = 1; i < path.size(); ++i) {
     if (!transmit_hop(path[i - 1], path[i], kind, bits, msg_id,
-                      static_cast<std::uint16_t>(i - 1))) {
+                      static_cast<std::uint32_t>(i - 1))) {
       out.complete = false;
       return out;
     }

@@ -4,12 +4,23 @@
 // evaluation metric. Routing layers compute paths; every per-hop
 // transmission must be charged through transmit() / transmit_path() so the
 // ledger (TrafficTally + per-node counters + energy) stays consistent.
+//
+// Topology is flat: the node records (position, alive bit, counters) sit
+// in one contiguous array and the neighbor tables in one CSR adjacency
+// (row offsets plus ids, ascending within each row), so neighbors() is a
+// span into a shared array, not a per-node heap vector. The accessors
+// GPSR calls per neighbor (node, alive, position, neighbors) are inline
+// and keep their bounds assertions. A hop's link check is O(1): neighbors
+// are by definition the nodes within radio range, so transmit_hop tests
+// the same within_reach predicate on the same squared distance the table
+// was built from, and reuses that distance for the energy charge.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "net/message.h"
@@ -34,14 +45,29 @@ class Network {
   std::size_t size() const { return nodes_.size(); }
   const Rect& field() const { return field_; }
   double radio_range() const { return radio_range_; }
-  const Node& node(NodeId id) const;
-  Node& node_mut(NodeId id);
+  const Node& node(NodeId id) const {
+    POOLNET_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  Node& node_mut(NodeId id) {
+    POOLNET_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  /// Per-node state, indexed by NodeId.
   const std::vector<Node>& nodes() const { return nodes_; }
   Point position(NodeId id) const { return node(id).pos; }
-  const std::vector<NodeId>& neighbors(NodeId id) const {
-    return node(id).neighbors;
+  /// Ids within radio range of `id` (itself excluded), ascending.
+  std::span<const NodeId> neighbors(NodeId id) const {
+    POOLNET_ASSERT(id < nodes_.size());
+    return {adj_ids_.data() + adj_offsets_[id],
+            adj_ids_.data() + adj_offsets_[id + 1]};
   }
-  bool are_neighbors(NodeId a, NodeId b) const;
+  /// Whether `a` and `b` are distinct nodes within radio range: the
+  /// relation neighbors() tabulates, evaluated in O(1).
+  bool are_neighbors(NodeId a, NodeId b) const {
+    return a != b && within_reach(distance_sq(position(a), position(b)),
+                                  range_sq_);
+  }
 
   /// Node nearest to an arbitrary location (the GHT-style "home node").
   NodeId nearest_node(Point p) const;
@@ -79,7 +105,8 @@ class Network {
   const LinkLossModel& loss_model() const { return loss_; }
 
   /// Charge one hop from `from` to `to` (must be neighbors or equal; a
-  /// self-delivery charges nothing). Returns true when the frame was
+  /// self-delivery charges nothing; out-of-range ids or a hop between
+  /// non-neighbors throws AssertionError). Returns true when the frame was
   /// delivered. A dead sender transmits nothing (false, nothing charged).
   /// A dead receiver never acks: the sender burns its full ARQ attempt
   /// budget (all charged as messages + TX energy, no RX), the frame
@@ -115,11 +142,16 @@ class Network {
   /// One charged hop of message `msg_id` at position `hop_index`.
   bool transmit_hop(NodeId from, NodeId to, MessageKind kind,
                     std::uint64_t bits, std::uint64_t msg_id,
-                    std::uint16_t hop_index);
+                    std::uint32_t hop_index);
 
   std::vector<Node> nodes_;
+  /// CSR neighbor tables: node i's neighbors are
+  /// adj_ids_[adj_offsets_[i] .. adj_offsets_[i + 1]), ascending.
+  std::vector<std::uint32_t> adj_offsets_;
+  std::vector<NodeId> adj_ids_;
   Rect field_;
   double radio_range_;
+  double range_sq_;
   MessageSizes sizes_;
   sim::EnergyModel energy_;
   LinkLossModel loss_;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/geometry.h"
 
@@ -15,18 +14,19 @@ using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
 /// A sensor node. Position is fixed after deployment (static sensornet, as
-/// in the paper). Counters are maintained by Network::transmit_* and by the
-/// DCS systems (stored_events).
+/// in the paper). Node records are the one copy of each position: they sit
+/// in one contiguous array (Network::nodes(), indexed by id), while the
+/// neighbor tables live in Network's CSR adjacency, not here. Counters are
+/// maintained by Network::transmit_* and by the DCS systems
+/// (stored_events).
 struct Node {
   NodeId id = kNoNode;
-  Point pos;
 
   /// False once a fault plan crashes the node: it stops forwarding,
   /// acking, and answering; its stored events are gone with it.
   bool alive = true;
 
-  /// Neighbor ids within radio range, sorted by id (built by Network).
-  std::vector<NodeId> neighbors;
+  Point pos;
 
   // --- accounting ---
   std::uint64_t tx_count = 0;       ///< messages transmitted

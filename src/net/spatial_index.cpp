@@ -83,9 +83,8 @@ void SpatialIndex::within(Point q, double radius,
         cell_offsets_[row + static_cast<std::size_t>(x_hi) + 1];
     for (std::uint32_t k = begin; k < end; ++k) {
       const std::uint32_t idx = cell_ids_[k];
-      const double dx = xs_[idx] - q.x;
-      const double dy = ys_[idx] - q.y;
-      if (dx * dx + dy * dy <= r2) out.push_back(idx);
+      if (within_reach(distance_sq({xs_[idx], ys_[idx]}, q), r2))
+        out.push_back(idx);
     }
   }
   if (sorted) std::sort(out.begin(), out.end());

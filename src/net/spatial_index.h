@@ -22,6 +22,14 @@
 
 namespace poolnet::net {
 
+/// The unit-disk reach test: a point at squared distance `d2` lies within
+/// a radius whose square is `radius_sq`. SpatialIndex::within selects with
+/// it and Network checks every hop with it, so the neighbor table built
+/// from within() and the per-hop link check are one relation.
+constexpr bool within_reach(double d2, double radius_sq) {
+  return d2 <= radius_sq;
+}
+
 class SpatialIndex {
  public:
   /// Builds over `points` covering `bounds`; `cell_size` should be on the

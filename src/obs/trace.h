@@ -25,10 +25,14 @@ struct HopRecord {
   std::uint64_t tick = 0;      ///< ledger clock (total transmissions so far)
   std::uint32_t src = 0;       ///< transmitting node
   std::uint32_t dst = 0;       ///< addressed neighbor
-  std::uint16_t hop_index = 0; ///< position within the message's path
+  std::uint32_t hop_index = 0; ///< position within the message's path
   std::uint8_t kind = 0;       ///< net::MessageKind value
   bool delivered = true;       ///< false: receiver dead, frame lost
 };
+// Widening hop_index to 32 bits (GPSR's hop budget passes 65,535 from
+// about 4,080 nodes up) fits in the old padding: a record is still 32
+// bytes, so a ring of N hops costs what it did.
+static_assert(sizeof(HopRecord) == 32, "HopRecord must stay 32 bytes");
 
 /// Receiver of hop records. Implementations must not throw.
 class TraceSink {

@@ -173,7 +173,7 @@ TEST(Trace, RingSinkKeepsMostRecentHops) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     obs::HopRecord hop;
     hop.msg_id = i;
-    hop.hop_index = static_cast<std::uint16_t>(i);
+    hop.hop_index = static_cast<std::uint32_t>(i);
     ring.on_hop(hop);
   }
   EXPECT_EQ(ring.recorded(), 5u);
@@ -198,7 +198,7 @@ TEST(Trace, NetworkEmitsOrderedHopsWhenAttached) {
   // Within one message, hop indices ascend from 0 along the path.
   std::uint64_t multi_hop_messages = 0;
   std::uint64_t last_msg = ~std::uint64_t{0};
-  std::uint16_t last_hop = 0;
+  std::uint32_t last_hop = 0;
   for (const auto& hop : trace->drain()) {
     if (hop.msg_id == last_msg) {
       EXPECT_EQ(hop.hop_index, last_hop + 1);
@@ -209,6 +209,27 @@ TEST(Trace, NetworkEmitsOrderedHopsWhenAttached) {
   }
   EXPECT_GT(multi_hop_messages, 0u);
   EXPECT_NE(trace->to_csv().find("msg_id"), std::string::npos);
+}
+
+// GPSR's hop budget (16 N + 256) passes 65,535 from about 4,080 nodes
+// up, so a long perimeter or fallback path must not wrap its hop indices.
+TEST(Trace, HopIndicesDoNotWrapOnLongPaths) {
+  net::Network net({{0, 0}, {30, 0}}, Rect{0, 0, 40, 10}, 40.0);
+  constexpr std::size_t kPathNodes = 70'000;
+  obs::RingTraceSink ring(kPathNodes);
+  net.set_trace(&ring);
+  std::vector<net::NodeId> path(kPathNodes);
+  for (std::size_t i = 0; i < kPathNodes; ++i)
+    path[i] = static_cast<net::NodeId>(i % 2);
+  const auto delivered =
+      net.transmit_path(path, net::MessageKind::Query, 64);
+  EXPECT_TRUE(delivered.complete);
+  const auto hops = ring.drain();
+  ASSERT_EQ(hops.size(), kPathNodes - 1);
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    ASSERT_EQ(hops[i].hop_index, i) << "hop " << i;
+    ASSERT_EQ(hops[i].msg_id, hops[0].msg_id);
+  }
 }
 
 // The telemetry surface and the receipt accounting must agree: the sum of

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <tuple>
+
 #include "common/assert.h"
 #include "common/error.h"
 #include "net/deployment.h"
 
 namespace poolnet::net {
 namespace {
+
+std::vector<NodeId> row(const Network& net, NodeId id) {
+  const auto nb = net.neighbors(id);
+  return {nb.begin(), nb.end()};
+}
 
 Network make_line_network() {
   // Four nodes in a line, 30 m apart, radio range 40 m: each node hears
@@ -18,10 +28,10 @@ Network make_line_network() {
 
 TEST(Network, NeighborTablesAreSymmetricAndRanged) {
   const auto net = make_line_network();
-  EXPECT_EQ(net.neighbors(0), (std::vector<NodeId>{1}));
-  EXPECT_EQ(net.neighbors(1), (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(net.neighbors(2), (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(net.neighbors(3), (std::vector<NodeId>{2}));
+  EXPECT_EQ(row(net, 0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(row(net, 1), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(row(net, 2), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(row(net, 3), (std::vector<NodeId>{2}));
   EXPECT_TRUE(net.are_neighbors(1, 2));
   EXPECT_FALSE(net.are_neighbors(0, 2));
 }
@@ -37,6 +47,73 @@ TEST(Network, SymmetryHoldsOnRandomDeployments) {
       EXPECT_LE(distance(net.position(u), net.position(v)), 40.0);
     }
   }
+}
+
+// The O(1) link check and the neighbor tables must be one relation:
+// are_neighbors(a, b) holds exactly when b is in a's row, on deployments
+// of several seeds, densities and radio ranges, including a jitter-free
+// grid whose lattice neighbors sit exactly at radio range.
+TEST(Network, PredicateMatchesTableOnEveryPair) {
+  struct Case {
+    std::vector<Point> pts;
+    Rect field;
+    double range;
+  };
+  std::vector<Case> cases;
+  for (const auto& [seed, n, range, degree] :
+       {std::tuple{1, 300, 40.0, 20.0}, std::tuple{2, 250, 25.0, 8.0},
+        std::tuple{3, 200, 63.5, 35.0}, std::tuple{4, 150, 40.0, 4.0}}) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    const double side = field_side_for_density(n, range, degree);
+    const Rect field{0, 0, side, side};
+    cases.push_back({deploy_uniform(n, field, rng), field, range});
+  }
+  Rng grid_rng(5);
+  const Rect grid_field{0, 0, 100, 100};
+  cases.push_back(
+      {deploy_grid_jitter(25, grid_field, 0.0, grid_rng), grid_field, 20.0});
+
+  for (const Case& c : cases) {
+    const Network net(c.pts, c.field, c.range);
+    std::size_t links = 0;
+    for (NodeId a = 0; a < net.size(); ++a) {
+      const auto nb = net.neighbors(a);
+      EXPECT_TRUE(std::adjacent_find(nb.begin(), nb.end(),
+                                     std::greater_equal<NodeId>()) ==
+                  nb.end())
+          << "row " << a << " not strictly ascending";
+      for (NodeId b = 0; b < net.size(); ++b) {
+        const bool in_row = std::binary_search(nb.begin(), nb.end(), b);
+        ASSERT_EQ(net.are_neighbors(a, b), in_row) << a << " " << b;
+        if (in_row) {
+          const auto back = net.neighbors(b);
+          EXPECT_TRUE(std::binary_search(back.begin(), back.end(), a))
+              << "asymmetric " << a << " " << b;
+          ++links;
+        }
+      }
+    }
+    EXPECT_GT(links, 0u);
+  }
+}
+
+// A pair exactly radio_range apart is linked (the predicate is <=); one
+// ulp further is not, and a transmit across that gap still asserts.
+TEST(Network, PairAtExactlyRadioRangeIsLinked) {
+  const Network exact({{0, 0}, {24, 32}}, Rect{0, 0, 50, 50}, 40.0);
+  EXPECT_TRUE(exact.are_neighbors(0, 1));
+  EXPECT_EQ(row(exact, 0), (std::vector<NodeId>{1}));
+
+  auto beyond = Network({{0, 0}, {std::nextafter(40.0, 41.0), 0}},
+                        Rect{0, 0, 50, 50}, 40.0);
+  EXPECT_FALSE(beyond.are_neighbors(0, 1));
+  EXPECT_TRUE(beyond.neighbors(0).empty());
+  EXPECT_THROW(beyond.transmit(0, 1, MessageKind::Query, 64),
+               AssertionError);
+
+  auto linked = Network({{0, 0}, {24, 32}}, Rect{0, 0, 50, 50}, 40.0);
+  EXPECT_TRUE(linked.transmit(0, 1, MessageKind::Query, 64));
+  EXPECT_EQ(linked.traffic().total, 1u);
 }
 
 TEST(Network, NearestNode) {
