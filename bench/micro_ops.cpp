@@ -39,6 +39,21 @@ benchsup::Testbed& shared_testbed() {
   return tb;
 }
 
+void BM_TestbedDeployAll(benchmark::State& state) {
+  // Set-up of one 2700-node deployment with all four systems and no data:
+  // the topology (spatial index, neighbor rows, planar graph) and each
+  // system's ledger, router and index structures.
+  benchsup::TestbedConfig config;
+  config.nodes = 2700;
+  config.events_per_node = 0;
+  for (auto _ : state) {
+    benchsup::Testbed tb(config);
+    for (const benchsup::SystemKind kind : benchsup::kAllSystemKinds)
+      benchmark::DoNotOptimize(&tb.deploy(kind));
+  }
+}
+BENCHMARK(BM_TestbedDeployAll)->Unit(benchmark::kMillisecond);
+
 void BM_PoolCellForValues(benchmark::State& state) {
   Rng rng(1);
   double a = rng.uniform(), b = rng.uniform();

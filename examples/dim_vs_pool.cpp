@@ -29,15 +29,10 @@ int main() {
               tb.pool_network().size());
   tb.insert_workload();
 
-  // A third network copy hosts the centralized baseline: every event is
-  // shipped to a base station at the field corner at insert time.
-  net::Network central_net(
-      [&] {
-        std::vector<Point> pts;
-        for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-        return pts;
-      }(),
-      tb.pool_network().field(), config.radio_range);
+  // A third ledger over the same deployment hosts the centralized
+  // baseline: every event is shipped to a base station at the field
+  // corner at insert time.
+  net::Network central_net(tb.topology());
   const routing::Gpsr central_gpsr(central_net);
   const net::NodeId base = central_net.nearest_node({0.0, 0.0});
   storage::BruteForceStore central(3, central_net, central_gpsr, base);

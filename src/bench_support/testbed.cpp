@@ -1,6 +1,5 @@
 #include "bench_support/testbed.h"
 
-#include "bench_support/replay.h"
 #include "common/assert.h"
 #include "common/error.h"
 #include "common/logging.h"
@@ -44,41 +43,38 @@ Testbed::Testbed(TestbedConfig config)
   // pure function of its config.
   Rng master(config.seed);
   constexpr int kMaxDraws = 64;
-  std::unique_ptr<net::Network> pool_net;
   for (int attempt = 0; attempt < kMaxDraws; ++attempt) {
     Rng deploy = master.split();
-    positions_ = net::deploy_uniform(config.nodes, field, deploy);
-    auto candidate = std::make_unique<net::Network>(
-        positions_, field, config.radio_range, config.sizes,
-        sim::EnergyModel{}, config.loss, config.seed * 3 + 1);
+    auto candidate = std::make_shared<const net::Topology>(
+        net::deploy_uniform(config.nodes, field, deploy), field,
+        config.radio_range);
     if (candidate->is_connected()) {
-      pool_net = std::move(candidate);
+      topology_ = std::move(candidate);
       break;
     }
     POOLNET_DEBUG("Testbed: disconnected deployment, retrying (attempt "
                   << attempt << ")");
   }
-  if (!pool_net)
+  if (!topology_)
     throw ConfigError(
         "Testbed: could not draw a connected deployment; density too low");
 
-  Deployment& pool = wire(SystemKind::Pool, std::move(pool_net));
+  Deployment& pool = wire(SystemKind::Pool);
   pool.system = std::make_unique<core::PoolSystem>(
       *pool.network, pool.router(), config.dims, config.pool);
-  Deployment& dim = wire(
-      SystemKind::Dim,
-      std::make_unique<net::Network>(positions_, field, config.radio_range,
-                                     config.sizes, sim::EnergyModel{},
-                                     config.loss, config.seed * 3 + 2));
+  Deployment& dim = wire(SystemKind::Dim);
   dim.system = std::make_unique<dim::DimSystem>(*dim.network, dim.router(),
                                                 config.dims);
   oracle_ = std::make_unique<storage::BruteForceStore>(config.dims);
 }
 
-Testbed::Deployment& Testbed::wire(SystemKind kind,
-                                   std::unique_ptr<net::Network> network) {
+Testbed::Deployment& Testbed::wire(SystemKind kind) {
   Deployment& d = slot(kind);
-  d.network = std::move(network);
+  // Each kind draws its own ARQ stream; Pool keeps seed*3+1 and DIM
+  // seed*3+2, the seeds their ledgers were recorded with.
+  d.network = std::make_unique<net::Network>(
+      topology_, config_.sizes, sim::EnergyModel{}, config_.loss,
+      config_.seed * 3 + 1 + static_cast<std::uint64_t>(kind));
   d.gpsr = std::make_unique<routing::Gpsr>(*d.network);
   if (config_.route_cache.enabled) {
     routing::RouteCacheConfig cc = config_.route_cache;
@@ -99,10 +95,7 @@ storage::DcsSystem& Testbed::deploy(SystemKind kind,
   Deployment& d = slot(kind);
   if (d.system) return *d.system;
 
-  // GHT and central ride on the Network defaults (ideal links, default
-  // sizes and energy model), over the same positions and field.
-  wire(kind, std::make_unique<net::Network>(
-                 positions_, pool_network().field(), config_.radio_range));
+  wire(kind);
   if (kind == SystemKind::Ght) {
     d.system = std::make_unique<ght::GhtSystem>(*d.network, d.router(),
                                                 config_.dims);
@@ -113,7 +106,9 @@ storage::DcsSystem& Testbed::deploy(SystemKind kind,
                                            d.network.get(), &d.router(),
                                            net::NodeId{0}, metrics_.get());
   }
-  replay_oracle(*oracle_, *d.system);
+  // Replay the oracle's log: source-preserving inserts in insertion
+  // order, the order every serial-equivalence fingerprint depends on.
+  for (const storage::Event& e : oracle_->all()) d.system->insert(e.source, e);
   d.insert_traffic = d.network->traffic();
   d.network->reset_traffic();
   return *d.system;
@@ -136,7 +131,7 @@ std::size_t Testbed::insert_workload() {
     if (d.system) d.network->reset_traffic();
 
   std::size_t inserted = 0;
-  for (net::NodeId n = 0; n < positions_.size(); ++n) {
+  for (net::NodeId n = 0; n < topology_->size(); ++n) {
     for (std::size_t i = 0; i < config_.events_per_node; ++i) {
       const storage::Event e = gen.next(n);
       for (Deployment& d : slots_)
@@ -155,7 +150,7 @@ std::size_t Testbed::insert_workload() {
 
 net::NodeId Testbed::random_node(Rng& rng) const {
   return static_cast<net::NodeId>(
-      rng.uniform_int(0, static_cast<std::int64_t>(positions_.size()) - 1));
+      rng.uniform_int(0, static_cast<std::int64_t>(topology_->size()) - 1));
 }
 
 }  // namespace poolnet::benchsup

@@ -3,11 +3,13 @@
 // One Testbed = one random sensor deployment (optionally over lossy
 // links) with every DCS system bound to it and a brute-force oracle for
 // correctness checking. It is the one place that deploys a system: Pool
-// and DIM at construction, GHT and central on their first deploy(). Each
-// system gets its OWN Network instance over the same node positions, so
-// per-node accounting (stored events, energy, tx/rx) never mixes across
-// systems — in particular Pool's workload-sharing threshold must not see
-// DIM's storage load.
+// and DIM at construction, GHT and central on their first deploy(). The
+// deployment is one immutable net::Topology (positions, neighbor tables,
+// planar graph), built once and shared by every system. Each system
+// charges its own net::Network ledger over it, with the config's sizes
+// and loss model, so per-node state (alive bits, stored events, energy,
+// tx/rx) never mixes across systems — in particular Pool's
+// workload-sharing threshold must not see DIM's storage load.
 #pragma once
 
 #include <array>
@@ -83,13 +85,17 @@ class Testbed {
 
   const TestbedConfig& config() const { return config_; }
 
+  /// The one deployment every system's network shares.
+  const std::shared_ptr<const net::Topology>& topology() const {
+    return topology_;
+  }
+
   /// The `kind` system over this deployment. Pool and DIM exist from
   /// construction. The first call for GHT or central builds it on its own
-  /// network copy over the same positions (default radio, energy and
-  /// ideal-link model), replays the oracle into it — recorded as
-  /// insert_traffic(kind) — and resets its ledger; later calls return
-  /// the same object. `store` selects central's engine and is read by
-  /// that first call only.
+  /// network over the shared topology, replays the oracle into it —
+  /// recorded as insert_traffic(kind) — and resets its ledger; later
+  /// calls return the same object. `store` selects central's engine and
+  /// is read by that first call only.
   storage::DcsSystem& deploy(SystemKind kind,
                              const storage::StoreConfig& store = {});
 
@@ -183,10 +189,11 @@ class Testbed {
     return slots_[static_cast<std::size_t>(kind)];
   }
 
-  /// Binds `network` into `kind`'s slot: Gpsr, then the route cache
-  /// under "<kind>.route_cache" (when enabled), then the trace ring
-  /// (when trace_capacity > 0).
-  Deployment& wire(SystemKind kind, std::unique_ptr<net::Network> network);
+  /// Fills `kind`'s slot: its own Network over the shared topology (the
+  /// config's sizes and loss, loss seed seed*3+1+kind), Gpsr, then the
+  /// route cache under "<kind>.route_cache" (when enabled), then the
+  /// trace ring (when trace_capacity > 0).
+  Deployment& wire(SystemKind kind);
 
   /// Heap-held (registry owns a mutex) so Testbed stays movable; declared
   /// before its users so the caches can register in the ctor.
@@ -195,7 +202,7 @@ class Testbed {
   /// Heap-held (keeps Testbed movable with a stable address for the
   /// caches); declared before the caches, which release buffers into it.
   std::unique_ptr<common::BufferPool<net::NodeId>> path_pool_;
-  std::vector<Point> positions_;
+  std::shared_ptr<const net::Topology> topology_;
   std::array<Deployment, kAllSystemKinds.size()> slots_;
   std::unique_ptr<storage::BruteForceStore> oracle_;
 };

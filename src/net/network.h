@@ -1,22 +1,22 @@
-// The unit-disk sensor network: nodes, neighbor tables, traffic ledger.
+// One system's ledger over a shared deployment: its node records and
+// traffic tally, over an immutable net::Topology.
 //
-// Network is the single source of truth for topology and for the paper's
-// evaluation metric. Routing layers compute paths; every per-hop
-// transmission must be charged through transmit() / transmit_path() so the
-// ledger (TrafficTally + per-node counters + energy) stays consistent.
+// Network is the single source of truth for the paper's evaluation
+// metric. Routing layers compute paths; every per-hop transmission must be
+// charged through transmit() / transmit_path() so the ledger
+// (TrafficTally + per-node counters + energy) stays consistent.
 //
-// Topology is flat: the node records (position, alive bit, counters) sit
-// in one contiguous array and the neighbor tables in one CSR adjacency
-// (row offsets plus ids, ascending within each row), so neighbors() is a
-// span into a shared array, not a per-node heap vector. The accessors
-// GPSR calls per neighbor (node, alive, position, neighbors) are inline
-// and keep their bounds assertions. A hop's link check is O(1): neighbors
-// are by definition the nodes within radio range, so transmit_hop tests
-// the same within_reach predicate on the same squared distance the table
-// was built from, and reuses that distance for the energy charge.
+// A Network holds only what one system mutates (alive bits, counters,
+// energy, the loss RNG, traffic, trace) plus each record's copy of its
+// position; its other topology accessors forward inline to the Topology
+// it shares. A hop's link check is O(1): neighbors are by definition the
+// nodes within radio range, so transmit_hop tests the same within_reach
+// predicate on the same squared distance the table was built from, and
+// reuses that distance for the energy charge.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,7 +25,7 @@
 #include "common/rng.h"
 #include "net/message.h"
 #include "net/node.h"
-#include "net/spatial_index.h"
+#include "net/topology.h"
 #include "obs/trace.h"
 #include "sim/energy.h"
 
@@ -33,18 +33,39 @@ namespace poolnet::net {
 
 class Network {
  public:
-  /// Builds the network from node positions. Neighbor tables contain all
-  /// nodes within `radio_range_m` (unit-disk model, symmetric links).
-  /// `loss` configures per-hop frame loss + ARQ accounting; the loss
-  /// draws are deterministic per `loss_seed`.
+  /// A ledger over a shared deployment. `loss` configures per-hop frame
+  /// loss + ARQ accounting; the loss draws are deterministic per
+  /// `loss_seed`.
+  explicit Network(std::shared_ptr<const Topology> topology,
+                   MessageSizes sizes = {}, sim::EnergyModel energy = {},
+                   LinkLossModel loss = {},
+                   std::uint64_t loss_seed = 0x10552);
+
+  /// Builds a Topology of its own from node positions (all nodes within
+  /// `radio_range_m` linked) and a ledger over it.
   Network(std::vector<Point> positions, Rect field, double radio_range_m,
           MessageSizes sizes = {}, sim::EnergyModel energy = {},
           LinkLossModel loss = {}, std::uint64_t loss_seed = 0x10552);
 
-  // --- topology ---
+  // --- topology: shared, forwarded to net::Topology ---
+  const Topology& topology() const { return *topo_; }
   std::size_t size() const { return nodes_.size(); }
-  const Rect& field() const { return field_; }
-  double radio_range() const { return radio_range_; }
+  const Rect& field() const { return topo_->field(); }
+  double radio_range() const { return topo_->radio_range(); }
+  std::span<const NodeId> neighbors(NodeId id) const {
+    return topo_->neighbors(id);
+  }
+  bool are_neighbors(NodeId a, NodeId b) const {
+    return topo_->are_neighbors(a, b);
+  }
+  NodeId nearest_node(Point p) const { return topo_->nearest_node(p); }
+  std::vector<NodeId> nodes_within(Point p, double radius) const {
+    return topo_->nodes_within(p, radius);
+  }
+  bool is_connected() const { return topo_->is_connected(); }
+  double average_degree() const { return topo_->average_degree(); }
+
+  // --- per-node state, this system's own ---
   const Node& node(NodeId id) const {
     POOLNET_ASSERT(id < nodes_.size());
     return nodes_[id];
@@ -55,22 +76,9 @@ class Network {
   }
   /// Per-node state, indexed by NodeId.
   const std::vector<Node>& nodes() const { return nodes_; }
+  /// The record's copy of Topology::position(id), beside its alive bit
+  /// and counters, so a per-hop reader touches one record.
   Point position(NodeId id) const { return node(id).pos; }
-  /// Ids within radio range of `id` (itself excluded), ascending.
-  std::span<const NodeId> neighbors(NodeId id) const {
-    POOLNET_ASSERT(id < nodes_.size());
-    return {adj_ids_.data() + adj_offsets_[id],
-            adj_ids_.data() + adj_offsets_[id + 1]};
-  }
-  /// Whether `a` and `b` are distinct nodes within radio range: the
-  /// relation neighbors() tabulates, evaluated in O(1).
-  bool are_neighbors(NodeId a, NodeId b) const {
-    return a != b && within_reach(distance_sq(position(a), position(b)),
-                                  range_sq_);
-  }
-
-  /// Node nearest to an arbitrary location (the GHT-style "home node").
-  NodeId nearest_node(Point p) const;
 
   /// Nearest LIVING node to `p`. Identical to nearest_node() until a
   /// fault plan kills something; kNoNode if every node is dead.
@@ -90,15 +98,6 @@ class Network {
   /// base model, effective = 1 - (1-base)(1-extra). 0 restores the base.
   void set_extra_loss(double p);
   double extra_loss() const { return extra_loss_; }
-
-  /// All nodes within `radius` of `p`.
-  std::vector<NodeId> nodes_within(Point p, double radius) const;
-
-  /// True when the unit-disk graph is a single connected component.
-  bool is_connected() const;
-
-  /// Mean neighbor-table size (sanity check against the paper's ~20).
-  double average_degree() const;
 
   // --- traffic ledger ---
   const MessageSizes& sizes() const { return sizes_; }
@@ -144,19 +143,12 @@ class Network {
                     std::uint64_t bits, std::uint64_t msg_id,
                     std::uint32_t hop_index);
 
+  std::shared_ptr<const Topology> topo_;
   std::vector<Node> nodes_;
-  /// CSR neighbor tables: node i's neighbors are
-  /// adj_ids_[adj_offsets_[i] .. adj_offsets_[i + 1]), ascending.
-  std::vector<std::uint32_t> adj_offsets_;
-  std::vector<NodeId> adj_ids_;
-  Rect field_;
-  double radio_range_;
-  double range_sq_;
   MessageSizes sizes_;
   sim::EnergyModel energy_;
   LinkLossModel loss_;
   Rng loss_rng_;
-  SpatialIndex index_;
   TrafficTally traffic_;
   std::size_t dead_count_ = 0;
   double extra_loss_ = 0.0;

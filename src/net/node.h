@@ -13,12 +13,14 @@ using NodeId = std::uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
-/// A sensor node. Position is fixed after deployment (static sensornet, as
-/// in the paper). Node records are the one copy of each position: they sit
-/// in one contiguous array (Network::nodes(), indexed by id), while the
-/// neighbor tables live in Network's CSR adjacency, not here. Counters are
-/// maintained by Network::transmit_* and by the DCS systems
-/// (stored_events).
+/// One system's record of a sensor node. Each Network keeps its own
+/// contiguous array of them (Network::nodes(), indexed by id), so alive
+/// bits and counters never mix across systems. Position is fixed after
+/// deployment (static sensornet, as in the paper) and belongs to the
+/// shared Topology; `pos` is a copy of it, so per-hop readers (GPSR's
+/// greedy scan, the ledger's charge) find position, alive bit and
+/// counters in one record. Counters are maintained by
+/// Network::transmit_* and by the DCS systems (stored_events).
 struct Node {
   NodeId id = kNoNode;
 
@@ -26,7 +28,7 @@ struct Node {
   /// acking, and answering; its stored events are gone with it.
   bool alive = true;
 
-  Point pos;
+  Point pos;  ///< == Topology::position(id)
 
   // --- accounting ---
   std::uint64_t tx_count = 0;       ///< messages transmitted

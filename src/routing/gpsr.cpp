@@ -16,8 +16,11 @@ constexpr double kEps = 1e-12;
 constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
 }  // namespace
 
-Gpsr::Gpsr(const net::Network& network, PlanarizationRule rule)
-    : net_(network), planar_(network, rule) {}
+Gpsr::Gpsr(const net::Network& network)
+    : Gpsr(network, network.topology().planar()) {}
+
+Gpsr::Gpsr(const net::Network& network, const net::PlanarGraph& planar)
+    : net_(network), planar_(planar) {}
 
 RouteResult Gpsr::route_to_node(NodeId src, NodeId dst) const {
   RouteResult result;

@@ -28,7 +28,7 @@
 // identical to a memo-less router's.
 //
 // NOT thread-safe: the memo is mutable state behind the const routing
-// calls. One Gpsr per testbed, like RouteCache and the Network it routes.
+// calls. One Gpsr per system, like RouteCache and the Network it routes.
 #pragma once
 
 #include <array>
@@ -38,17 +38,20 @@
 
 #include "common/geometry.h"
 #include "net/network.h"
-#include "routing/planarization.h"
 #include "routing/router.h"
 
 namespace poolnet::routing {
 
 class Gpsr final : public Router {
  public:
-  /// Builds the planarized view once. Packets carry no state between
-  /// calls; only the greedy next-hop memo persists.
-  explicit Gpsr(const net::Network& network,
-                PlanarizationRule rule = PlanarizationRule::Gabriel);
+  /// Routes over the topology's Gabriel planar graph, built once per
+  /// deployment. Packets carry no state between calls; only the greedy
+  /// next-hop memo persists.
+  explicit Gpsr(const net::Network& network);
+
+  /// Routes over another planar subgraph of the same topology (the RNG
+  /// rule, in tests); `planar` must outlive the router.
+  Gpsr(const net::Network& network, const net::PlanarGraph& planar);
 
   /// Route from `src` to the position of `dst`. On a connected network
   /// this always delivers at `dst`.
@@ -66,8 +69,6 @@ class Gpsr final : public Router {
                               RouteResult& out) const override;
 
   const net::Network* network() const override { return &net_; }
-
-  const PlanarGraph& planar() const { return planar_; }
 
  private:
   void route_impl(net::NodeId src, Point dest, net::NodeId exact_target,
@@ -108,7 +109,7 @@ class Gpsr final : public Router {
   GreedyMemo* memo_for(Point dest) const;
 
   const net::Network& net_;
-  PlanarGraph planar_;
+  const net::PlanarGraph& planar_;
   mutable std::array<GreedyMemo, kMemoSlots> memo_;
   mutable std::uint64_t memo_clock_ = 0;
   mutable std::array<Point, kRecentDests> recent_dests_{};

@@ -11,7 +11,7 @@
 #include "core/pool_system.h"
 #include "dim/dim_system.h"
 #include "ght/ght_system.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "routing/gpsr.h"
 #include "storage/brute_force_store.h"
 
@@ -39,17 +39,7 @@ double boundary_value(Rng& rng) {
 
 struct Fixture {
   explicit Fixture(std::uint64_t seed) : oracle(3) {
-    const double side = net::field_side_for_density(200, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed + attempt * 37);
-      auto pts = net::deploy_uniform(200, field, rng);
-      auto candidate = std::make_unique<Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        network = std::move(candidate);
-        break;
-      }
-    }
+    network = connected_network(seed, 200, 37);
     gpsr = std::make_unique<routing::Gpsr>(*network);
     pool = std::make_unique<core::PoolSystem>(*network, *gpsr, 3,
                                               core::PoolConfig{});

@@ -19,7 +19,7 @@
 #include "bench_support/testbed.h"
 #include "common/rng.h"
 #include "ght/ght_system.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "query/query_gen.h"
 #include "routing/gpsr.h"
 #include "storage/brute_force_store.h"
@@ -241,19 +241,7 @@ TEST(SystemScanEquivalence, PoolAndDimAgreeWithOracle) {
 
 TEST(SystemScanEquivalence, GhtAgreesWithOracle) {
   const std::size_t n = 200;
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
-  const Rect field{0, 0, side, side};
-  std::unique_ptr<net::Network> network;
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    Rng rng(71 + attempt * 7919);
-    auto pts = net::deploy_uniform(n, field, rng);
-    auto candidate =
-        std::make_unique<net::Network>(std::move(pts), field, 40.0);
-    if (candidate->is_connected()) {
-      network = std::move(candidate);
-      break;
-    }
-  }
+  const auto network = connected_network(71, n);
   routing::Gpsr gpsr(*network);
   ght::GhtSystem ght(*network, gpsr, 3);
   BruteForceStore oracle(3);

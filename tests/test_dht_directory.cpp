@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "core/pool_system.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
@@ -20,17 +20,7 @@ using net::NodeId;
 
 struct Fixture {
   explicit Fixture(bool dht, std::uint64_t seed = 3, std::size_t n = 250) {
-    const double side = net::field_side_for_density(n, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed + attempt * 7919);
-      auto pts = net::deploy_uniform(n, field, rng);
-      auto candidate = std::make_unique<Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        network = std::move(candidate);
-        break;
-      }
-    }
+    network = connected_network(seed, n);
     gpsr = std::make_unique<routing::Gpsr>(*network);
     PoolConfig config;
     config.charge_dht_lookup = dht;

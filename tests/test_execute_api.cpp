@@ -21,14 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/replay.h"
 #include "bench_support/testbed.h"
 #include "common/error.h"
 #include "engine/query_engine.h"
 #include "fingerprint.h"
-#include "ght/ght_system.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
 #include "server/query_language.h"
 #include "storage/store_config.h"
 
@@ -44,32 +41,31 @@ using storage::RangeQuery;
 using storage::SkylineQuery;
 using storage::Values;
 
-/// Every system over one 3-d workload, each charging its own ledger:
-/// Pool and DIM from the testbed, GHT and the two networked central
-/// stores on copies of the same deployment (node 0 is the base station).
+/// Every system over one 3-d workload, each charging its own ledger over
+/// the same deployment: Pool, DIM, GHT and the flat central store from
+/// one testbed, the paged central store from a twin testbed (node 0 is
+/// the base station).
 class Deployment {
  public:
   explicit Deployment(std::uint64_t seed) {
     benchsup::TestbedConfig config;
     config.nodes = 200;
     config.seed = seed;
-    tb_ = std::make_unique<benchsup::Testbed>(config);
-    tb_->insert_workload();
-    add(&tb_->pool(), &tb_->pool_network());
-    add(&tb_->dim(), &tb_->dim_network());
-
-    add_own([](net::Network& n, const routing::Router& r) {
-      return std::make_unique<ght::GhtSystem>(n, r, 3);
-    });
     for (const auto kind :
          {storage::StoreKind::Flat, storage::StoreKind::Paged}) {
-      add_own([kind](net::Network& n, const routing::Router& r) {
-        storage::StoreConfig store;
-        store.kind = kind;
-        store.paged.pool_pages = 4;
-        store.paged.page_bytes = 512;
-        return storage::make_central_store(3, store, &n, &r, net::NodeId{0});
-      });
+      auto& tb = *testbeds_.emplace_back(
+          std::make_unique<benchsup::Testbed>(config));
+      tb.insert_workload();
+      if (kind == storage::StoreKind::Flat) {
+        add(tb, benchsup::SystemKind::Pool);
+        add(tb, benchsup::SystemKind::Dim);
+        add(tb, benchsup::SystemKind::Ght);
+      }
+      storage::StoreConfig store;
+      store.kind = kind;
+      store.paged.pool_pages = 4;
+      store.paged.page_bytes = 512;
+      add(tb, benchsup::SystemKind::Central, store);
     }
   }
 
@@ -80,31 +76,12 @@ class Deployment {
   const std::vector<Member>& members() const { return members_; }
 
  private:
-  void add(storage::DcsSystem* sys, const net::Network* net) {
-    members_.push_back({sys, net});
+  void add(benchsup::Testbed& tb, benchsup::SystemKind kind,
+           const storage::StoreConfig& store = {}) {
+    members_.push_back({&tb.deploy(kind, store), &tb.network(kind)});
   }
 
-  template <class Make>
-  void add_own(Make make) {
-    std::vector<Point> pts;
-    for (const auto& node : tb_->pool_network().nodes())
-      pts.push_back(node.pos);
-    auto net = std::make_unique<net::Network>(
-        std::move(pts), tb_->pool_network().field(), 40.0);
-    auto gpsr = std::make_unique<routing::Gpsr>(*net);
-    std::unique_ptr<storage::DcsSystem> sys = make(*net, *gpsr);
-    benchsup::replay_oracle(tb_->oracle(), *sys);
-    net->reset_traffic();
-    add(sys.get(), net.get());
-    nets_.push_back(std::move(net));
-    gpsrs_.push_back(std::move(gpsr));
-    systems_.push_back(std::move(sys));
-  }
-
-  std::unique_ptr<benchsup::Testbed> tb_;
-  std::vector<std::unique_ptr<net::Network>> nets_;
-  std::vector<std::unique_ptr<routing::Gpsr>> gpsrs_;
-  std::vector<std::unique_ptr<storage::DcsSystem>> systems_;
+  std::vector<std::unique_ptr<benchsup::Testbed>> testbeds_;
   std::vector<Member> members_;
 };
 

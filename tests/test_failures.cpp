@@ -53,9 +53,7 @@ TEST_P(RandomFailures, GpsrDeliversAmongSurvivorsAfterTenPercentLoss) {
   if (!survivor_net.is_connected())
     GTEST_SKIP() << "failures partitioned the network";
 
-  const routing::PlanarGraph planar(survivor_net,
-                                    routing::PlanarizationRule::Gabriel);
-  EXPECT_TRUE(planar.is_connected());
+  EXPECT_TRUE(survivor_net.topology().planar().is_connected());
 
   const routing::Gpsr gpsr(survivor_net);
   for (int trial = 0; trial < 100; ++trial) {

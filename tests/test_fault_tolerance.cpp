@@ -13,8 +13,7 @@
 
 #include "bench_support/testbed.h"
 #include "cli/runner.h"
-#include "ght/ght_system.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "net/fault_injector.h"
 #include "query/query_gen.h"
 #include "routing/gpsr.h"
@@ -35,14 +34,7 @@ Network line_net(std::uint64_t seed = 1) {
 }
 
 Network random_connected_net(std::uint64_t seed, std::size_t n) {
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
-  const Rect field{0, 0, side, side};
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    Rng rng(seed + attempt * 1000003);
-    auto pts = net::deploy_uniform(n, field, rng);
-    Network net(std::move(pts), field, 40.0);
-    if (net.is_connected()) return net;
-  }
+  return std::move(*connected_network(seed, n, 1000003));
 }
 
 std::vector<std::uint64_t> sorted_ids(const std::vector<storage::Event>& es) {
@@ -458,12 +450,8 @@ TEST(Failover, GhtReclaimsDeadStoreAndKeepsAnswering) {
   benchsup::Testbed tb(config);
   tb.insert_workload();
 
-  std::vector<Point> pts;
-  for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
-  Network ght_net(std::move(pts), tb.pool_network().field(), 40.0);
-  routing::Gpsr ght_gpsr(ght_net);
-  ght::GhtSystem ght(ght_net, ght_gpsr, 3);
-  for (const auto& e : tb.oracle().all()) ght.insert(e.source, e);
+  storage::DcsSystem& ght = tb.deploy(benchsup::SystemKind::Ght);
+  Network& ght_net = tb.network(benchsup::SystemKind::Ght);
 
   NodeId dead = 0;
   for (const auto& node : ght_net.nodes())

@@ -88,7 +88,8 @@ std::uint64_t ledger_hash(SystemKind kind, Arm arm) {
     tb.insert_workload();
 
     // Pool and DIM run on the testbed's own networks; GHT and central get
-    // a network over the same positions with the arm's channel model.
+    // a network over the testbed's topology with the arm's channel model,
+    // whose ledger keeps the insert traffic.
     std::unique_ptr<net::Network> own_net;
     std::unique_ptr<routing::Gpsr> own_gpsr;
     std::unique_ptr<storage::DcsSystem> own_sys;
@@ -100,13 +101,9 @@ std::uint64_t ledger_hash(SystemKind kind, Arm arm) {
                 ? static_cast<storage::DcsSystem*>(&tb.pool())
                 : static_cast<storage::DcsSystem*>(&tb.dim());
     } else {
-      const net::Network& base = tb.pool_network();
-      std::vector<Point> pts;
-      for (net::NodeId id = 0; id < base.size(); ++id)
-        pts.push_back(base.position(id));
-      own_net = std::make_unique<net::Network>(
-          std::move(pts), base.field(), config.radio_range, config.sizes,
-          sim::EnergyModel{}, config.loss, seed * 3 + 5);
+      own_net = std::make_unique<net::Network>(tb.topology(), config.sizes,
+                                               sim::EnergyModel{}, config.loss,
+                                               seed * 3 + 5);
       own_gpsr = std::make_unique<routing::Gpsr>(*own_net);
       if (kind == SystemKind::Ght)
         own_sys = std::make_unique<ght::GhtSystem>(*own_net, *own_gpsr, 3);

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/replay.h"
 #include "bench_support/testbed.h"
 #include "fingerprint.h"
 #include "ght/ght_system.h"
@@ -181,9 +180,7 @@ Prints ght_prints() {
   for (const std::uint64_t seed : {1, 2, 3}) {
     Testbed tb(testbed_config(seed, PoolVariant::Default));
     tb.insert_workload();
-    std::vector<Point> pts;
-    for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
-    net::Network net(std::move(pts), tb.pool_network().field(), 40.0);
+    net::Network net(tb.topology());
     routing::Gpsr gpsr(net);
     ght::GhtSystem ght(net, gpsr, 3);
     for (const auto& e : tb.oracle().all())
@@ -201,9 +198,7 @@ Prints central_prints(storage::StoreKind kind) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     Testbed tb(testbed_config(seed, PoolVariant::Default));
     tb.insert_workload();
-    std::vector<Point> pts;
-    for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
-    net::Network net(std::move(pts), tb.pool_network().field(), 40.0);
+    net::Network net(tb.topology());
     routing::Gpsr gpsr(net);
     storage::StoreConfig store;
     store.kind = kind;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/deployment.h"
+#include "connected_network.h"
 
 namespace poolnet::routing {
 namespace {
@@ -12,14 +12,7 @@ using net::NodeId;
 
 Network random_connected_net(std::uint64_t seed, std::size_t n,
                              double avg_neighbors = 20.0) {
-  const double side = net::field_side_for_density(n, 40.0, avg_neighbors);
-  const Rect field{0, 0, side, side};
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    Rng rng(seed + attempt * 1000003);
-    auto pts = net::deploy_uniform(n, field, rng);
-    Network net(std::move(pts), field, 40.0);
-    if (net.is_connected()) return net;
-  }
+  return std::move(*connected_network(seed, n, 1000003, avg_neighbors));
 }
 
 void expect_valid_path(const Network& net, const RouteResult& r, NodeId src) {

@@ -287,10 +287,7 @@ TEST(Conservation, GhtNodeTxMatchesReceipts) {
   benchsup::Testbed tb(config);
   tb.insert_workload();
 
-  std::vector<Point> pts;
-  for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-  net::Network net(std::move(pts), tb.pool_network().field(),
-                   config.radio_range);
+  net::Network net(tb.topology());
   routing::Gpsr gpsr(net);
   ght::GhtSystem ght(net, gpsr, config.dims);
   std::uint64_t expected = 0;

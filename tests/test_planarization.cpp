@@ -1,21 +1,19 @@
-#include "routing/planarization.h"
+#include "net/planarization.h"
 
 #include <gtest/gtest.h>
 
 #include "net/deployment.h"
+#include "net/topology.h"
 
-namespace poolnet::routing {
+namespace poolnet::net {
 namespace {
 
-using net::Network;
-using net::NodeId;
-
-Network random_net(std::uint64_t seed, std::size_t n = 250) {
+Topology random_net(std::uint64_t seed, std::size_t n = 250) {
   Rng rng(seed);
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
+  const double side = field_side_for_density(n, 40.0, 20.0);
   const Rect field{0, 0, side, side};
-  auto pts = net::deploy_uniform(n, field, rng);
-  return Network(std::move(pts), field, 40.0);
+  auto pts = deploy_uniform(n, field, rng);
+  return Topology(std::move(pts), field, 40.0);
 }
 
 TEST(Planarization, GabrielSubsetOfUnitDisk) {
@@ -130,11 +128,11 @@ TEST(Planarization, SymmetricAdjacency) {
 
 TEST(Planarization, TwoNodeNetworkKeepsItsEdge) {
   std::vector<Point> pts{{0, 0}, {10, 0}};
-  const Network net(pts, Rect{0, 0, 20, 10}, 40.0);
+  const Topology net(pts, Rect{0, 0, 20, 10}, 40.0);
   const PlanarGraph g(net, PlanarizationRule::Gabriel);
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
 }
 
 }  // namespace
-}  // namespace poolnet::routing
+}  // namespace poolnet::net

@@ -17,7 +17,7 @@
 #include "bench_support/testbed.h"
 #include "common/object_pool.h"
 #include "ght/ght_system.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
@@ -111,16 +111,7 @@ TEST(PoolAlloc, PoolAndDimReceiptsByteIdenticalAcrossSeeds) {
 /// buffers come from an enabled or pass-through BufferPool.
 Fingerprint run_ght(std::uint64_t seed, bool pooled) {
   const std::size_t n = 200;
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
-  const Rect field{0, 0, side, side};
-  std::unique_ptr<net::Network> network;
-  for (std::uint64_t attempt = 0; !network; ++attempt) {
-    Rng rng(seed + attempt * 7919);
-    auto pts = net::deploy_uniform(n, field, rng);
-    auto candidate =
-        std::make_unique<net::Network>(std::move(pts), field, 40.0);
-    if (candidate->is_connected()) network = std::move(candidate);
-  }
+  const auto network = connected_network(seed, n);
   routing::Gpsr gpsr(*network);
   common::BufferPool<net::NodeId> path_pool(pooled);
   routing::RouteCache cache(gpsr, {}, nullptr, "ght.route_cache",
@@ -225,16 +216,7 @@ TEST(BufferPool, DisabledPoolIsPlainHeap) {
 
 TEST(PoolAlloc, RouteCacheReturnsStoredPathsOnClear) {
   const std::size_t n = 120;
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
-  const Rect field{0, 0, side, side};
-  std::unique_ptr<net::Network> network;
-  for (std::uint64_t attempt = 0; !network; ++attempt) {
-    Rng rng(11 + attempt * 7919);
-    auto pts = net::deploy_uniform(n, field, rng);
-    auto candidate =
-        std::make_unique<net::Network>(std::move(pts), field, 40.0);
-    if (candidate->is_connected()) network = std::move(candidate);
-  }
+  const auto network = connected_network(11, n);
   routing::Gpsr gpsr(*network);
   common::BufferPool<net::NodeId> path_pool(true);
   routing::RouteCacheConfig cfg;

@@ -8,7 +8,7 @@
 
 #include "common/error.h"
 #include "fingerprint.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
@@ -26,17 +26,7 @@ struct Fixture {
   explicit Fixture(std::uint64_t seed, std::size_t n = 250,
                    std::size_t dims = 3, PoolConfig config = {})
       : oracle(dims) {
-    const double side = net::field_side_for_density(n, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed + attempt * 7919);
-      auto pts = net::deploy_uniform(n, field, rng);
-      auto candidate = std::make_unique<Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        network = std::move(candidate);
-        break;
-      }
-    }
+    network = connected_network(seed, n);
     gpsr = std::make_unique<routing::Gpsr>(*network);
     pool = std::make_unique<PoolSystem>(*network, *gpsr, dims, config);
   }

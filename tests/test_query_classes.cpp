@@ -16,14 +16,12 @@
 
 #include "bench_support/testbed.h"
 #include "common/error.h"
-#include "ght/ght_system.h"
-#include "net/deployment.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "storage/brute_force_store.h"
 #include "storage/column/column_store.h"
-#include "storage/paged/paged_store.h"
 #include "storage/query_request.h"
+#include "storage/store_config.h"
 
 namespace poolnet {
 namespace {
@@ -37,9 +35,9 @@ using storage::RangeQuery;
 using storage::SkylineQuery;
 using storage::Values;
 
-/// All four systems over ONE workload: Pool + DIM + flat oracle from the
-/// testbed, GHT on its own deployment, and the paged central store in
-/// pure-oracle mode with a tiny pool so queries actually page.
+/// All four systems over ONE deployment and workload, from the testbed:
+/// Pool, DIM, GHT, the paged central store with a tiny pool so queries
+/// actually page, and the flat oracle.
 struct FourSystems {
   FourSystems(std::uint64_t seed, std::size_t dims, std::size_t nodes = 150) {
     benchsup::TestbedConfig config;
@@ -48,37 +46,18 @@ struct FourSystems {
     config.dims = dims;
     tb = std::make_unique<benchsup::Testbed>(config);
     tb->insert_workload();
-
-    const double side = net::field_side_for_density(nodes, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed * 131 + attempt * 7919 + 5);
-      auto pts = net::deploy_uniform(nodes, field, rng);
-      auto candidate =
-          std::make_unique<net::Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        ght_net = std::move(candidate);
-        break;
-      }
-    }
-    ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
-    ght = std::make_unique<ght::GhtSystem>(*ght_net, *ght_gpsr, dims);
-
-    storage::PagedStoreOptions options;
-    options.pool_pages = 4;
-    options.page_bytes = 512;
-    paged = std::make_unique<storage::PagedStore>(dims, options);
-
-    for (const Event& e : tb->oracle().all()) {
-      ght->insert(e.source, e);
-      paged->insert(0, e);
-    }
+    ght = &tb->deploy(benchsup::SystemKind::Ght);
+    storage::StoreConfig store;
+    store.kind = storage::StoreKind::Paged;
+    store.paged.pool_pages = 4;
+    store.paged.page_bytes = 512;
+    paged = &tb->deploy(benchsup::SystemKind::Central, store);
   }
 
   /// Every system that must agree (the flat oracle included: its skyline
   /// override prunes too, so it is itself under test).
   std::vector<storage::DcsSystem*> systems() {
-    return {&tb->pool(), &tb->dim(), ght.get(), paged.get(), &tb->oracle()};
+    return {&tb->pool(), &tb->dim(), ght, paged, &tb->oracle()};
   }
 
   /// Canonical reference: the local kernel over every stored event.
@@ -106,10 +85,8 @@ struct FourSystems {
   }
 
   std::unique_ptr<benchsup::Testbed> tb;
-  std::unique_ptr<net::Network> ght_net;
-  std::unique_ptr<routing::Gpsr> ght_gpsr;
-  std::unique_ptr<ght::GhtSystem> ght;
-  std::unique_ptr<storage::PagedStore> paged;
+  storage::DcsSystem* ght = nullptr;
+  storage::DcsSystem* paged = nullptr;
 };
 
 // ------------------------------------------------- cross-system equivalence

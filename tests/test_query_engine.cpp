@@ -8,9 +8,7 @@
 
 #include "bench_support/testbed.h"
 #include "common/error.h"
-#include "ght/ght_system.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
 
 namespace poolnet::engine {
 namespace {
@@ -107,13 +105,7 @@ TEST(QueryEngineEquivalence, GhtMatchesSerialOnMixedWorkload) {
     Testbed tb(small_config(seed));
     tb.insert_workload();
 
-    // GHT on its own network copy over the same positions, as in the CLI.
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-    net::Network ght_net(std::move(pts), tb.pool_network().field(), 40.0);
-    routing::Gpsr ght_gpsr(ght_net);
-    ght::GhtSystem ght(ght_net, ght_gpsr, 3);
-    for (const auto& e : tb.oracle().all()) ght.insert(e.source, e);
+    storage::DcsSystem& ght = tb.deploy(benchsup::SystemKind::Ght);
 
     // Point queries on stored events (some repeated -> shared homes) plus
     // a couple of range queries (shared flood).

@@ -9,7 +9,7 @@
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
 #include "bench_support/testbed.h"
-#include "net/deployment.h"
+#include "connected_network.h"
 #include "query/query_gen.h"
 #include "routing/gpsr.h"
 
@@ -20,14 +20,7 @@ using net::Network;
 using net::NodeId;
 
 Network random_connected_net(std::uint64_t seed, std::size_t n) {
-  const double side = net::field_side_for_density(n, 40.0, 20.0);
-  const Rect field{0, 0, side, side};
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    Rng rng(seed + attempt * 1000003);
-    auto pts = net::deploy_uniform(n, field, rng);
-    Network net(std::move(pts), field, 40.0);
-    if (net.is_connected()) return net;
-  }
+  return std::move(*connected_network(seed, n, 1000003));
 }
 
 void expect_same_result(const RouteResult& a, const RouteResult& b) {

@@ -21,8 +21,9 @@ TEST(SystemProperties, RngPlanarizationAlsoDeliversEverywhere) {
   config.nodes = 300;
   config.seed = 21;
   benchsup::Testbed tb(config);
-  const routing::Gpsr rng_gpsr(tb.pool_network(),
-                               routing::PlanarizationRule::RelativeNeighborhood);
+  const net::PlanarGraph rng_planar(
+      *tb.topology(), net::PlanarizationRule::RelativeNeighborhood);
+  const routing::Gpsr rng_gpsr(tb.pool_network(), rng_planar);
   Rng rng(22);
   for (int i = 0; i < 150; ++i) {
     const auto src = tb.random_node(rng);
@@ -39,10 +40,10 @@ TEST(SystemProperties, RngPerimeterDetoursAtLeastAsLongAsGabriel) {
   config.nodes = 300;
   config.seed = 23;
   benchsup::Testbed tb(config);
-  const routing::Gpsr gg(tb.pool_network(),
-                         routing::PlanarizationRule::Gabriel);
-  const routing::Gpsr rg(tb.pool_network(),
-                         routing::PlanarizationRule::RelativeNeighborhood);
+  const net::PlanarGraph rng_planar(
+      *tb.topology(), net::PlanarizationRule::RelativeNeighborhood);
+  const routing::Gpsr gg(tb.pool_network());
+  const routing::Gpsr rg(tb.pool_network(), rng_planar);
   Rng rng(24);
   std::size_t gg_hops = 0, rg_hops = 0;
   for (int i = 0; i < 200; ++i) {

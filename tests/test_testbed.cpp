@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/experiment.h"
-#include "bench_support/replay.h"
 #include "fingerprint.h"
 #include "ght/ght_system.h"
 #include "query/query_gen.h"
@@ -20,11 +19,83 @@ TestbedConfig small_config(std::uint64_t seed = 1, std::size_t nodes = 200) {
 
 TEST(Testbed, BuildsConnectedNetworksOverSamePositions) {
   Testbed tb(small_config());
-  EXPECT_TRUE(tb.pool_network().is_connected());
-  EXPECT_TRUE(tb.dim_network().is_connected());
-  ASSERT_EQ(tb.pool_network().size(), tb.dim_network().size());
-  for (net::NodeId i = 0; i < tb.pool_network().size(); ++i)
-    EXPECT_EQ(tb.pool_network().position(i), tb.dim_network().position(i));
+  EXPECT_TRUE(tb.topology()->is_connected());
+  for (const SystemKind kind : kAllSystemKinds) {
+    tb.deploy(kind);
+    EXPECT_EQ(&tb.network(kind).topology(), tb.topology().get())
+        << to_string(kind);
+  }
+}
+
+/// Sum of a per-node counter over `kind`'s own node records.
+template <class Field>
+std::uint64_t node_sum(Testbed& tb, SystemKind kind, Field field) {
+  std::uint64_t sum = 0;
+  for (const net::Node& n : tb.network(kind).nodes()) sum += n.*field;
+  return sum;
+}
+
+// Alive bits, stored events and tx counters are each system's own: the
+// shared topology carries none of them.
+TEST(Testbed, NodeStateStaysPerSystem) {
+  Testbed tb(small_config(12));
+  tb.insert_workload();
+  for (const SystemKind kind : kAllSystemKinds) tb.deploy(kind);
+  for (const SystemKind kind :
+       {SystemKind::Pool, SystemKind::Dim, SystemKind::Ght}) {
+    EXPECT_EQ(node_sum(tb, kind, &net::Node::stored_events),
+              tb.deploy(kind).stored_count())
+        << to_string(kind);
+  }
+
+  // A death and a few queries on Pool's network touch no other ledger.
+  const auto others = {SystemKind::Dim, SystemKind::Ght, SystemKind::Central};
+  std::vector<std::uint64_t> tx;
+  for (const SystemKind kind : others)
+    tx.push_back(node_sum(tb, kind, &net::Node::tx_count));
+  const std::uint64_t pool_tx =
+      node_sum(tb, SystemKind::Pool, &net::Node::tx_count);
+  tb.network(SystemKind::Pool).kill(7);
+  tb.pool().handle_node_failure(7);
+  query::QueryGenerator gen({.dims = 3}, 121);
+  for (int i = 0; i < 5; ++i) tb.pool().execute(0, gen.exact_range());
+  EXPECT_EQ(tb.network(SystemKind::Pool).dead_count(), 1u);
+  EXPECT_GT(node_sum(tb, SystemKind::Pool, &net::Node::tx_count), pool_tx);
+  auto before = tx.begin();
+  for (const SystemKind kind : others) {
+    EXPECT_TRUE(tb.network(kind).alive(7)) << to_string(kind);
+    EXPECT_EQ(tb.network(kind).dead_count(), 0u) << to_string(kind);
+    EXPECT_EQ(node_sum(tb, kind, &net::Node::tx_count), *before++)
+        << to_string(kind);
+  }
+}
+
+// Every kind charges the config's channel: GHT and central too, which once
+// ran on ideal default links whatever the config said.
+TEST(Testbed, EveryKindGetsTheConfiguredChannel) {
+  TestbedConfig config = small_config(13);
+  config.loss.loss_probability = 0.1;
+  config.sizes.events_per_message = 4;
+  Testbed tb(config);
+  tb.insert_workload();
+  query::QueryGenerator gen({.dims = 3}, 131);
+  for (const SystemKind kind : kAllSystemKinds) {
+    SCOPED_TRACE(to_string(kind));
+    storage::DcsSystem& sys = tb.deploy(kind);
+    const net::Network& net = tb.network(kind);
+    EXPECT_EQ(net.loss_model().loss_probability, 0.1);
+    EXPECT_EQ(net.loss_model().max_attempts, config.loss.max_attempts);
+    EXPECT_EQ(net.sizes().events_per_message, 4u);
+    EXPECT_EQ(net.sizes().header_bits, config.sizes.header_bits);
+    EXPECT_EQ(net.sizes().attr_bits, config.sizes.attr_bits);
+    const std::uint64_t retries =
+        node_sum(tb, kind, &net::Node::retry_count);
+    for (const auto mix : {query::QueryClassMix::Range,
+                           query::QueryClassMix::Skyline,
+                           query::QueryClassMix::Knn})
+      sys.execute(5, gen.next(mix));
+    EXPECT_GT(node_sum(tb, kind, &net::Node::retry_count), retries);
+  }
 }
 
 TEST(Testbed, DensityNearPaperTarget) {
@@ -64,11 +135,11 @@ TEST(Testbed, DeterministicAcrossRebuilds) {
 // --- Testbed::deploy against the hand-built copy it replaced -------------
 
 /// GHT or central built the way every caller did before Testbed::deploy:
-/// its own Network over the testbed's positions with the Network
-/// defaults, Gpsr, an unquantized RouteCache, then the oracle replayed in.
+/// its own Network over the testbed's topology with the Network defaults,
+/// Gpsr, an unquantized RouteCache, then the oracle replayed in.
 struct HandBuilt {
   HandBuilt(Testbed& tb, SystemKind kind, const storage::StoreConfig& store)
-      : net(positions(tb), tb.pool_network().field(), tb.config().radio_range),
+      : net(tb.topology()),
         gpsr(net),
         cache(gpsr, tb.config().route_cache) {
     if (kind == SystemKind::Ght)
@@ -76,15 +147,9 @@ struct HandBuilt {
     else
       system = storage::make_central_store(tb.config().dims, store, &net,
                                            &cache, net::NodeId{0});
-    replay_oracle(tb.oracle(), *system);
+    for (const auto& e : tb.oracle().all()) system->insert(e.source, e);
     insert_traffic = net.traffic();
     net.reset_traffic();
-  }
-
-  static std::vector<Point> positions(Testbed& tb) {
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-    return pts;
   }
 
   net::Network net;
