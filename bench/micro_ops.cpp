@@ -177,10 +177,13 @@ BENCHMARK(BM_CachedRouteAcrossField);
 void BM_CachedRouteIntoScratch(benchmark::State& state) {
   // The scratch-handle form of the same cached route: after the first
   // miss every iteration is a hash lookup plus a capacity-reusing
-  // copy-assign into the warm out-parameter — no allocation at all.
+  // copy-assign into the warm out-parameter — no allocation at all. The
+  // argument is the byte budget (0 = unbounded): a budgeted hit takes the
+  // same flat path and also sets the route's clock reference bit.
   auto& tb = shared_testbed();
   routing::RouteCacheConfig cfg;
   cfg.max_hops = 0;
+  cfg.max_bytes = static_cast<std::size_t>(state.range(0));
   const routing::RouteCache cache(tb.pool_gpsr(), cfg);
   const auto src = tb.pool_network().nearest_node({0, 0});
   const auto dst = tb.pool_network().nearest_node(
@@ -191,7 +194,7 @@ void BM_CachedRouteIntoScratch(benchmark::State& state) {
     benchmark::DoNotOptimize(scratch.path.data());
   }
 }
-BENCHMARK(BM_CachedRouteIntoScratch);
+BENCHMARK(BM_CachedRouteIntoScratch)->Arg(0)->Arg(1 << 20);
 
 void BM_PathBufferHeap(benchmark::State& state) {
   // One heap vector per route, the pre-pool allocation pattern: malloc,

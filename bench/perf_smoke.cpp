@@ -235,10 +235,8 @@ ScaleTier run_scale_tier(std::size_t nodes) {
 
   routing::Gpsr gpsr(*network);
   core::PoolConfig pool_config;
-  routing::RouteCacheConfig cache_config;
-  cache_config.location_quantum = pool_config.cell_size;
   common::BufferPool<net::NodeId> path_pool(true);
-  routing::RouteCache cache(gpsr, cache_config, nullptr, "scale.route_cache",
+  routing::RouteCache cache(gpsr, {}, nullptr, "scale.route_cache",
                             &path_pool);
   core::PoolSystem pool(*network, cache, 3, pool_config);
   const auto t1 = std::chrono::steady_clock::now();

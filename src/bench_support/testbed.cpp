@@ -77,10 +77,8 @@ Testbed::Deployment& Testbed::wire(SystemKind kind) {
       config_.seed * 3 + 1 + static_cast<std::uint64_t>(kind));
   d.gpsr = std::make_unique<routing::Gpsr>(*d.network);
   if (config_.route_cache.enabled) {
-    routing::RouteCacheConfig cc = config_.route_cache;
-    cc.location_quantum = config_.pool.cell_size;  // α-grid bucketing
     d.cache = std::make_unique<routing::RouteCache>(
-        *d.gpsr, cc, metrics_.get(),
+        *d.gpsr, config_.route_cache, metrics_.get(),
         std::string(to_string(kind)) + ".route_cache", path_pool_.get());
   }
   if (config_.trace_capacity > 0) {

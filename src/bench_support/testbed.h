@@ -61,8 +61,6 @@ struct TestbedConfig {
   net::LinkLossModel loss;          ///< per-hop loss + ARQ (default ideal)
 
   /// Route memoization over every system's GPSR instance.
-  /// `location_quantum` is overridden with the Pool α at construction so
-  /// cell-center routes share hash buckets.
   routing::RouteCacheConfig route_cache;
 
   /// Hop-trace ring size attached to every network; 0 (default) leaves

@@ -22,25 +22,14 @@ Gpsr::Gpsr(const net::Network& network)
 Gpsr::Gpsr(const net::Network& network, const net::PlanarGraph& planar)
     : net_(network), planar_(planar) {}
 
-RouteResult Gpsr::route_to_node(NodeId src, NodeId dst) const {
-  RouteResult result;
-  route_impl(src, net_.position(dst), dst, result);
-  return result;
+void Gpsr::route_to_node_into(NodeId src, NodeId dst, RouteResult& out) const {
+  route_impl(src, net_.position(dst), dst, out);
 }
 
 RouteResult Gpsr::route_to_location(NodeId src, Point dest) const {
   RouteResult result;
   route_impl(src, dest, net::kNoNode, result);
   return result;
-}
-
-void Gpsr::route_to_node_into(NodeId src, NodeId dst, RouteResult& out) const {
-  route_impl(src, net_.position(dst), dst, out);
-}
-
-void Gpsr::route_to_location_into(NodeId src, Point dest,
-                                  RouteResult& out) const {
-  route_impl(src, dest, net::kNoNode, out);
 }
 
 Gpsr::GreedyMemo* Gpsr::memo_for(Point dest) const {

@@ -53,20 +53,17 @@ class Gpsr final : public Router {
   /// rule, in tests); `planar` must outlive the router.
   Gpsr(const net::Network& network, const net::PlanarGraph& planar);
 
-  /// Route from `src` to the position of `dst`. On a connected network
-  /// this always delivers at `dst`.
-  RouteResult route_to_node(net::NodeId src, net::NodeId dst) const override;
-
-  /// Route from `src` toward an arbitrary location; delivers at the home
-  /// node (the node whose face tour encloses the location).
-  RouteResult route_to_location(net::NodeId src, Point dest) const override;
-
-  /// In-place forms: the path is built directly in `out.path`, so a warm
+  /// In place: the path is built directly in `out.path`, so a warm
   /// scratch RouteResult routes with zero allocations.
   void route_to_node_into(net::NodeId src, net::NodeId dst,
                           RouteResult& out) const override;
-  void route_to_location_into(net::NodeId src, Point dest,
-                              RouteResult& out) const override;
+
+  /// Route from `src` toward an arbitrary location; delivers at the home
+  /// node (the node whose face tour encloses the location). Not part of
+  /// Router, since systems address nodes only; it pins the face-tour
+  /// termination that route_to_node relies on when faults cut a target
+  /// off.
+  RouteResult route_to_location(net::NodeId src, Point dest) const;
 
   const net::Network* network() const override { return &net_; }
 

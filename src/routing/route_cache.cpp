@@ -1,9 +1,7 @@
 #include "routing/route_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 
 namespace poolnet::routing {
@@ -69,6 +67,7 @@ RouteCache::RouteCache(const Router& inner, RouteCacheConfig config,
   misses_ = metrics->counter(prefix + ".misses");
   evictions_ = metrics->counter(prefix + ".evictions");
   invalidated_ = metrics->counter(prefix + ".invalidated");
+  rebuild_index();
 }
 
 RouteCacheStats RouteCache::stats() const {
@@ -77,110 +76,29 @@ RouteCacheStats RouteCache::stats() const {
   s.misses = misses_.value();
   s.evictions = evictions_.value();
   s.invalidated = invalidated_.value();
-  s.entries = entries_;
+  s.entries = keys_.size();
   s.bytes = bytes_;
   return s;
 }
 
-std::size_t RouteCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = mix64(k.src_kind);
-  h = mix64(h ^ static_cast<std::uint64_t>(k.a));
-  h = mix64(h ^ static_cast<std::uint64_t>(k.b));
-  return static_cast<std::size_t>(h);
-}
-
-RouteCache::Key RouteCache::node_key(net::NodeId src, net::NodeId dst) const {
-  return Key{static_cast<std::uint64_t>(src) << 1,
-             static_cast<std::int64_t>(dst), 0};
-}
-
-std::size_t RouteCache::node_slot(std::uint64_t key) const {
-  const std::size_t mask = node_index_.size() - 1;
+std::size_t RouteCache::slot_of(std::uint64_t key) const {
+  const std::size_t mask = index_.size() - 1;
   std::size_t h = mix64(key) & mask;
-  while (node_index_[h] != 0 && node_keys_[node_index_[h] - 1] != key)
-    h = (h + 1) & mask;
+  while (index_[h] != 0 && keys_[index_[h] - 1] != key) h = (h + 1) & mask;
   return h;
 }
 
-void RouteCache::rebuild_node_index() const {
-  std::size_t slots = std::max<std::size_t>(node_index_.size(), 64);
-  while (2 * node_keys_.size() > slots) slots *= 2;
-  node_index_.assign(slots, 0);
-  for (std::size_t i = 0; i < node_keys_.size(); ++i)
-    node_index_[node_slot(node_keys_[i])] = static_cast<std::uint32_t>(i + 1);
+void RouteCache::rebuild_index() const {
+  std::size_t slots = std::max<std::size_t>(index_.size(), 64);
+  while (2 * keys_.size() > slots) slots *= 2;
+  index_.assign(slots, 0);
+  for (std::size_t i = 0; i < keys_.size(); ++i)
+    index_[slot_of(keys_[i])] = static_cast<std::uint32_t>(i + 1);
 }
 
-RouteCache::Key RouteCache::location_key(net::NodeId src, Point dest) const {
-  Key key;
-  key.src_kind = (static_cast<std::uint64_t>(src) << 1) | 1u;
-  if (config_.location_quantum > 0.0) {
-    key.a = static_cast<std::int64_t>(
-        std::floor(dest.x / config_.location_quantum));
-    key.b = static_cast<std::int64_t>(
-        std::floor(dest.y / config_.location_quantum));
-  } else {
-    key.a = std::bit_cast<std::int64_t>(dest.x);
-    key.b = std::bit_cast<std::int64_t>(dest.y);
-  }
-  return key;
-}
-
-std::size_t RouteCache::result_bytes(const RouteResult& r) {
-  // Path storage dominates; the constant approximates the map node, the
-  // LRU list node and the Entry bookkeeping.
-  constexpr std::size_t kEntryOverhead = 128;
-  return r.path.size() * sizeof(net::NodeId) + kEntryOverhead;
-}
-
-RouteCache::Entry& RouteCache::touch(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) const {
-  // The LRU list only matters under a byte budget; unbounded caches skip
-  // its pointer churn entirely (lru_pos is never read without a budget).
-  if (config_.max_bytes != 0)
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return it->second;
-}
-
-void RouteCache::account_and_evict(std::size_t delta) const {
-  bytes_ += delta;
-  entries_ = map_.size() + node_keys_.size();
-  if (config_.max_bytes == 0) return;
-  while (bytes_ > config_.max_bytes && !lru_.empty()) {
-    const auto victim = map_.find(lru_.back());
-    bytes_ -= victim->second.bytes;
-    evictions_.inc();
-    for (auto& [point, result] : victim->second.items)
-      recycle(std::move(result));
-    map_.erase(victim);
-    lru_.pop_back();
-  }
-  entries_ = map_.size() + node_keys_.size();
-}
-
-RouteResult RouteCache::copy_for_store(const RouteResult& r) const {
-  RouteResult stored;
-  if (path_pool_ != nullptr) stored.path = path_pool_->acquire();
-  stored.path.assign(r.path.begin(), r.path.end());
-  stored.delivered = r.delivered;
-  stored.exact = r.exact;
-  stored.perimeter_hops = r.perimeter_hops;
-  return stored;
-}
-
-void RouteCache::recycle(RouteResult&& r) const {
-  if (path_pool_ != nullptr) path_pool_->release(std::move(r.path));
-}
-
-RouteResult RouteCache::route_to_node(net::NodeId src, net::NodeId dst) const {
-  RouteResult out;
-  route_to_node_into(src, dst, out);
-  return out;
-}
-
-RouteResult RouteCache::route_to_location(net::NodeId src, Point dest) const {
-  RouteResult out;
-  route_to_location_into(src, dest, out);
-  return out;
+std::size_t RouteCache::entry_bytes(const RouteResult& r) {
+  return sizeof(std::uint64_t) + sizeof(RouteResult) + sizeof(std::uint8_t) +
+         2 * sizeof(std::uint32_t) + r.path.size() * sizeof(net::NodeId);
 }
 
 void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
@@ -191,85 +109,75 @@ void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
   }
   forget_new_deaths();
 
-  if (config_.max_bytes == 0) {
-    if (node_index_.empty()) rebuild_node_index();
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-    const std::size_t slot = node_slot(key);
-    if (node_index_[slot] != 0) {
-      hits_.inc();
-      // copy-assign: out.path's capacity is reused
-      out = node_routes_[node_index_[slot] - 1];
-      return;
-    }
-    misses_.inc();
-    inner_.route_to_node_into(src, dst, out);
-    if (config_.max_hops != 0 && out.path.size() > config_.max_hops) return;
-    node_keys_.push_back(key);
-    node_routes_.push_back(copy_for_store(out));
-    node_index_[slot] = static_cast<std::uint32_t>(node_keys_.size());
-    if (2 * node_keys_.size() > node_index_.size()) rebuild_node_index();
-    entries_ = map_.size() + node_keys_.size();
-    bytes_ += result_bytes(out);
-    return;
-  }
-
-  const Key key = node_key(src, dst);
-  if (const auto it = map_.find(key); it != map_.end()) {
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  const std::size_t slot = slot_of(key);
+  if (const std::uint32_t i = index_[slot]; i != 0) {
     hits_.inc();
-    out = touch(it).items.front().second;
+    if (config_.max_bytes != 0) referenced_[i - 1] = 1;
+    out = routes_[i - 1];  // copy-assign: out.path's capacity is reused
     return;
   }
   misses_.inc();
   inner_.route_to_node_into(src, dst, out);
-  if (config_.max_hops != 0 && out.path.size() > config_.max_hops)
+  if (config_.max_hops != 0 && out.hops() > config_.max_hops)
     return;  // one-shot long leg: storing it costs more than it saves
-  lru_.push_front(key);
-  Entry& entry = map_[key];
-  entry.lru_pos = lru_.begin();
-  entry.items.emplace_back(Point{}, copy_for_store(out));
-  entry.bytes = result_bytes(out);
-  account_and_evict(entry.bytes);
+  store(slot, key, out);
 }
 
-void RouteCache::route_to_location_into(net::NodeId src, Point dest,
-                                        RouteResult& out) const {
-  if (!config_.enabled) {
-    inner_.route_to_location_into(src, dest, out);
-    return;
-  }
-  forget_new_deaths();
+void RouteCache::store(std::size_t slot, std::uint64_t key,
+                       const RouteResult& r) const {
+  RouteResult& stored = routes_.emplace_back();
+  if (path_pool_ != nullptr) stored.path = path_pool_->acquire();
+  stored.path.assign(r.path.begin(), r.path.end());
+  stored.delivered = r.delivered;
+  stored.exact = r.exact;
+  stored.perimeter_hops = r.perimeter_hops;
+  keys_.push_back(key);
+  referenced_.push_back(1);
+  index_[slot] = static_cast<std::uint32_t>(keys_.size());
+  bytes_ += entry_bytes(r);
+  if (2 * keys_.size() > index_.size()) rebuild_index();
+  if (config_.max_bytes != 0) evict_to_budget();
+}
 
-  const Key key = location_key(src, dest);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Exactness check: the bucket may hold routes to several distinct
-    // points of the same α-cell; only a bit-identical destination hits.
-    for (const auto& [point, result] : it->second.items) {
-      if (point.x == dest.x && point.y == dest.y) {
-        hits_.inc();
-        touch(it);
-        out = result;
-        return;
-      }
+void RouteCache::erase(std::size_t i) const {
+  bytes_ -= entry_bytes(routes_[i]);
+  if (path_pool_ != nullptr) path_pool_->release(std::move(routes_[i].path));
+  // Backward-shift deletion: pull each later member of the probe run
+  // into the hole unless its home slot lies cyclically after the hole.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = slot_of(keys_[i]);
+  for (std::size_t s = (hole + 1) & mask; index_[s] != 0; s = (s + 1) & mask) {
+    const std::size_t home = mix64(keys_[index_[s] - 1]) & mask;
+    if (((s - home) & mask) >= ((s - hole) & mask)) {
+      index_[hole] = index_[s];
+      hole = s;
     }
   }
-  misses_.inc();
-  inner_.route_to_location_into(src, dest, out);
-  if (config_.max_hops != 0 && out.path.size() > config_.max_hops)
-    return;  // one-shot long leg: storing it costs more than it saves
-  const std::size_t added = result_bytes(out);
-  if (it != map_.end()) {
-    touch(it);
-    it->second.items.emplace_back(dest, copy_for_store(out));
-    it->second.bytes += added;
-  } else {
-    if (config_.max_bytes != 0) lru_.push_front(key);
-    Entry& entry = map_[key];
-    if (config_.max_bytes != 0) entry.lru_pos = lru_.begin();
-    entry.items.emplace_back(dest, copy_for_store(out));
-    entry.bytes = added;
+  index_[hole] = 0;
+  const std::size_t last = keys_.size() - 1;
+  if (i != last) {
+    index_[slot_of(keys_[last])] = static_cast<std::uint32_t>(i + 1);
+    keys_[i] = keys_[last];
+    routes_[i] = std::move(routes_[last]);
+    referenced_[i] = referenced_[last];
   }
-  account_and_evict(added);
+  keys_.pop_back();
+  routes_.pop_back();
+  referenced_.pop_back();
+}
+
+void RouteCache::evict_to_budget() const {
+  while (bytes_ > config_.max_bytes && !keys_.empty()) {
+    if (hand_ >= keys_.size()) hand_ = 0;
+    if (referenced_[hand_] != 0) {
+      referenced_[hand_] = 0;  // second chance
+      ++hand_;
+      continue;
+    }
+    erase(hand_);  // the last route moves under the hand, looked at next
+    evictions_.inc();
+  }
 }
 
 void RouteCache::note_dead(net::NodeId dead) const {
@@ -279,59 +187,25 @@ void RouteCache::note_dead(net::NodeId dead) const {
 
 void RouteCache::drop_routes(
     const std::function<bool(net::NodeId)>& dropped) const {
-  const auto traverses = [&dropped](const RouteResult& r) {
-    return std::any_of(r.path.begin(), r.path.end(), dropped);
-  };
-
-  // Flat (unbounded) node-route storage.
-  bool any = false;
-  for (std::size_t i = node_routes_.size(); i-- > 0;) {
-    if (!traverses(node_routes_[i])) continue;
-    bytes_ -= result_bytes(node_routes_[i]);
-    recycle(std::move(node_routes_[i]));
-    node_routes_[i] = std::move(node_routes_.back());
-    node_routes_.pop_back();
-    node_keys_[i] = node_keys_.back();
-    node_keys_.pop_back();
+  // Downward, so the route erase() moves into slot i was already seen.
+  for (std::size_t i = routes_.size(); i-- > 0;) {
+    const auto& path = routes_[i].path;
+    if (std::none_of(path.begin(), path.end(), dropped)) continue;
+    erase(i);
     invalidated_.inc();
-    any = true;
   }
-  if (any) rebuild_node_index();
-
-  // Map storage (LRU mode node routes + all location routes).
-  for (auto it = map_.begin(); it != map_.end();) {
-    auto& items = it->second.items;
-    for (std::size_t i = items.size(); i-- > 0;) {
-      if (!traverses(items[i].second)) continue;
-      const std::size_t freed = result_bytes(items[i].second);
-      it->second.bytes -= freed;
-      bytes_ -= freed;
-      recycle(std::move(items[i].second));
-      items[i] = std::move(items.back());
-      items.pop_back();
-      invalidated_.inc();
-    }
-    if (items.empty()) {
-      if (config_.max_bytes != 0) lru_.erase(it->second.lru_pos);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  entries_ = map_.size() + node_keys_.size();
 }
 
 void RouteCache::clear() {
-  for (auto& [key, entry] : map_)
-    for (auto& [point, result] : entry.items) recycle(std::move(result));
-  for (auto& result : node_routes_) recycle(std::move(result));
-  map_.clear();
-  lru_.clear();
-  node_keys_.clear();
-  node_routes_.clear();
-  node_index_.clear();
+  if (path_pool_ != nullptr)
+    for (auto& r : routes_) path_pool_->release(std::move(r.path));
+  keys_.clear();
+  routes_.clear();
+  referenced_.clear();
+  index_.clear();
+  rebuild_index();
+  hand_ = 0;
   bytes_ = 0;
-  entries_ = 0;
 }
 
 }  // namespace poolnet::routing

@@ -59,8 +59,7 @@ std::size_t check_interleaved(const Network& net, const Gpsr& warm,
     for (const Point p : points) {
       const auto src = static_cast<NodeId>(rng.uniform_int(0, n - 1));
       if (!net.alive(src)) continue;
-      RouteResult got;
-      warm.route_to_location_into(src, p, got);
+      const RouteResult got = warm.route_to_location(src, p);
       expect_same_result(got, Gpsr(net).route_to_location(src, p));
       perimeter += got.perimeter_hops;
     }

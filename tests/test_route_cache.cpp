@@ -49,47 +49,6 @@ TEST(RouteCache, CachedEqualsUncachedOverRandomPairs) {
   }
 }
 
-TEST(RouteCache, CachedEqualsUncachedOverLocations) {
-  const auto net = random_connected_net(7, 200);
-  const Gpsr gpsr(net);
-  RouteCacheConfig config;
-  config.location_quantum = 5.0;
-  config.max_hops = 0;  // store everything
-  const RouteCache cache(gpsr, config);
-  Rng rng(77);
-  std::vector<Point> points;
-  for (int i = 0; i < 100; ++i)
-    points.push_back({rng.uniform(0, net.field().max_x),
-                      rng.uniform(0, net.field().max_y)});
-  // Two passes: the second is all cache hits and must replay verbatim.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& p : points) {
-      expect_same_result(cache.route_to_location(3, p),
-                         gpsr.route_to_location(3, p));
-    }
-  }
-  EXPECT_GE(cache.stats().hits, 100u);
-}
-
-// Quantized bucketing must never alias two distinct destinations: points
-// closer together than the quantum share a bucket but each must get its
-// own route.
-TEST(RouteCache, QuantizedBucketsKeepExactDestinations) {
-  const auto net = random_connected_net(8, 200);
-  const Gpsr gpsr(net);
-  RouteCacheConfig config;
-  config.location_quantum = 1000.0;  // everything in one bucket
-  config.max_hops = 0;
-  const RouteCache cache(gpsr, config);
-  Rng rng(88);
-  for (int i = 0; i < 50; ++i) {
-    const Point p{rng.uniform(0, net.field().max_x),
-                  rng.uniform(0, net.field().max_y)};
-    expect_same_result(cache.route_to_location(0, p),
-                       gpsr.route_to_location(0, p));
-  }
-}
-
 TEST(RouteCache, CountsHitsAndMisses) {
   const auto net = random_connected_net(9, 150);
   const Gpsr gpsr(net);
@@ -131,12 +90,42 @@ TEST(RouteCache, MaxHopsFiltersStorageNotResults) {
     const auto dst = static_cast<NodeId>(rng.uniform_int(0, n - 1));
     const auto direct = gpsr.route_to_node(src, dst);
     expect_same_result(cache.route_to_node(src, dst), direct);
-    if (direct.path.size() > 2) ++long_routes;
+    if (direct.hops() > 2) ++long_routes;
   }
   ASSERT_GT(long_routes, 0u) << "field must produce routes above the cap";
   // Every stored entry is a short route; at 300 nodes there are far fewer
   // short pairs than draws, so the table stays well below the draw count.
   EXPECT_LT(cache.stats().entries, 200u - long_routes + 1u);
+}
+
+// max_hops counts hops, not path nodes: a route of exactly max_hops hops
+// is stored, one hop more is not.
+TEST(RouteCache, MaxHopsStoresRoutesOfExactlyTheCap) {
+  const auto net = random_connected_net(16, 300);
+  const Gpsr gpsr(net);
+  RouteCacheConfig config;
+  config.max_hops = 3;
+  const RouteCache cache(gpsr, config);
+  NodeId at_cap = net::kNoNode;
+  NodeId over_cap = net::kNoNode;
+  for (NodeId dst = 1; dst < net.size(); ++dst) {
+    const std::size_t hops = gpsr.route_to_node(0, dst).hops();
+    if (hops == 3 && at_cap == net::kNoNode) at_cap = dst;
+    if (hops == 4 && over_cap == net::kNoNode) over_cap = dst;
+  }
+  ASSERT_NE(at_cap, net::kNoNode);
+  ASSERT_NE(over_cap, net::kNoNode);
+
+  cache.route_to_node(0, at_cap);
+  EXPECT_EQ(cache.stats().entries, 1u) << "a route of max_hops hops is stored";
+  cache.route_to_node(0, over_cap);
+  EXPECT_EQ(cache.stats().entries, 1u) << "one hop more is not";
+  expect_same_result(cache.route_to_node(0, at_cap),
+                     gpsr.route_to_node(0, at_cap));
+  expect_same_result(cache.route_to_node(0, over_cap),
+                     gpsr.route_to_node(0, over_cap));
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(RouteCache, LruEvictionRespectsByteBound) {
@@ -167,6 +156,38 @@ TEST(RouteCache, LruEvictionRespectsByteBound) {
   }
 }
 
+// The byte budget evicts by clock sweep: once the hand has come round,
+// a route hit between every two misses has its reference bit set
+// whenever the hand reaches it, so it is never the victim while cold
+// routes churn through the store.
+TEST(RouteCache, BudgetKeepsARouteHitBetweenEveryMiss) {
+  const auto net = random_connected_net(17, 400);
+  const Gpsr gpsr(net);
+  RouteCacheConfig config;
+  config.max_bytes = 4 * 1024;
+  config.max_hops = 0;
+  const RouteCache cache(gpsr, config);
+  Rng rng(1717);
+  const auto n = static_cast<std::int64_t>(net.size());
+  const auto cold_route = [&] {
+    cache.route_to_node(static_cast<NodeId>(rng.uniform_int(1, n - 1)),
+                        static_cast<NodeId>(rng.uniform_int(0, n - 2)));
+  };
+  // Until the first eviction every stored route still has the bit it was
+  // stored with, so the hand's first round clears them all.
+  while (cache.stats().evictions == 0) cold_route();
+  const NodeId hot_src = 0;
+  const NodeId hot_dst = 399;
+  cache.route_to_node(hot_src, hot_dst);
+  for (int trial = 0; trial < 1000; ++trial) {
+    cold_route();
+    const auto before = cache.stats().hits;
+    cache.route_to_node(hot_src, hot_dst);
+    ASSERT_EQ(cache.stats().hits, before + 1) << "after trial " << trial;
+  }
+  EXPECT_GT(cache.stats().evictions, 500u);
+}
+
 TEST(RouteCache, ClearDropsEntriesKeepsCounters) {
   const auto net = random_connected_net(13, 150);
   const Gpsr gpsr(net);
@@ -182,56 +203,62 @@ TEST(RouteCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.stats().misses, 2u);  // refilled after clear
 }
 
-// The unbounded node-route probe goes through a (src, dst) index kept in
-// step with the stored routes. note_dead() must drop exactly the routes
-// through the dead node, and every survivor must still hit with its own
-// stored route, also after the drop and the refills reorder them.
+// The probe goes through a (src, dst) index kept in step with the stored
+// routes. note_dead() must drop exactly the routes through the dead node,
+// and every survivor must still hit with its own stored route, also after
+// the drop and the refills reorder them; in both storage modes (the
+// budget holds every route, so only invalidation removes any).
 TEST(RouteCache, NoteDeadDropsExactlyRoutesThroughNode) {
-  const auto net = random_connected_net(14, 300);
-  const Gpsr gpsr(net);
-  RouteCacheConfig config;
-  config.max_hops = 0;  // store every route from the source
-  const RouteCache cache(gpsr, config);
-  const NodeId src = 0;
-  std::vector<RouteResult> stored(net.size());
-  for (NodeId dst = 1; dst < net.size(); ++dst)
-    stored[dst] = cache.route_to_node(src, dst);
-  ASSERT_EQ(cache.stats().entries, net.size() - 1);
-  ASSERT_GE(cache.stats().entries, 100u);
+  for (const std::size_t max_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    SCOPED_TRACE(max_bytes);
+    const auto net = random_connected_net(14, 300);
+    const Gpsr gpsr(net);
+    RouteCacheConfig config;
+    config.max_hops = 0;  // store every route from the source
+    config.max_bytes = max_bytes;
+    const RouteCache cache(gpsr, config);
+    const NodeId src = 0;
+    std::vector<RouteResult> stored(net.size());
+    for (NodeId dst = 1; dst < net.size(); ++dst)
+      stored[dst] = cache.route_to_node(src, dst);
+    ASSERT_EQ(cache.stats().entries, net.size() - 1);
+    ASSERT_GE(cache.stats().entries, 100u);
 
-  const auto traverses = [](const RouteResult& r, NodeId node) {
-    return std::find(r.path.begin(), r.path.end(), node) != r.path.end();
-  };
-  // A first hop of the source: on some of its routes, not on all.
-  const NodeId dead = stored[net.size() - 1].path[1];
-  std::size_t through = 0;
-  for (NodeId dst = 1; dst < net.size(); ++dst)
-    through += traverses(stored[dst], dead) ? 1 : 0;
-  ASSERT_GT(through, 1u);
-  ASSERT_LT(through, net.size() - 2);
+    const auto traverses = [](const RouteResult& r, NodeId node) {
+      return std::find(r.path.begin(), r.path.end(), node) != r.path.end();
+    };
+    // A first hop of the source: on some of its routes, not on all.
+    const NodeId dead = stored[net.size() - 1].path[1];
+    std::size_t through = 0;
+    for (NodeId dst = 1; dst < net.size(); ++dst)
+      through += traverses(stored[dst], dead) ? 1 : 0;
+    ASSERT_GT(through, 1u);
+    ASSERT_LT(through, net.size() - 2);
 
-  cache.note_dead(dead);
-  EXPECT_EQ(cache.stats().invalidated, through);
-  EXPECT_EQ(cache.stats().entries, net.size() - 1 - through);
+    cache.note_dead(dead);
+    EXPECT_EQ(cache.stats().invalidated, through);
+    EXPECT_EQ(cache.stats().entries, net.size() - 1 - through);
 
-  for (int pass = 0; pass < 2; ++pass) {
-    for (NodeId dst = 1; dst < net.size(); ++dst) {
-      const auto before = cache.stats();
-      RouteResult got;
-      cache.route_to_node_into(src, dst, got);
-      const bool dropped = pass == 0 && traverses(stored[dst], dead);
-      EXPECT_EQ(cache.stats().hits, before.hits + (dropped ? 0 : 1))
-          << "dst " << dst << " pass " << pass;
-      expect_same_result(got, stored[dst]);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (NodeId dst = 1; dst < net.size(); ++dst) {
+        const auto before = cache.stats();
+        RouteResult got;
+        cache.route_to_node_into(src, dst, got);
+        const bool dropped = pass == 0 && traverses(stored[dst], dead);
+        EXPECT_EQ(cache.stats().hits, before.hits + (dropped ? 0 : 1))
+            << "dst " << dst << " pass " << pass;
+        expect_same_result(got, stored[dst]);
+      }
     }
+    EXPECT_EQ(cache.stats().entries, net.size() - 1);
+    EXPECT_EQ(cache.stats().evictions, 0u);
   }
-  EXPECT_EQ(cache.stats().entries, net.size() - 1);
 }
 
 // Kills nobody reported through note_dead(): the cache reads the network's
 // dead count on every lookup, so after a kill it serves exactly what the
-// uncached router computes — node and location routes, in both storage
-// modes — and never a stored path through a dead node.
+// uncached router computes, in both storage modes, and never a stored
+// path through a dead node.
 TEST(RouteCache, KillsAreForgottenBeforeTheNextLookup) {
   for (const std::size_t max_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
     auto net = random_connected_net(15, 250);
@@ -247,21 +274,13 @@ TEST(RouteCache, KillsAreForgottenBeforeTheNextLookup) {
       pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, n - 1)),
                          static_cast<NodeId>(rng.uniform_int(0, n - 1)));
     }
-    const auto dest = [&net](NodeId d) {
-      return Point{net.position(d).x + 1.5, net.position(d).y - 0.5};
-    };
-    for (const auto& [s, d] : pairs) {
-      cache.route_to_node(s, d);
-      cache.route_to_location(s, dest(d));
-    }
+    for (const auto& [s, d] : pairs) cache.route_to_node(s, d);
 
     for (int k = 0; k < 25; ++k)
       net.kill(static_cast<NodeId>(rng.uniform_int(0, n - 1)));
     for (const auto& [s, d] : pairs) {
       if (!net.alive(s)) continue;
       expect_same_result(cache.route_to_node(s, d), gpsr.route_to_node(s, d));
-      expect_same_result(cache.route_to_location(s, dest(d)),
-                         gpsr.route_to_location(s, dest(d)));
     }
     EXPECT_GT(cache.stats().invalidated, 0u) << "max_bytes " << max_bytes;
   }
