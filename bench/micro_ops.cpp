@@ -14,13 +14,11 @@
 #include <vector>
 
 #include "bench_support/testbed.h"
-#include "common/object_pool.h"
 #include "common/rng.h"
 #include "core/pool_geometry.h"
 #include "net/spatial_index.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
-#include "sim/event_queue.h"
 #include "storage/column/column_store.h"
 
 namespace {
@@ -196,30 +194,6 @@ void BM_CachedRouteIntoScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedRouteIntoScratch)->Arg(0)->Arg(1 << 20);
 
-void BM_PathBufferHeap(benchmark::State& state) {
-  // One heap vector per route, the pre-pool allocation pattern: malloc,
-  // grow to a typical cross-field path length, free.
-  for (auto _ : state) {
-    std::vector<net::NodeId> path;
-    path.reserve(32);
-    benchmark::DoNotOptimize(path.data());
-  }
-}
-BENCHMARK(BM_PathBufferHeap);
-
-void BM_PathBufferPooled(benchmark::State& state) {
-  // The same buffer churn through a BufferPool free-list: after the
-  // first trip the reserve is a no-op on recycled capacity.
-  common::BufferPool<net::NodeId> pool(true);
-  for (auto _ : state) {
-    auto path = pool.acquire();
-    path.reserve(32);
-    benchmark::DoNotOptimize(path.data());
-    pool.release(std::move(path));
-  }
-}
-BENCHMARK(BM_PathBufferPooled);
-
 void BM_WithinScanReturning(benchmark::State& state) {
   // Radius scan materializing a fresh result vector per call.
   auto& net = shared_testbed().pool_network();
@@ -246,21 +220,6 @@ void BM_WithinScanIntoScratch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WithinScanIntoScratch);
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  // Steady-state enqueue/dequeue with 64 events resident: the explicit
-  // binary heap moves events out on pop and keeps its backing storage,
-  // so the churn runs allocation-free.
-  sim::EventQueue q;
-  double t = 0;
-  for (int i = 0; i < 64; ++i) q.push(t++, [] {});
-  for (auto _ : state) {
-    q.push(t++, [] {});
-    auto ev = q.pop();
-    benchmark::DoNotOptimize(ev.time);
-  }
-}
-BENCHMARK(BM_EventQueueChurn);
 
 void BM_PoolInsert(benchmark::State& state) {
   benchsup::TestbedConfig config;

@@ -29,7 +29,6 @@
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
 #include "bench_support/telemetry_bridge.h"
-#include "common/object_pool.h"
 #include "core/pool_system.h"
 #include "engine/query_engine.h"
 #include "net/deployment.h"
@@ -235,9 +234,7 @@ ScaleTier run_scale_tier(std::size_t nodes) {
 
   routing::Gpsr gpsr(*network);
   core::PoolConfig pool_config;
-  common::BufferPool<net::NodeId> path_pool(true);
-  routing::RouteCache cache(gpsr, {}, nullptr, "scale.route_cache",
-                            &path_pool);
+  routing::RouteCache cache(gpsr, {}, nullptr, "scale.route_cache");
   core::PoolSystem pool(*network, cache, 3, pool_config);
   const auto t1 = std::chrono::steady_clock::now();
 

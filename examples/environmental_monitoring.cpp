@@ -1,11 +1,13 @@
 // Environmental monitoring: the paper's motivating scenario. A 4-attribute
 // deployment (temperature, humidity, light, barometric pressure — the
-// Crossbow MEP sensor suite cited in the introduction) runs a day-long
-// simulated schedule on the discrete-event engine: sensors take readings
-// every 15 simulated minutes with a mid-day heat wave, and an operator
-// issues partial-match range queries on the hour.
+// Crossbow MEP sensor suite cited in the introduction) runs a simulated
+// day in 15-minute ticks: every tick each sensor takes a reading, with a
+// mid-day heat wave, and every other hour an operator issues a
+// partial-match range query.
 //
 //   $ ./examples/environmental_monitoring
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "core/pool_system.h"
@@ -13,7 +15,6 @@
 #include "net/network.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
-#include "sim/simulator.h"
 #include "storage/range_query.h"
 
 using namespace poolnet;
@@ -23,10 +24,12 @@ namespace {
 constexpr std::size_t kDims = 4;  // temp, humidity, light, pressure
 constexpr double kMinute = 60.0;
 constexpr double kHour = 60.0 * kMinute;
+constexpr double kTick = 15 * kMinute;
+constexpr int kTicksPerDay = 96;
 
 // Diurnal profile for a given simulation time: temperatures and light
 // peak mid-day; a heat wave pushes the afternoon into the query range.
-storage::Event sample_reading(sim::Time now, net::NodeId node, Rng& rng,
+storage::Event sample_reading(double now, net::NodeId node, Rng& rng,
                               std::uint64_t id) {
   const double day_frac = now / (24.0 * kHour);
   const double diurnal = 0.5 - 0.5 * std::cos(2 * 3.14159265 * day_frac);
@@ -59,45 +62,37 @@ int main() {
   std::printf("monitoring deployment: %zu sensors, %zu pools, field %.0f m\n\n",
               network.size(), pool.layout().pool_count(), side);
 
-  sim::Simulator simulator;
   Rng noise = rng.split();
   std::uint64_t next_id = 1;
 
-  // Sensing rounds: every node reads all four attributes every 15 min.
-  std::function<void()> sensing_round = [&] {
-    for (net::NodeId n = 0; n < network.size(); ++n) {
-      pool.insert(n, sample_reading(simulator.now(), n, noise, next_id++));
-    }
-    if (simulator.now() + 15 * kMinute < 24 * kHour)
-      simulator.schedule_in(15 * kMinute, sensing_round);
-  };
-  simulator.schedule_at(0.0, sensing_round);
-
-  // The operator's standing queries, issued from a random sink on the
-  // hour: "heat stress" is hot AND dry with light and pressure don't-care
-  // — a 2-partial match range query, the paper's hardest type.
+  // The operator's standing query, issued from a random sink: "heat
+  // stress" is hot AND dry with light and pressure don't-care — a
+  // 2-partial match range query, the paper's hardest type.
+  storage::RangeQuery::Bounds b{{0.7, 1.0}, {0.0, 0.35}, {0, 0}, {0, 0}};
+  FixedVec<bool, storage::kMaxDims> spec{true, true, false, false};
+  const storage::RangeQuery heat_stress(b, spec);
   std::printf("%-6s %-14s %-14s %-12s %-10s\n", "hour", "readings",
               "heat-stress", "msgs/query", "cells");
   std::printf("--------------------------------------------------------\n");
   Rng sink_rng = rng.split();
-  std::function<void()> hourly_query = [&] {
-    storage::RangeQuery::Bounds b{{0.7, 1.0}, {0.0, 0.35}, {0, 0}, {0, 0}};
-    FixedVec<bool, storage::kMaxDims> spec{true, true, false, false};
-    const storage::RangeQuery heat_stress(b, spec);
-    const auto sink = static_cast<net::NodeId>(
-        sink_rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
-    const auto r = pool.execute(sink, heat_stress);
-    std::printf("%-6.0f %-14zu %-14zu %-12llu %-10zu\n",
-                simulator.now() / kHour, pool.stored_count(),
-                r.events.size(),
-                static_cast<unsigned long long>(r.messages),
-                r.index_nodes_visited);
-    if (simulator.now() + 2 * kHour < 24 * kHour)
-      simulator.schedule_in(2 * kHour, hourly_query);
-  };
-  simulator.schedule_at(1 * kHour, hourly_query);
 
-  simulator.run();
+  for (int tick = 0; tick < kTicksPerDay; ++tick) {
+    const double now = tick * kTick;
+    // On the odd hours (1 h, 3 h, ..., 23 h) the query runs before the
+    // tick's sensing round, so it sees the readings taken before it.
+    if (tick % 8 == 4) {
+      const auto sink = static_cast<net::NodeId>(
+          sink_rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+      const auto r = pool.execute(sink, heat_stress);
+      std::printf("%-6.0f %-14zu %-14zu %-12llu %-10zu\n", now / kHour,
+                  pool.stored_count(), r.events.size(),
+                  static_cast<unsigned long long>(r.messages),
+                  r.index_nodes_visited);
+    }
+    // Sensing round: every node reads all four attributes.
+    for (net::NodeId n = 0; n < network.size(); ++n)
+      pool.insert(n, sample_reading(now, n, noise, next_id++));
+  }
 
   std::printf("\nsimulated 24 h: %zu readings stored, %llu total messages, "
               "%.2f J total radio energy\n",

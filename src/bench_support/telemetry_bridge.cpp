@@ -64,23 +64,8 @@ void publish_scan_stats(obs::Snapshot& snap, const std::string& prefix,
   snap.counters[prefix + ".store.scan.bytes_touched"] += stats.bytes_touched;
 }
 
-void publish_buffer_pool(obs::Snapshot& snap, const std::string& prefix,
-                         const common::BufferPoolStats& stats) {
-  snap.counters[prefix + ".buffers.acquires"] += stats.acquires;
-  snap.counters[prefix + ".buffers.reuses"] += stats.reuses;
-  snap.counters[prefix + ".buffers.releases"] += stats.releases;
-  snap.gauges[prefix + ".buffers.outstanding"] +=
-      static_cast<double>(stats.outstanding);
-  snap.gauges[prefix + ".buffers.high_water"] +=
-      static_cast<double>(stats.high_water);
-  snap.gauges[prefix + ".buffers.free"] +=
-      static_cast<double>(stats.free_buffers);
-  snap.gauges[prefix + ".buffers.reuse_rate"] = stats.reuse_rate();
-}
-
 obs::Snapshot scrape_testbed(Testbed& tb) {
   obs::Snapshot snap = tb.metrics().scrape();
-  publish_buffer_pool(snap, "pool", tb.path_pool().stats());
   for (const SystemKind kind : kAllSystemKinds) {
     if (!tb.deployed(kind)) continue;
     const std::string prefix = to_string(kind);

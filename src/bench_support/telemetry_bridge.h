@@ -11,7 +11,6 @@
 #include <string>
 
 #include "bench_support/testbed.h"
-#include "common/object_pool.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -31,13 +30,6 @@ void publish_network(obs::Snapshot& snap, const std::string& prefix,
                      const net::Network& net,
                      const obs::HopEnergyModel& hop_energy = {});
 
-/// Publishes a BufferPool's lifetime accounting under <prefix>.buffers:
-/// counters .acquires/.reuses/.releases, gauges .outstanding,
-/// .high_water, .free and the derived .reuse_rate — the PR 5 hot-path
-/// pools become visible in every --metrics json|csv scrape.
-void publish_buffer_pool(obs::Snapshot& snap, const std::string& prefix,
-                         const common::BufferPoolStats& stats);
-
 /// Publishes fault-tolerance counters as <prefix>.faults.failovers,
 /// .events_lost, .events_restored, .retries, .failed_legs.
 void publish_fault_stats(obs::Snapshot& snap, const std::string& prefix,
@@ -50,9 +42,9 @@ void publish_scan_stats(obs::Snapshot& snap, const std::string& prefix,
                         const storage::column::ScanStats& stats);
 
 /// One-call scrape of a whole testbed: the registry (route caches plus
-/// whatever callers registered), the shared path pool under
-/// "pool.buffers", and for every deployed kind its network, fault stats,
-/// scan stats and hop-trace depth gauge under "<kind>.".
+/// whatever callers registered) and, for every deployed kind, its
+/// network, fault stats, scan stats and hop-trace depth gauge under
+/// "<kind>.".
 obs::Snapshot scrape_testbed(Testbed& tb);
 
 }  // namespace poolnet::benchsup

@@ -31,9 +31,7 @@ bool parse_system_kind(const std::string& name, SystemKind* out,
 
 Testbed::Testbed(TestbedConfig config)
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
-      config_(config),
-      path_pool_(std::make_unique<common::BufferPool<net::NodeId>>(
-          config.pooled_buffers)) {
+      config_(config) {
   const double side = net::field_side_for_density(
       config.nodes, config.radio_range, config.avg_neighbors);
   const Rect field{0.0, 0.0, side, side};
@@ -79,7 +77,7 @@ Testbed::Deployment& Testbed::wire(SystemKind kind) {
   if (config_.route_cache.enabled) {
     d.cache = std::make_unique<routing::RouteCache>(
         *d.gpsr, config_.route_cache, metrics_.get(),
-        std::string(to_string(kind)) + ".route_cache", path_pool_.get());
+        std::string(to_string(kind)) + ".route_cache");
   }
   if (config_.trace_capacity > 0) {
     d.trace = std::make_unique<obs::RingTraceSink>(config_.trace_capacity);

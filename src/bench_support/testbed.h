@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/object_pool.h"
 #include "core/pool_system.h"
 #include "dim/dim_system.h"
 #include "net/deployment.h"
@@ -66,12 +65,6 @@ struct TestbedConfig {
   /// Hop-trace ring size attached to every network; 0 (default) leaves
   /// tracing disabled at its one-branch-per-hop cost.
   std::size_t trace_capacity = 0;
-
-  /// Draw route-cache path buffers from a per-testbed free-list pool
-  /// instead of the heap. Pure allocation-strategy switch: receipts,
-  /// ledgers, and cache stats are byte-identical either way (the A/B knob
-  /// tests/test_pool_alloc.cpp exercises).
-  bool pooled_buffers = true;
 };
 
 class Testbed {
@@ -156,12 +149,6 @@ class Testbed {
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// Free-list pool backing every route cache's stored path buffers
-  /// (disabled pass-through when config.pooled_buffers is false).
-  const common::BufferPool<net::NodeId>& path_pool() const {
-    return *path_pool_;
-  }
-
  private:
   /// One system and everything it routes over. Members are declared in
   /// dependency order, so the system dies before its cache and network.
@@ -197,9 +184,6 @@ class Testbed {
   /// before its users so the caches can register in the ctor.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   TestbedConfig config_;
-  /// Heap-held (keeps Testbed movable with a stable address for the
-  /// caches); declared before the caches, which release buffers into it.
-  std::unique_ptr<common::BufferPool<net::NodeId>> path_pool_;
   std::shared_ptr<const net::Topology> topology_;
   std::array<Deployment, kAllSystemKinds.size()> slots_;
   std::unique_ptr<storage::BruteForceStore> oracle_;

@@ -1,5 +1,6 @@
 #include "cli/args.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -122,8 +123,8 @@ std::optional<double> ArgParser::double_option(const std::string& name,
   const std::string& raw = option(name);
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    *error = "--" + name + ": not a number: " + raw;
+  if (end == raw.c_str() || *end != '\0' || !std::isfinite(v)) {
+    *error = "--" + name + ": not a finite number: " + raw;
     return std::nullopt;
   }
   if (v < lo || v > hi) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace poolnet::routing {
@@ -40,12 +42,16 @@ bool parse_route_cache_spec(const std::string& spec, RouteCacheConfig* config,
         default: break;
       }
     }
-    if (end == num.c_str() || *end != '\0' || v <= 0.0) {
+    // A bound under one byte would truncate to 0, which means unbounded;
+    // NaN, infinity and bounds past SIZE_MAX have no size_t value.
+    const double bytes = v * scale;
+    if (end == num.c_str() || *end != '\0' || !std::isfinite(bytes) ||
+        bytes < 1.0 || bytes >= static_cast<double>(SIZE_MAX)) {
       *error = "route-cache: bad byte bound '" + num + "'";
       return false;
     }
     config->enabled = true;
-    config->max_bytes = static_cast<std::size_t>(v * scale);
+    config->max_bytes = static_cast<std::size_t>(bytes);
     return true;
   }
   *error = "route-cache: expected on, off or lru:<bytes>, got '" + spec + "'";
@@ -53,12 +59,8 @@ bool parse_route_cache_spec(const std::string& spec, RouteCacheConfig* config,
 }
 
 RouteCache::RouteCache(const Router& inner, RouteCacheConfig config,
-                       obs::MetricsRegistry* metrics, const std::string& prefix,
-                       common::BufferPool<net::NodeId>* path_pool)
-    : inner_(inner),
-      net_(inner.network()),
-      config_(config),
-      path_pool_(path_pool) {
+                       obs::MetricsRegistry* metrics, const std::string& prefix)
+    : inner_(inner), net_(inner.network()), config_(config) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -126,12 +128,7 @@ void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
 
 void RouteCache::store(std::size_t slot, std::uint64_t key,
                        const RouteResult& r) const {
-  RouteResult& stored = routes_.emplace_back();
-  if (path_pool_ != nullptr) stored.path = path_pool_->acquire();
-  stored.path.assign(r.path.begin(), r.path.end());
-  stored.delivered = r.delivered;
-  stored.exact = r.exact;
-  stored.perimeter_hops = r.perimeter_hops;
+  routes_.push_back(r);
   keys_.push_back(key);
   referenced_.push_back(1);
   index_[slot] = static_cast<std::uint32_t>(keys_.size());
@@ -142,7 +139,6 @@ void RouteCache::store(std::size_t slot, std::uint64_t key,
 
 void RouteCache::erase(std::size_t i) const {
   bytes_ -= entry_bytes(routes_[i]);
-  if (path_pool_ != nullptr) path_pool_->release(std::move(routes_[i].path));
   // Backward-shift deletion: pull each later member of the probe run
   // into the hole unless its home slot lies cyclically after the hole.
   const std::size_t mask = index_.size() - 1;
@@ -194,18 +190,6 @@ void RouteCache::drop_routes(
     erase(i);
     invalidated_.inc();
   }
-}
-
-void RouteCache::clear() {
-  if (path_pool_ != nullptr)
-    for (auto& r : routes_) path_pool_->release(std::move(r.path));
-  keys_.clear();
-  routes_.clear();
-  referenced_.clear();
-  index_.clear();
-  rebuild_index();
-  hand_ = 0;
-  bytes_ = 0;
 }
 
 }  // namespace poolnet::routing

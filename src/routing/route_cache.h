@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/object_pool.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "routing/router.h"
@@ -83,16 +82,9 @@ class RouteCache final : public Router {
   /// testbed-wide scrape sees them next to every other subsystem.
   /// Without one, the cache owns a private registry — same code path,
   /// nothing to scrape unless asked via stats().
-  ///
-  /// `path_pool` (optional, not owned, must outlive the cache) supplies
-  /// the backing store for cached path vectors: stored copies draw their
-  /// buffers from the pool and return them on invalidation/eviction, so
-  /// churn under failures recycles capacity instead of round-tripping the
-  /// heap. Stored VALUES are identical with or without a pool.
   explicit RouteCache(const Router& inner, RouteCacheConfig config = {},
                       obs::MetricsRegistry* metrics = nullptr,
-                      const std::string& prefix = "route_cache",
-                      common::BufferPool<net::NodeId>* path_pool = nullptr);
+                      const std::string& prefix = "route_cache");
 
   /// A hit copies the stored route into `out` (capacity reused — the
   /// probe itself never allocates); a miss routes through the inner
@@ -109,9 +101,6 @@ class RouteCache final : public Router {
 
   /// Thin view over the registry counters plus the resident-size levels.
   RouteCacheStats stats() const;
-
-  /// Drops every entry (stats counters are kept).
-  void clear();
 
  private:
   /// The index slot holding `key`, or the empty slot where it belongs.
@@ -154,7 +143,6 @@ class RouteCache final : public Router {
   const net::Network* net_;            ///< inner_.network(); may be null
   mutable std::size_t seen_dead_ = 0;  ///< net_->dead_count() last seen
   RouteCacheConfig config_;
-  common::BufferPool<net::NodeId>* path_pool_;
   /// The stored routes, their (src, dst) keys and clock reference bits in
   /// step, and an open-addressing index over the keys (linear probing,
   /// route index + 1 per slot, 0 = empty, at most half full).

@@ -1,17 +1,20 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace poolnet::sim {
 
 namespace {
 
+/// A finite number: NaN would slip through every range check below,
+/// since comparisons with it are false.
 bool parse_double(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

@@ -1,5 +1,6 @@
 #include "storage/store_config.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "storage/brute_force_store.h"
@@ -22,12 +23,15 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
+/// Decimal digits only; false on a value past SIZE_MAX.
 bool parse_size(const std::string& s, std::size_t* out) {
   if (s.empty()) return false;
   std::size_t v = 0;
   for (const char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(c - '0');
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (v > (SIZE_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
   }
   *out = v;
   return true;
@@ -67,6 +71,10 @@ bool parse_store_spec(const std::string& spec, StoreConfig* config,
     }
     if (!parse_size(parts[2], &page_kb) || page_kb == 0) {
       *error = "bad page size in '" + spec + "' (whole KB, minimum 1)";
+      return false;
+    }
+    if (page_kb > SIZE_MAX / 1024 / pages) {
+      *error = "buffer pool in '" + spec + "' overflows the address space";
       return false;
     }
     parsed.paged.pool_pages = pages;

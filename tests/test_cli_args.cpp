@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cli/runner.h"
 
 namespace poolnet::cli {
@@ -105,8 +107,16 @@ TEST(ArgParser, DoubleOption) {
   std::string error;
   ASSERT_TRUE(parse(p, {"--ratio", "0.75"}, &error));
   EXPECT_DOUBLE_EQ(*p.double_option("ratio", 0.0, 1.0, &error), 0.75);
-  ASSERT_TRUE(parse(p, {"--ratio", "x"}, &error));
-  EXPECT_FALSE(p.double_option("ratio", 0.0, 1.0, &error).has_value());
+  for (const char* bad : {"x", "nan", "-nan", "inf", "-inf", "1.5", "0.5z"}) {
+    ASSERT_TRUE(parse(p, {"--ratio", bad}, &error));
+    error.clear();
+    EXPECT_FALSE(p.double_option("ratio", 0.0, 1.0, &error).has_value())
+        << bad;
+    EXPECT_NE(error.find("--ratio"), std::string::npos) << bad;
+  }
+  // Infinity is rejected even where the range would admit it.
+  ASSERT_TRUE(parse(p, {"--ratio", "inf"}, &error));
+  EXPECT_FALSE(p.double_option("ratio", 0.0, HUGE_VAL, &error).has_value());
 }
 
 TEST(ArgParser, ChoiceOption) {
@@ -216,9 +226,14 @@ TEST(SharedOptions, StoreSpecsParseAndReject) {
   EXPECT_EQ(store.paged.page_bytes, 2048u);
   EXPECT_EQ(store.paged.backing, storage::PagedStoreOptions::Backing::File);
 
-  ASSERT_TRUE(parse(p, {"--store", "paged:1:4"}, &error));  // pool floor is 2
-  EXPECT_FALSE(parse_store_options(p, &store, &error));
-  EXPECT_FALSE(error.empty());
+  for (const char* bad : {"paged:1:4",  // pool floor is 2
+                          "paged:18446744073709551618:1",  // past SIZE_MAX
+                          "paged:2:18014398509481984"}) {  // KB * 1024 wraps
+    ASSERT_TRUE(parse(p, {"--store", bad}, &error));
+    error.clear();
+    EXPECT_FALSE(parse_store_options(p, &store, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 TEST(SharedOptions, FaultSpecsParseAndReject) {
@@ -230,9 +245,13 @@ TEST(SharedOptions, FaultSpecsParseAndReject) {
   EXPECT_TRUE(plan.enabled());
   EXPECT_EQ(plan.seed, 42u);
 
-  ASSERT_TRUE(parse(p, {"--faults", "explode:now"}, &error));
-  EXPECT_FALSE(parse_fault_options(p, &plan, &error));
-  EXPECT_FALSE(error.empty());
+  for (const char* bad : {"explode:now", "kill:nan@5", "degrade:nan@1-2",
+                          "blackout:0,0,inf@2"}) {
+    ASSERT_TRUE(parse(p, {"--faults", bad}, &error));
+    error.clear();
+    EXPECT_FALSE(parse_fault_options(p, &plan, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 TEST(SharedOptions, TelemetrySpecsParseAndReject) {

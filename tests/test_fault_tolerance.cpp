@@ -86,7 +86,9 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   for (const char* bad :
        {"kill:1.5@3", "kill:0.2", "node:x@1", "blackout:1,2@3",
         "degrade:0.5@9-4", "degrade:1.0@1-2", "bogus:1@1", "kill:0.2@-3",
-        "seed:abc", "kill"}) {
+        "seed:abc", "kill", "kill:nan@5", "kill:0.2@nan",
+        "degrade:nan@1-2", "degrade:0.1@1-inf", "blackout:0,0,inf@2",
+        "blackout:nan,0,5@2", "node:3@inf"}) {
     sim::FaultPlan plan;
     std::string err;
     EXPECT_FALSE(sim::parse_fault_spec(bad, &plan, &err)) << bad;

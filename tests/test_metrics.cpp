@@ -340,40 +340,22 @@ TEST(RegistryViews, RouteCacheAndEngineShareOneRegistry) {
             0u);
 }
 
-// The hot-path buffer pools surface their lifetime accounting in every
-// scrape (PR 6 satellite): counters for the flows, gauges for the
-// levels.
-TEST(Telemetry, BufferPoolStatsPublish) {
-  common::BufferPool<net::NodeId> pool(true);
-  {
-    std::vector<net::NodeId> a = pool.acquire();
-    a.push_back(7);
-    pool.release(std::move(a));
-  }
-  std::vector<net::NodeId> b = pool.acquire();  // reuses a's capacity
-
-  obs::Snapshot snap;
-  benchsup::publish_buffer_pool(snap, "pool", pool.stats());
-  EXPECT_EQ(snap.counters.at("pool.buffers.acquires"), 2u);
-  EXPECT_EQ(snap.counters.at("pool.buffers.reuses"), 1u);
-  EXPECT_EQ(snap.counters.at("pool.buffers.releases"), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("pool.buffers.outstanding"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("pool.buffers.high_water"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("pool.buffers.reuse_rate"), 0.5);
-}
-
-TEST(Telemetry, TestbedScrapeIncludesBufferPools) {
+// One scrape sees the registry's route caches and every deployed kind's
+// network, and nothing for a kind that was never deployed.
+TEST(Telemetry, TestbedScrapeCoversDeployedKinds) {
   benchsup::TestbedConfig config;
   config.nodes = 120;
   config.seed = 9;
   benchsup::Testbed tb(config);
   tb.insert_workload();
   const obs::Snapshot snap = benchsup::scrape_testbed(tb);
-  ASSERT_TRUE(snap.counters.count("pool.buffers.acquires"));
-  EXPECT_GT(snap.counters.at("pool.buffers.acquires"), 0u);
-  ASSERT_TRUE(snap.gauges.count("pool.buffers.reuse_rate"));
+  for (const std::string kind : {"pool", "dim"}) {
+    ASSERT_TRUE(snap.counters.count(kind + ".route_cache.misses")) << kind;
+    EXPECT_GT(snap.counters.at(kind + ".route_cache.misses"), 0u) << kind;
+    EXPECT_TRUE(snap.counters.count(kind + ".net.messages")) << kind;
+  }
+  EXPECT_FALSE(snap.counters.count("ght.net.messages"));
   // The scrape emits through the same deterministic JSON path as every
   // other instrument.
-  EXPECT_NE(snap.to_json().find("pool.buffers.high_water"),
-            std::string::npos);
+  EXPECT_NE(snap.to_json().find("pool.net.energy_j"), std::string::npos);
 }

@@ -364,7 +364,12 @@ TEST(StoreConfig, RejectsMalformedSpecsAndLeavesConfigUntouched) {
   ASSERT_TRUE(parse_store_spec("paged:64:8", &config, &error));
   for (const char* bad : {"", "vinyl", "paged:1:4", "paged:64:0",
                           "paged:64:abc", "paged:64:4:tape",
-                          "paged:64:4:mem:extra"}) {
+                          "paged:64:4:mem:extra",
+                          // Past SIZE_MAX, and pools whose bytes overflow.
+                          "paged:18446744073709551618:1",
+                          "paged:64:18446744073709551616",
+                          "paged:2:18014398509481984",
+                          "paged:1024:18014398509481983"}) {
     error.clear();
     EXPECT_FALSE(parse_store_spec(bad, &config, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;

@@ -188,21 +188,6 @@ TEST(RouteCache, BudgetKeepsARouteHitBetweenEveryMiss) {
   EXPECT_GT(cache.stats().evictions, 500u);
 }
 
-TEST(RouteCache, ClearDropsEntriesKeepsCounters) {
-  const auto net = random_connected_net(13, 150);
-  const Gpsr gpsr(net);
-  RouteCache cache(gpsr);
-  cache.route_to_node(0, 100);
-  cache.route_to_node(0, 100);
-  ASSERT_GT(cache.stats().entries, 0u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);  // counters survive
-  cache.route_to_node(0, 100);
-  EXPECT_EQ(cache.stats().misses, 2u);  // refilled after clear
-}
-
 // The probe goes through a (src, dst) index kept in step with the stored
 // routes. note_dead() must drop exactly the routes through the dead node,
 // and every survivor must still hit with its own stored route, also after
@@ -300,9 +285,21 @@ TEST(RouteCacheSpec, ParsesOnOffAndLru) {
   EXPECT_EQ(config.max_bytes, 64000u);
   ASSERT_TRUE(parse_route_cache_spec("lru:2m", &config, &error));
   EXPECT_EQ(config.max_bytes, 2000000u);
-  EXPECT_FALSE(parse_route_cache_spec("lru:", &config, &error));
-  EXPECT_FALSE(parse_route_cache_spec("lru:-3", &config, &error));
-  EXPECT_FALSE(parse_route_cache_spec("sometimes", &config, &error));
+  ASSERT_TRUE(parse_route_cache_spec("lru:1", &config, &error));
+  EXPECT_EQ(config.max_bytes, 1u);
+  // A bound must be a byte count: under one byte it would truncate to 0,
+  // the unbounded mode, and NaN, infinity or more than SIZE_MAX bytes have
+  // no size_t value. A rejected spec leaves the config as it was.
+  for (const char* bad :
+       {"lru:", "lru:-3", "sometimes", "lru:0", "lru:0.5", "lru:0.0001k",
+        "lru:nan", "lru:inf", "lru:-inf", "lru:1e30", "lru:2e10g", "lru:64x",
+        "lru:k", "LRU:64k", "on "}) {
+    error.clear();
+    EXPECT_FALSE(parse_route_cache_spec(bad, &config, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_TRUE(config.enabled) << bad;
+    EXPECT_EQ(config.max_bytes, 1u) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/experiment.h"
+#include "bench_support/parallel.h"
 #include "fingerprint.h"
 #include "ght/ght_system.h"
 #include "query/query_gen.h"
@@ -130,6 +131,72 @@ TEST(Testbed, DeterministicAcrossRebuilds) {
   b.insert_workload();
   EXPECT_EQ(a.pool_insert_traffic().total, b.pool_insert_traffic().total);
   EXPECT_EQ(a.dim_insert_traffic().total, b.dim_insert_traffic().total);
+}
+
+/// One full Pool+DIM run: insert traffic, per-query receipts, batch and
+/// aggregate receipts, and the route-cache counters.
+Fingerprint run_testbed(std::uint64_t seed) {
+  Testbed tb(small_config(seed));
+  tb.insert_workload();
+
+  Fingerprint fp;
+  fp.add(tb.pool_insert_traffic().total);
+  fp.add(tb.dim_insert_traffic().total);
+  fp.add_bits(tb.pool_insert_traffic().energy_j);
+  fp.add_bits(tb.dim_insert_traffic().energy_j);
+
+  query::QueryGenerator qgen({.dims = 3}, seed * 31 + 7);
+  Rng sinks(seed * 17 + 3);
+  std::vector<storage::RangeQuery> queries;
+  for (int i = 0; i < 12; ++i) queries.push_back(qgen.exact_range());
+  for (const auto& q : queries) {
+    const net::NodeId sink = tb.random_node(sinks);
+    fp.add_receipt(tb.pool().execute(sink, q));
+    fp.add_receipt(tb.dim().execute(sink, q));
+  }
+
+  const std::vector<storage::QueryRequest> requests(queries.begin(),
+                                                    queries.end());
+  const auto batch_pool = tb.pool().execute_batch(0, requests);
+  const auto batch_dim = tb.dim().execute_batch(0, requests);
+  for (const auto* b : {&batch_pool, &batch_dim}) {
+    fp.add(b->messages);
+    fp.add(b->messages_saved);
+    fp.add(b->unique_cell_visits);
+    for (const auto& r : b->per_query)
+      for (const auto& e : r.events) fp.add(e.id);
+  }
+
+  const auto agg = tb.pool().execute(
+      0, storage::AggregateQuery{queries.front(),
+                                 storage::AggregateKind::Max, 0});
+  fp.add(agg.messages);
+  fp.add(agg.index_nodes_visited);
+
+  for (const SystemKind kind : {SystemKind::Pool, SystemKind::Dim}) {
+    const auto* cache = tb.route_cache(kind);
+    EXPECT_NE(cache, nullptr) << "route cache should default on";
+    if (!cache) continue;
+    const auto s = cache->stats();
+    fp.add(s.hits);
+    fp.add(s.misses);
+    fp.add(s.entries);
+  }
+  return fp;
+}
+
+// Concurrent testbeds share no state: four whole runs through
+// parallel_map fingerprint the same at one and at four threads.
+TEST(Testbed, RunsIdenticalAtOneAndFourThreads) {
+  const auto sweep = [](std::size_t threads) {
+    return parallel_map<Fingerprint>(
+        4, threads, [](std::size_t i) { return run_testbed(i + 1); });
+  };
+  const auto serial = sweep(1);
+  const auto parallel = sweep(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(serial[i].words, parallel[i].words) << "job " << i;
 }
 
 // --- Testbed::deploy against the hand-built copy it replaced -------------
