@@ -1,8 +1,10 @@
 #include "engine/result_cache.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 namespace poolnet::engine {
 
@@ -83,78 +85,127 @@ std::size_t ResultCache::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-ResultCache::Key ResultCache::key_of(const storage::RangeQuery& q) {
+ResultCache::Key ResultCache::key_of(const Bounds& rect) {
   Key k;
-  k.dims = q.dims();
-  for (std::size_t d = 0; d < q.dims(); ++d) {
-    const ClosedInterval b = q.bound(d);
-    k.bits[2 * d] = bits_of(b.lo);
-    k.bits[2 * d + 1] = bits_of(b.hi);
+  k.dims = rect.size();
+  for (std::size_t d = 0; d < rect.size(); ++d) {
+    k.bits[2 * d] = bits_of(rect[d].lo);
+    k.bits[2 * d + 1] = bits_of(rect[d].hi);
   }
   return k;
+}
+
+std::size_t ResultCache::axis_cell(double v) {
+  // v * kGridSide is exact (a power of two), so k / kGridSide lands in
+  // cell k; the comparisons send NaN and v <= 0 to cell 0.
+  if (v >= 1.0) return kGridSide - 1;
+  return v > 0.0 ? static_cast<std::size_t>(v * kGridSide) : 0;
+}
+
+template <class Fn>
+void ResultCache::for_each_cell(const Bounds& rect, Fn&& fn) {
+  std::size_t lo[kGridAxes] = {}, hi[kGridAxes] = {};
+  for (std::size_t a = 0; a < std::min(rect.size(), kGridAxes); ++a) {
+    lo[a] = axis_cell(rect[a].lo);
+    hi[a] = axis_cell(rect[a].hi);
+  }
+  for (std::size_t z = lo[2]; z <= hi[2]; ++z)
+    for (std::size_t y = lo[1]; y <= hi[1]; ++y)
+      for (std::size_t x = lo[0]; x <= hi[0]; ++x)
+        fn((z * kGridSide + y) * kGridSide + x);
+}
+
+void ResultCache::erase(std::uint32_t slot) {
+  const auto last = static_cast<std::uint32_t>(rects_.size() - 1);
+  for_each_cell(rects_[slot], [&](std::size_t c) {
+    auto& list = cells_[c];
+    *std::find(list.begin(), list.end(), slot) = list.back();
+    list.pop_back();
+  });
+  index_.erase(key_of(rects_[slot]));
+  if (slot != last) {
+    for_each_cell(rects_[last], [&](std::size_t c) {
+      *std::find(cells_[c].begin(), cells_[c].end(), last) = slot;
+    });
+    index_[key_of(rects_[last])] = slot;
+    rects_[slot] = rects_[last];
+    events_[slot] = std::move(events_[last]);
+    stored_at_[slot] = stored_at_[last];
+  }
+  rects_.pop_back();
+  events_.pop_back();
+  stored_at_.pop_back();
 }
 
 const std::vector<storage::Event>* ResultCache::lookup(
     const storage::RangeQuery& q, std::uint64_t now) {
   if (!config_.enabled) return nullptr;
-  const auto it = entries_.find(key_of(q));
-  if (it == entries_.end()) {
+  const auto it = index_.find(key_of(q.bounds()));
+  if (it == index_.end()) {
     misses_.inc();
     return nullptr;
   }
-  if (expired(it->second, now)) {
-    entries_.erase(it);
+  const std::uint32_t slot = it->second;
+  if (expired(slot, now)) {
+    erase(slot);
     expirations_.inc();
     misses_.inc();
     return nullptr;
   }
   hits_.inc();
-  return &it->second.events;
+  return &events_[slot];
 }
 
 void ResultCache::store(const storage::RangeQuery& q,
                         std::vector<storage::Event> events,
                         std::uint64_t now) {
   if (!config_.enabled) return;
-  Entry& e = entries_[key_of(q)];
-  e.rect = q.bounds();
-  e.events = std::move(events);
-  e.stored_at = now;
+  if (cells_.empty()) cells_.resize(kGridCells);
+  const auto slot = static_cast<std::uint32_t>(rects_.size());
+  const auto [it, fresh] = index_.try_emplace(key_of(q.bounds()), slot);
+  if (fresh) {
+    rects_.push_back(q.bounds());
+    events_.push_back(std::move(events));
+    stored_at_.push_back(now);
+    for_each_cell(rects_.back(),
+                  [&](std::size_t c) { cells_[c].push_back(slot); });
+  } else {
+    events_[it->second] = std::move(events);
+    stored_at_[it->second] = now;
+  }
   insertions_.inc();
 }
 
 std::size_t ResultCache::invalidate_containing(const storage::Values& values) {
-  if (!config_.enabled || entries_.empty()) return 0;
-  std::size_t erased = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& e = it->second;
-    bool inside = e.rect.size() == values.size();
+  if (!config_.enabled || rects_.empty()) return 0;
+  std::size_t cell = 0;
+  for (std::size_t a = std::min(values.size(), kGridAxes); a-- > 0;)
+    cell = cell * kGridSide + axis_cell(values[a]);
+  doomed_.clear();
+  for (const std::uint32_t slot : cells_[cell]) {
+    const Bounds& rect = rects_[slot];
+    bool inside = rect.size() == values.size();
     for (std::size_t d = 0; inside && d < values.size(); ++d)
-      inside = e.rect[d].contains(values[d]);
-    if (inside) {
-      it = entries_.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
+      inside = rect[d].contains(values[d]);
+    if (inside) doomed_.push_back(slot);
   }
-  invalidations_.add(erased);
-  return erased;
+  // Highest slot first: erase() moves only the last slot, which is then
+  // never one still waiting here.
+  std::sort(doomed_.begin(), doomed_.end(), std::greater<>());
+  for (const std::uint32_t slot : doomed_) erase(slot);
+  invalidations_.add(doomed_.size());
+  return doomed_.size();
 }
 
 std::size_t ResultCache::expire_data_before(double cutoff) {
-  if (!config_.enabled || entries_.empty()) return 0;
+  if (!config_.enabled) return 0;
   std::size_t shrank = 0;
-  for (auto& [key, e] : entries_) {
-    const auto before = e.events.size();
-    std::erase_if(e.events, [cutoff](const storage::Event& ev) {
-      return ev.detected_at < cutoff;
-    });
-    if (e.events.size() != before) ++shrank;
-  }
+  for (auto& events : events_)
+    if (std::erase_if(events, [cutoff](const storage::Event& ev) {
+          return ev.detected_at < cutoff;
+        }) > 0)
+      ++shrank;
   return shrank;
 }
-
-void ResultCache::clear() { entries_.clear(); }
 
 }  // namespace poolnet::engine

@@ -10,6 +10,15 @@
 // aging removes exactly the stored events detected before the cutoff, so
 // cached answers stay exact after dropping those same events in place —
 // entries survive aging instead of being cleared wholesale.
+//
+// Entries live in dense slots, and each rectangle is registered in every
+// cell of a fixed grid (kGridSide cells per axis over the first
+// kGridAxes value dimensions) that it overlaps. An insert tests only the
+// entries registered in its own point's cell. The value-to-cell map is
+// monotone and clamps at the domain edges, so lo <= v <= hi implies
+// cell(lo) <= cell(v) <= cell(hi): every rectangle that contains the
+// point is in that cell, and the exact containment test over every
+// dimension decides the rest.
 #pragma once
 
 #include <array>
@@ -69,10 +78,11 @@ class ResultCache {
   /// Thin view assembled from the registry counters.
   ResultCacheStats stats() const;
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return rects_.size(); }
 
   /// Fresh cached result for `q`, or nullptr (counting a miss). An entry
-  /// older than the TTL is erased on contact and reported as a miss.
+  /// older than the TTL is erased on contact and reported as a miss. The
+  /// pointer is valid until the next call that stores or erases.
   const std::vector<storage::Event>* lookup(const storage::RangeQuery& q,
                                             std::uint64_t now);
 
@@ -90,9 +100,6 @@ class ResultCache {
   /// erased. Returns the number of entries that shrank.
   std::size_t expire_data_before(double cutoff);
 
-  /// Drops everything (stats counters are kept).
-  void clear();
-
  private:
   /// Bit patterns of the normalized per-dimension bounds. Sound as a key
   /// because RangeQuery::matches tests only the normalized bounds.
@@ -104,19 +111,37 @@ class ResultCache {
   struct KeyHash {
     std::size_t operator()(const Key& k) const;
   };
-  struct Entry {
-    storage::RangeQuery::Bounds rect;
-    std::vector<storage::Event> events;
-    std::uint64_t stored_at = 0;
-  };
+  using Bounds = storage::RangeQuery::Bounds;
 
-  static Key key_of(const storage::RangeQuery& q);
-  bool expired(const Entry& e, std::uint64_t now) const {
-    return config_.ttl > 0 && now - e.stored_at >= config_.ttl;
+  static constexpr std::size_t kGridSide = 8;
+  static constexpr std::size_t kGridAxes = 3;
+  static constexpr std::size_t kGridCells = kGridSide * kGridSide * kGridSide;
+
+  static Key key_of(const Bounds& rect);
+  /// Grid cell of a value on one axis: floor(v * kGridSide), clamped to
+  /// [0, kGridSide - 1]; NaN maps to 0.
+  static std::size_t axis_cell(double v);
+  /// Calls `fn(cell)` for every grid cell `rect` overlaps.
+  template <class Fn>
+  static void for_each_cell(const Bounds& rect, Fn&& fn);
+
+  bool expired(std::uint32_t slot, std::uint64_t now) const {
+    return config_.ttl > 0 && now - stored_at_[slot] >= config_.ttl;
   }
+  /// Removes `slot`, moving the last slot into its place.
+  void erase(std::uint32_t slot);
 
   ResultCacheConfig config_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::unordered_map<Key, std::uint32_t, KeyHash> index_;  ///< key -> slot
+
+  // Slot arrays, indexed by slot. The key is the bits of rects_[slot].
+  std::vector<Bounds> rects_;
+  std::vector<std::vector<storage::Event>> events_;
+  std::vector<std::uint64_t> stored_at_;
+
+  /// Slots registered per grid cell; sized on the first store.
+  std::vector<std::vector<std::uint32_t>> cells_;
+  std::vector<std::uint32_t> doomed_;  ///< invalidate_containing scratch
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  ///< fallback
   obs::MetricsRegistry::Counter hits_, misses_, insertions_, invalidations_,
