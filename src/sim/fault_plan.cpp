@@ -1,8 +1,10 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace poolnet::sim {
 
@@ -19,11 +21,14 @@ bool parse_double(const std::string& s, double* out) {
   return true;
 }
 
+/// Decimal digits only: strtoull alone would skip leading whitespace and
+/// accept a sign, wrapping "-1" to 2^64 - 1.
 bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
   *out = v;
   return true;
 }
@@ -88,8 +93,9 @@ bool parse_fault_spec(const std::string& spec, FaultPlan* plan,
     } else if (kind == "node") {
       a.kind = FaultKind::KillNode;
       std::uint64_t id = 0;
-      if (!parse_u64(params, &id))
-        return fail(error, clause, "node id must be an integer");
+      if (!parse_u64(params, &id) ||
+          id > std::numeric_limits<std::uint32_t>::max())
+        return fail(error, clause, "node id must be a 32-bit integer");
       a.node = static_cast<std::uint32_t>(id);
       if (!parse_double(when, &a.at) || a.at < 0.0)
         return fail(error, clause, "time must be >= 0");

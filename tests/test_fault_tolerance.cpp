@@ -88,12 +88,22 @@ TEST(FaultSpec, RejectsMalformedClauses) {
         "degrade:0.5@9-4", "degrade:1.0@1-2", "bogus:1@1", "kill:0.2@-3",
         "seed:abc", "kill", "kill:nan@5", "kill:0.2@nan",
         "degrade:nan@1-2", "degrade:0.1@1-inf", "blackout:0,0,inf@2",
-        "blackout:nan,0,5@2", "node:3@inf"}) {
+        "blackout:nan,0,5@2", "node:3@inf", "node:-1@1", "node:+3@1",
+        "node: 3@1", "node:4294967298@1", "node:99999999999999999999@1",
+        "seed:-1", "seed:+5", "seed: 5", "seed:123456789012345678901"}) {
     sim::FaultPlan plan;
     std::string err;
     EXPECT_FALSE(sim::parse_fault_spec(bad, &plan, &err)) << bad;
     EXPECT_FALSE(err.empty()) << bad;
   }
+  // The largest node id and seed still parse.
+  sim::FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(sim::parse_fault_spec(
+      "node:4294967295@1;seed:18446744073709551615", &plan, &err))
+      << err;
+  EXPECT_EQ(plan.actions.at(0).node, 4294967295u);
+  EXPECT_EQ(plan.seed, 18446744073709551615u);
 }
 
 // --- the injector ------------------------------------------------------
