@@ -4,13 +4,15 @@
 //   $ poolnet_cli --nodes 1500 --seeds 5 --csv results.csv
 //
 // Every run cross-checks all result sets against a brute-force oracle;
-// nonzero mismatches (a bug) make the exit status nonzero.
+// nonzero mismatches (a bug) make the exit status nonzero. A flag or
+// configuration the run cannot honour exits 2.
 #include <cstdio>
 #include <iostream>
 
 #include "bench_support/parallel.h"
 #include "cli/args.h"
 #include "cli/runner.h"
+#include "common/error.h"
 
 using namespace poolnet;
 
@@ -163,6 +165,11 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+  } catch (const ConfigError& ex) {
+    // e.g. a --faults node id past the deployment, known only once the
+    // fault plan meets a network.
+    std::fprintf(stderr, "error: %s\n", ex.what());
+    return 2;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;

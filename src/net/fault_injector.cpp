@@ -1,6 +1,7 @@
 #include "net/fault_injector.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/assert.h"
 #include "common/error.h"
@@ -14,6 +15,13 @@ FaultInjector::FaultInjector(sim::FaultPlan plan, std::vector<Network*> nets)
     POOLNET_ASSERT(n != nullptr);
     POOLNET_ASSERT_MSG(n->size() == nets_[0]->size(),
                        "FaultInjector: networks must be co-deployed");
+  }
+  const std::size_t size = nets_[0]->size();
+  for (const sim::FaultAction& a : plan_.actions) {
+    if (a.kind == sim::FaultKind::KillNode && a.node >= size)
+      throw ConfigError("fault plan kills node " + std::to_string(a.node) +
+                        ", past the " + std::to_string(size) +
+                        "-node network");
   }
 }
 
@@ -31,7 +39,8 @@ std::vector<NodeId> FaultInjector::advance(double now) {
     const sim::FaultAction& a = plan_.actions[next_++];
     switch (a.kind) {
       case sim::FaultKind::KillNode:
-        if (a.node < world.size()) kill_everywhere(a.node, &newly);
+        POOLNET_ASSERT(a.node < world.size());  // checked at construction
+        kill_everywhere(a.node, &newly);
         break;
       case sim::FaultKind::KillFraction: {
         // Sample without replacement from the current survivors so

@@ -19,7 +19,8 @@ namespace poolnet::net {
 class FaultInjector {
  public:
   /// `nets` must all have the same size and node positions (the testbed
-  /// convention). A disabled plan makes advance() a cheap no-op.
+  /// convention). A disabled plan makes advance() a cheap no-op. Throws
+  /// ConfigError when the plan kills a node id at or past that size.
   FaultInjector(sim::FaultPlan plan, std::vector<Network*> nets);
 
   /// Applies every not-yet-fired action with `at` <= now, in schedule

@@ -2,9 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,6 +16,16 @@
 #include "server/query_language.h"
 
 namespace poolnet::server {
+
+namespace {
+
+/// A session holding more unsent reply bytes than this is not read until
+/// its peer catches up (see server.h).
+constexpr std::size_t kOutboundHighWater = std::size_t{1} << 20;
+
+using Clock = std::chrono::steady_clock;
+
+}  // namespace
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   if (config_.max_inflight_per_client == 0)
@@ -45,7 +58,7 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
 Server::~Server() { stop(); }
 
 void Server::start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0)
     throw ConfigError("Server: socket() failed: " +
                       std::string(std::strerror(errno)));
@@ -62,7 +75,8 @@ void Server::start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listen_fd_, 128) < 0) {
+      ::listen(listen_fd_, 128) < 0 ||
+      (wake_fd_ = ::eventfd(0, 0)) < 0) {
     const std::string why = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -74,42 +88,16 @@ void Server::start() {
   port_ = ntohs(addr.sin_port);
 
   running_ = true;
-  engine_thread_ = std::thread(&Server::engine_loop, this);
-  accept_thread_ = std::thread(&Server::accept_loop, this);
+  loop_thread_ = std::thread(&Server::loop, this);
 }
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-
-  // 1. Stop accepting: wake the blocked accept() and join.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 2. Half-close every session for reading: readers see EOF and report
-  // Closed, while the write side stays open for drained results.
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& s : sessions_) {
-      if (!s->closed) ::shutdown(s->fd, SHUT_RD);
-    }
-  }
-
-  // 3. Drain: the engine thread executes every admitted query, writes
-  // the results, then exits once all sessions have closed.
-  Command drain;
-  drain.kind = Command::Kind::Drain;
-  enqueue(std::move(drain));
-  if (engine_thread_.joinable()) engine_thread_.join();
-
-  // 4. Join readers and release any fd the engine did not close.
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (const auto& s : sessions_) {
-    if (s->reader.joinable()) s->reader.join();
-    if (!s->closed.exchange(true)) ::close(s->fd);
-  }
-  sessions_.clear();
+  const std::uint64_t wake = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &wake, sizeof(wake));
+  loop_thread_.join();
+  ::close(wake_fd_);
+  wake_fd_ = -1;
 }
 
 ServerStats Server::stats() const {
@@ -125,251 +113,208 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener shut down
-    }
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
-    session->id = next_session_id_++;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(session);
-    }
-    // Open is enqueued BEFORE the reader spawns, so the engine always
-    // sees a session's Open ahead of any of its statements.
-    Command open;
-    open.kind = Command::Kind::Open;
-    open.session = session;
-    enqueue(std::move(open));
-    session->reader = std::thread(&Server::reader_loop, this, session);
-  }
-}
-
-void Server::reader_loop(std::shared_ptr<Session> session) {
-  FrameDecoder decoder;
-  std::uint8_t buf[4096];
-  bool bad = false;
-  std::uint64_t bad_request = 0;
-  while (!bad) {
-    const ssize_t n = ::recv(session->fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    decoder.feed(buf, static_cast<std::size_t>(n));
-    Frame frame;
-    while (!bad && decoder.next(&frame)) {
-      Command cmd;
-      cmd.session = session;
-      PayloadReader r(frame.payload);
-      cmd.request_id = r.u64();
-      if (!r.ok()) {
-        bad = true;
-        break;
-      }
-      switch (frame.type) {
-        case FrameType::Query:
-          cmd.kind = Command::Kind::Query;
-          cmd.text = r.rest_text();
-          break;
-        case FrameType::Insert:
-          cmd.kind = Command::Kind::Insert;
-          cmd.text = r.rest_text();
-          break;
-        case FrameType::SubscribeMetrics:
-          cmd.kind = Command::Kind::Metrics;
-          break;
-        default:
-          bad = true;
-          bad_request = cmd.request_id;
-          break;
-      }
-      if (!bad) enqueue(std::move(cmd));
-    }
-    if (decoder.corrupt()) bad = true;
-  }
-  if (bad) {
-    Command err;
-    err.kind = Command::Kind::BadFrame;
-    err.session = session;
-    err.request_id = bad_request;
-    enqueue(std::move(err));
-  }
-  Command closed;
-  closed.kind = Command::Kind::Closed;
-  closed.session = session;
-  enqueue(std::move(closed));
-}
-
-void Server::enqueue(Command cmd) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(std::move(cmd));
-  }
-  queue_cv_.notify_one();
-}
-
-void Server::engine_loop() {
+void Server::loop() {
   const auto flush_interval =
       std::chrono::microseconds(config_.flush_interval_us);
-  std::unique_lock<std::mutex> lk(queue_mu_);
+  Clock::time_point flush_at = Clock::now();
+  std::vector<pollfd> fds;
+  std::vector<Session*> polled;  ///< polled[i] owns fds[i + 2]
   for (;;) {
-    if (!queue_.empty()) {
-      Command cmd = std::move(queue_.front());
-      queue_.pop_front();
-      lk.unlock();
-      handle(cmd);
-      while (pending_total_ >= epoch_size_) run_epoch();
-      lk.lock();
-      continue;
-    }
-    if (draining_) {
-      if (pending_total_ > 0) {
-        lk.unlock();
-        while (pending_total_ > 0) run_epoch();
-        lk.lock();
+    // The wake fd and the listener lead; poll skips them (fd -1) once
+    // draining. A session with nothing left to read, run or send is
+    // freed here, before the next wait. While read statements wait to be
+    // handled, no session is read and the poll does not wait, so none of
+    // them is overtaken by one sent after it.
+    fds.assign({{draining_ ? -1 : wake_fd_, POLLIN, 0},
+                {listen_fd_, POLLIN, 0}});
+    polled.clear();
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      Session& s = it->second;
+      if (s.input_closed && s.unsent() == 0 && s.queue.empty()) {
+        if (s.fd >= 0) ::close(s.fd);
+        disconnects_.inc();
+        it = sessions_.erase(it);
         continue;
       }
-      if (sessions_open_ == 0) break;
-      queue_cv_.wait(lk);
-      continue;
-    }
-    if (pending_total_ > 0) {
-      if (queue_cv_.wait_for(lk, flush_interval) ==
-              std::cv_status::timeout &&
-          queue_.empty()) {
-        lk.unlock();
-        run_epoch();
-        lk.lock();
+      short events = 0;
+      if (!s.input_closed && s.unsent() <= kOutboundHighWater && !unserved_)
+        events |= POLLIN;
+      if (s.unsent() > 0) events |= POLLOUT;
+      if (events != 0) {
+        fds.push_back({s.fd, events, 0});
+        polled.push_back(&s);
       }
-    } else {
-      queue_cv_.wait(lk);
+      ++it;
     }
+    if (draining_ && sessions_.empty()) return;
+
+    // A partial epoch waits at most flush_interval after the last input.
+    timespec wait{};
+    if (pending_total_ > 0 && !unserved_) {
+      const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::max(flush_at - Clock::now(), Clock::duration::zero()));
+      wait.tv_sec = static_cast<time_t>(left.count() / 1'000'000'000);
+      wait.tv_nsec = static_cast<long>(left.count() % 1'000'000'000);
+    }
+    if (::ppoll(fds.data(), fds.size(),
+                pending_total_ > 0 || unserved_ ? &wait : nullptr, nullptr) < 0)
+      continue;  // EINTR
+
+    saw_input_ = false;
+    if (fds[1].revents & POLLIN) accept_all();
+    if (fds[0].revents & POLLIN) begin_drain();
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      Session& s = *polled[i];
+      const short ready = fds[i + 2].revents;
+      if ((ready & (POLLOUT | POLLERR | POLLHUP)) && s.unsent() > 0) flush(s);
+      if ((ready & (POLLIN | POLLERR | POLLHUP)) && !s.input_closed)
+        read_input(s);
+    }
+    serve_input();
+    if (saw_input_)
+      flush_at = Clock::now() + flush_interval;
+    else if (pending_total_ > 0 && Clock::now() >= flush_at)
+      run_epoch();
   }
 }
 
-void Server::handle(Command& cmd) {
-  switch (cmd.kind) {
-    case Command::Kind::Open: {
-      connections_.inc();
-      ++sessions_open_;
-      clients_[cmd.session->id].session = cmd.session;
-      rr_order_.push_back(cmd.session->id);
-      break;
-    }
-    case Command::Kind::Closed: {
-      const auto it = clients_.find(cmd.session->id);
-      if (it == clients_.end()) break;
-      // No more input from this session, but admitted queries still get
-      // their answers — the drain contract. Tear down now only when
-      // nothing is owed.
-      it->second.input_closed = true;
-      if (it->second.queue.empty()) finish_client(cmd.session->id);
-      break;
-    }
-    case Command::Kind::Query:
-      handle_query(cmd);
-      break;
-    case Command::Kind::Insert: {
-      storage::Values values;
-      std::string error;
-      if (!parse_insert(cmd.text, config_.backend.dims, &values, &error)) {
-        parse_errors_.inc();
-        write_frame(cmd.session, encode_error(cmd.request_id,
-                                              ErrorCode::ParseError, error));
-        break;
-      }
-      if (draining_) {
-        rejected_.inc();
-        write_frame(cmd.session,
-                    encode_error(cmd.request_id, ErrorCode::ShuttingDown,
-                                 "server is draining"));
-        break;
-      }
-      storage::Event e;
-      e.id = ++next_event_id_;
-      e.source = backend_->sink();
-      e.values = values;
-      // Inserts route through the engine so cached result rectangles
-      // containing the new event invalidate before they can serve stale.
-      const storage::InsertReceipt r =
-          backend_->engine().insert(backend_->sink(), e);
-      inserts_.inc();
-      std::vector<std::uint8_t> body;
-      put_u32(body, static_cast<std::uint32_t>(r.stored_at));
-      write_frame(cmd.session,
-                  encode_result(cmd.request_id, ResultKind::Insert, body));
-      break;
-    }
-    case Command::Kind::Metrics: {
-      const obs::Snapshot snap = backend_->metrics().scrape();
-      std::vector<std::uint8_t> body;
-      put_text(body, snap.to_json());
-      write_frame(cmd.session,
-                  encode_result(cmd.request_id, ResultKind::Metrics, body));
-      break;
-    }
-    case Command::Kind::BadFrame: {
-      parse_errors_.inc();
-      write_frame(cmd.session,
-                  encode_error(cmd.request_id, ErrorCode::BadFrame,
-                               "malformed frame"));
-      break;
-    }
-    case Command::Kind::Drain:
-      draining_ = true;
-      break;
+void Server::accept_all() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) return;  // backlog empty; an error retries on the next poll
+    sessions_[next_session_id_++].fd = fd;
+    connections_.inc();
+    saw_input_ = true;
   }
 }
 
-void Server::handle_query(Command& cmd) {
-  const auto it = clients_.find(cmd.session->id);
-  if (it == clients_.end()) return;  // raced with Closed; nothing to answer
-  ClientState& client = it->second;
+void Server::read_input(Session& s) {
+  std::uint8_t buf[4096];
+  const ssize_t n = ::recv(s.fd, buf, sizeof(buf), 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+    return;
+  if (n <= 0) {
+    // EOF or a reset. The write side stays usable: admitted queries still
+    // get their answers, and the session closes once nothing is owed.
+    s.input_closed = true;
+    saw_input_ = true;
+    return;
+  }
+  s.decoder.feed(buf, static_cast<std::size_t>(n));
+  unserved_ = true;
+}
 
+void Server::serve_input() {
+  for (bool served = true; served;) {
+    served = false;
+    for (auto& [id, s] : sessions_) {
+      Frame frame;
+      if (s.input_closed || s.unsent() > kOutboundHighWater) continue;
+      if (!s.decoder.next(&frame)) {
+        if (s.decoder.corrupt()) bad_frame(s, 0);
+        continue;
+      }
+      served = true;
+      saw_input_ = true;
+      PayloadReader r(frame.payload);
+      const std::uint64_t request_id = r.u64();
+      if (!r.ok()) {
+        bad_frame(s, 0);
+      } else if (frame.type == FrameType::Query) {
+        handle_query(s, request_id, r.rest_text());
+      } else if (frame.type == FrameType::Insert) {
+        handle_insert(s, request_id, r.rest_text());
+      } else if (frame.type == FrameType::SubscribeMetrics) {
+        std::vector<std::uint8_t> body;
+        put_text(body, backend_->metrics().scrape().to_json());
+        write_frame(s, encode_result(request_id, ResultKind::Metrics, body));
+      } else {
+        bad_frame(s, request_id);
+      }
+      if (pending_total_ >= epoch_size_) {
+        // The loop's other fds get a turn between epochs; what is left
+        // waits for the next call.
+        while (pending_total_ >= epoch_size_) run_epoch();
+        unserved_ = true;
+        return;
+      }
+    }
+  }
+  unserved_ = false;
+}
+
+void Server::handle_insert(Session& s, std::uint64_t request_id,
+                           const std::string& text) {
+  storage::Values values;
+  std::string error;
+  if (!parse_insert(text, config_.backend.dims, &values, &error)) {
+    parse_errors_.inc();
+    write_frame(s, encode_error(request_id, ErrorCode::ParseError, error));
+    return;
+  }
+  storage::Event e;
+  e.id = ++next_event_id_;
+  e.source = backend_->sink();
+  e.values = values;
+  // Inserts route through the engine so cached result rectangles
+  // containing the new event invalidate before they can serve stale.
+  const storage::InsertReceipt r =
+      backend_->engine().insert(backend_->sink(), e);
+  inserts_.inc();
+  std::vector<std::uint8_t> body;
+  put_u32(body, static_cast<std::uint32_t>(r.stored_at));
+  write_frame(s, encode_result(request_id, ResultKind::Insert, body));
+}
+
+void Server::bad_frame(Session& s, std::uint64_t request_id) {
+  parse_errors_.inc();
+  write_frame(s, encode_error(request_id, ErrorCode::BadFrame,
+                              "malformed frame"));
+  s.input_closed = true;
+}
+
+void Server::handle_query(Session& s, std::uint64_t request_id,
+                          const std::string& text) {
   // Placeholder with valid bounds (RangeQuery rejects empty ones);
   // parse_query overwrites it on success.
   storage::RangeQuery::Bounds one;
   one.push_back(ClosedInterval{0.0, 1.0});
   storage::QueryRequest query{storage::RangeQuery{one}};
   std::string error;
-  if (!parse_query(cmd.text, config_.backend.dims, &query, &error)) {
+  if (!parse_query(text, config_.backend.dims, &query, &error)) {
     parse_errors_.inc();
-    write_frame(cmd.session,
-                encode_error(cmd.request_id, ErrorCode::ParseError, error));
+    write_frame(s, encode_error(request_id, ErrorCode::ParseError, error));
     return;
   }
-  if (draining_) {
+  if (s.queue.size() >= config_.max_inflight_per_client) {
     rejected_.inc();
-    write_frame(cmd.session,
-                encode_error(cmd.request_id, ErrorCode::ShuttingDown,
-                             "server is draining"));
-    return;
-  }
-  if (client.queue.size() >= config_.max_inflight_per_client) {
-    rejected_.inc();
-    write_frame(cmd.session,
-                encode_error(cmd.request_id, ErrorCode::TooManyInFlight,
-                             "client in-flight limit of " +
-                                 std::to_string(
-                                     config_.max_inflight_per_client) +
-                                 " reached"));
+    write_frame(s, encode_error(request_id, ErrorCode::TooManyInFlight,
+                                "client in-flight limit of " +
+                                    std::to_string(
+                                        config_.max_inflight_per_client) +
+                                    " reached"));
     return;
   }
   if (pending_total_ >= config_.max_pending_global) {
     rejected_.inc();
-    write_frame(cmd.session,
-                encode_error(cmd.request_id, ErrorCode::ServerBusy,
-                             "server pending limit of " +
-                                 std::to_string(config_.max_pending_global) +
-                                 " reached"));
+    write_frame(s, encode_error(request_id, ErrorCode::ServerBusy,
+                                "server pending limit of " +
+                                    std::to_string(
+                                        config_.max_pending_global) +
+                                    " reached"));
     return;
   }
-  client.queue.push_back(PendingQuery{cmd.request_id, std::move(query)});
+  s.queue.push_back(PendingQuery{request_id, std::move(query)});
   ++pending_total_;
   queries_in_.inc();
+}
+
+void Server::begin_drain() {
+  draining_ = true;
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  for (auto& [id, s] : sessions_) s.input_closed = true;
+  while (pending_total_ > 0) run_epoch();
 }
 
 void Server::run_epoch() {
@@ -377,7 +322,7 @@ void Server::run_epoch() {
   if (n == 0) return;
 
   struct Issued {
-    std::shared_ptr<Session> session;
+    Session* session;
     std::uint64_t request_id;
     engine::QueryEngine::Ticket ticket;
   };
@@ -387,79 +332,66 @@ void Server::run_epoch() {
   engine::QueryEngine& eng = backend_->engine();
   const net::NodeId sink = backend_->sink();
   // Fairness: one query per client per turn, so a deep queue on one
-  // connection cannot crowd the others out of the epoch.
-  std::size_t idle_scans = 0;
-  while (issued.size() < n && idle_scans <= rr_order_.size()) {
-    if (rr_order_.empty()) break;
-    if (rr_next_ >= rr_order_.size()) rr_next_ = 0;
-    ClientState& client = clients_.at(rr_order_[rr_next_]);
-    ++rr_next_;
-    if (client.queue.empty()) {
-      ++idle_scans;
-      continue;
-    }
-    idle_scans = 0;
-    PendingQuery p = std::move(client.queue.front());
-    client.queue.pop_front();
-    issued.push_back(
-        Issued{client.session, p.request_id, eng.submit(sink, p.query)});
+  // connection cannot crowd the others out of the epoch. The turn order
+  // is accept order; pending_total_ counts exactly the queued queries.
+  auto it = sessions_.lower_bound(rr_next_);
+  while (issued.size() < n) {
+    if (it == sessions_.end()) it = sessions_.begin();
+    Session& s = it->second;
+    ++it;
+    if (s.queue.empty()) continue;
+    PendingQuery p = std::move(s.queue.front());
+    s.queue.pop_front();
+    issued.push_back(Issued{&s, p.request_id, eng.submit(sink, p.query)});
   }
+  rr_next_ = it == sessions_.end() ? next_session_id_ : it->first;
   pending_total_ -= issued.size();
   eng.flush();
+  // Statements sent while the batch ran are older than any sent in answer
+  // to its replies: read them first, so they are admitted first.
+  for (auto& [id, s] : sessions_)
+    if (!s.input_closed && s.unsent() <= kOutboundHighWater) read_input(s);
   occupancy_.add(static_cast<double>(issued.size()));
   epochs_.inc();
 
   for (const Issued& i : issued) {
     storage::QueryReceipt r = eng.take(i.ticket);
-    write_frame(i.session, encode_query_result(i.request_id, r.events));
+    write_frame(*i.session, encode_query_result(i.request_id, r.events));
     queries_out_.inc();
   }
-
-  // Sessions that hit EOF while queries were in flight close once their
-  // last answer is written.
-  std::vector<std::uint64_t> done;
-  for (const auto& [id, client] : clients_) {
-    if (client.input_closed && client.queue.empty()) done.push_back(id);
-  }
-  for (const std::uint64_t id : done) finish_client(id);
 }
 
-void Server::finish_client(std::uint64_t client_id) {
-  const auto it = clients_.find(client_id);
-  if (it == clients_.end()) return;
-  for (std::size_t i = 0; i < rr_order_.size(); ++i) {
-    if (rr_order_[i] != client_id) continue;
-    rr_order_.erase(rr_order_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (rr_next_ > i) --rr_next_;
-    break;
-  }
-  close_session(it->second.session);
-  clients_.erase(it);
-  --sessions_open_;
-  disconnects_.inc();
+void Server::write_frame(Session& s, std::vector<std::uint8_t> frame) {
+  if (s.fd < 0) return;  // peer gone: the reply is dropped
+  if (s.out.empty())
+    s.out = std::move(frame);
+  else
+    s.out.insert(s.out.end(), frame.begin(), frame.end());
+  flush(s);
 }
 
-void Server::write_frame(const std::shared_ptr<Session>& session,
-                         const std::vector<std::uint8_t>& frame) {
-  if (session == nullptr || session->closed) return;
-  const std::uint8_t* p = frame.data();
-  std::size_t left = frame.size();
-  while (left > 0) {
-    const ssize_t n = ::send(session->fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // Dead peer: stop both directions; the reader reports Closed.
-      ::shutdown(session->fd, SHUT_RDWR);
-      return;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+void Server::flush(Session& s) {
+  const ssize_t n =
+      ::send(s.fd, s.out.data() + s.out_sent, s.unsent(), MSG_NOSIGNAL);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+    // Dead peer: drop what it was owed and read nothing more; the session
+    // is freed once its admitted queries have run.
+    ::close(s.fd);
+    s.fd = -1;
+    s.input_closed = true;
+    s.out.clear();
+    s.out_sent = 0;
+    return;
   }
-}
-
-void Server::close_session(const std::shared_ptr<Session>& session) {
-  if (session != nullptr && !session->closed.exchange(true))
-    ::close(session->fd);
+  s.out_sent += static_cast<std::size_t>(n);
+  // Drop the sent prefix once it is at least half the buffer, so a peer
+  // that never quite catches up does not grow it without bound.
+  if (s.out_sent * 2 >= s.out.size()) {
+    s.out.erase(s.out.begin(),
+                s.out.begin() + static_cast<std::ptrdiff_t>(s.out_sent));
+    s.out_sent = 0;
+  }
 }
 
 }  // namespace poolnet::server

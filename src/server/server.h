@@ -1,16 +1,19 @@
-// poolnetd's core: a concurrent TCP query server over the batched
-// QueryEngine.
+// poolnetd's core: a TCP query server over the batched QueryEngine.
 //
-// Threading model (DESIGN.md §12):
-//  * one ACCEPT thread owns the listening socket;
-//  * one READER thread per connection decodes frames and parses nothing —
-//    it forwards commands to the engine thread through one queue;
-//  * one ENGINE thread owns every piece of serving state: the Backend
-//    (Testbed + DcsSystem + QueryEngine are single-threaded by design),
-//    the per-client admission queues, the epoch fill, all socket WRITES,
-//    and every server.* metric. One writer means the registry can be
-//    scraped live (SUBSCRIBE_METRICS) without violating the scrape
-//    discipline, and responses for one connection are never interleaved.
+// One thread serves everything (DESIGN.md §12). It polls a wake fd, the
+// non-blocking listener and every session; it decodes frames as they
+// arrive, admits statements, fills and runs epochs, and writes replies.
+// The Backend (Testbed + DcsSystem + QueryEngine) is single-threaded by
+// design, and so is every server.* metric: a live SUBSCRIBE_METRICS
+// scrape keeps the scrape discipline, and replies on one connection are
+// never interleaved.
+//
+// Writes never block. A reply the socket cannot take yet waits in its
+// session's outbound buffer for POLLOUT, and a session holding more than
+// a fixed high-water mark of unsent bytes is not read until it drains.
+// A client that stops reading is held back by TCP; it stalls no other
+// connection and grows no buffer beyond that mark and the epochs it has
+// already been admitted to.
 //
 // Admission control: a client may have at most max_inflight_per_client
 // statements queued, and the server at most max_pending_global across
@@ -21,20 +24,26 @@
 // per client per turn), so a chatty client cannot monopolize an epoch
 // ahead of others no matter how deep its queue is.
 //
-// Shutdown: stop() closes the listener, half-closes every connection for
-// reading, lets the engine thread drain — every admitted query still
-// executes and its result is written — then joins all threads. Clients
-// with requests in flight at SIGTERM get their answers.
+// Order: statements are admitted in the order they were sent, across
+// connections too. Read statements are handled one per session per turn,
+// no session is read again while any of them wait, and an epoch reads
+// what every session sent while its batch ran before it writes the
+// replies, which clients answer with newer statements.
+//
+// Sessions: a session is freed, and its fd closed, as soon as its input
+// has ended, its queue is empty and its replies are sent.
+//
+// Shutdown: stop() wakes the loop and joins it. The loop closes the
+// listener and stops reading, runs every admitted query, flushes every
+// reply and closes each session. Clients with requests in flight at
+// SIGTERM get their answers.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,14 +66,15 @@ struct ServerConfig {
   std::size_t max_inflight_per_client = 16;
   std::size_t max_pending_global = 1024;
 
-  /// A partial epoch flushes after this long with no new commands.
+  /// A partial epoch flushes after this long with no new input (a
+  /// statement, an accept or an EOF).
   /// Wall-clock, unlike the engine's logical batch_deadline (which the
   /// server pins to "never" — epoch timing is the server's job here).
   std::uint64_t flush_interval_us = 2000;
 };
 
 /// Counter view assembled from the registry (server.* namespace); read
-/// after stop() or from the engine thread.
+/// after stop() (the loop thread writes it while the server runs).
 struct ServerStats {
   std::uint64_t connections = 0;   ///< sessions accepted, lifetime
   std::uint64_t disconnects = 0;   ///< sessions fully closed
@@ -84,7 +94,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the accept + engine threads. Throws
+  /// Binds, listens and spawns the serving thread. Throws
   /// ConfigError when the address cannot be bound.
   void start();
 
@@ -101,97 +111,81 @@ class Server {
   ServerStats stats() const;
 
  private:
-  struct Session {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::thread reader;
-    std::atomic<bool> closed{false};  ///< fd has been close()d
-  };
-
-  struct Command {
-    enum class Kind : std::uint8_t {
-      Open,      ///< session accepted
-      Closed,    ///< reader finished (EOF, error or corrupt stream)
-      Query,     ///< SELECT statement text
-      Insert,    ///< INSERT statement text
-      Metrics,   ///< SUBSCRIBE_METRICS
-      BadFrame,  ///< protocol violation on this session
-      Drain,     ///< begin shutdown: finish pending work, then exit
-    };
-    Kind kind;
-    std::shared_ptr<Session> session;
-    std::uint64_t request_id = 0;
-    std::string text;
-  };
-
   struct PendingQuery {
     std::uint64_t request_id = 0;
     storage::QueryRequest query;
   };
 
-  struct ClientState {
-    std::shared_ptr<Session> session;
+  /// One connection, owned by the loop thread.
+  struct Session {
+    int fd = -1;  ///< -1 once the peer is gone: its replies are dropped
+    FrameDecoder decoder;
     std::deque<PendingQuery> queue;  ///< admitted, not yet executed
-    /// Reader finished (EOF — possibly our own drain-time SHUT_RD). The
-    /// write side stays usable: admitted queries still get answers, and
-    /// the session closes only once its queue empties.
+    std::vector<std::uint8_t> out;   ///< reply bytes; out_sent of them sent
+    std::size_t out_sent = 0;
+    /// No more statements are read (EOF, a bad frame, a dead peer or the
+    /// drain). Admitted queries still get their answers.
     bool input_closed = false;
+
+    std::size_t unsent() const { return out.size() - out_sent; }
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Session> session);
-  void engine_loop();
+  /// The serving thread: polls, frees finished sessions, flushes idle
+  /// partial epochs, and returns once a drain has sent every reply.
+  void loop();
+  void accept_all();
+  void read_input(Session& s);
 
-  void enqueue(Command cmd);
-  void handle(Command& cmd);
-  void handle_query(Command& cmd);
+  /// Handles decoded statements, one per session per turn in accept
+  /// order, until none is left or an epoch has run. A session past the
+  /// high-water mark waits.
+  void serve_input();
+  void handle_query(Session& s, std::uint64_t request_id,
+                    const std::string& text);
+  void handle_insert(Session& s, std::uint64_t request_id,
+                     const std::string& text);
+  void bad_frame(Session& s, std::uint64_t request_id);
 
-  /// Tears down a client whose input is closed and whose queue is empty:
-  /// closes the fd, leaves the round-robin ring, updates the counters.
-  void finish_client(std::uint64_t client_id);
+  /// Stops accepting and reading and runs every admitted query; the loop
+  /// then exits once every reply is sent.
+  void begin_drain();
 
   /// Executes one epoch: fills up to epoch_size_ queries round-robin
-  /// across clients, runs them as one engine batch, and writes every
-  /// RESULT frame. Engine thread only.
+  /// across clients, runs them as one engine batch, reads what every
+  /// session sent meanwhile, and writes every RESULT frame.
   void run_epoch();
 
-  /// Writes a whole frame to the session (engine thread only); on a dead
-  /// peer the session is shut down and the frame dropped.
-  void write_frame(const std::shared_ptr<Session>& session,
-                   const std::vector<std::uint8_t>& frame);
-  void close_session(const std::shared_ptr<Session>& session);
+  /// Queues a frame on the session and tries one send.
+  void write_frame(Session& s, std::vector<std::uint8_t> frame);
+  /// One non-blocking send of the unsent bytes; a dead peer loses them.
+  void flush(Session& s);
 
   ServerConfig config_;
   std::unique_ptr<Backend> backend_;
   std::size_t epoch_size_ = 1;
 
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: stop() writes it to start the drain
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
 
-  std::thread accept_thread_;
-  std::thread engine_thread_;
-
-  std::mutex sessions_mu_;  ///< accept thread adds; stop() iterates
-  std::vector<std::shared_ptr<Session>> sessions_;
+  // --- loop-thread state (no locks; one owner) ---
+  std::map<std::uint64_t, Session> sessions_;  ///< by id = accept order
   std::uint64_t next_session_id_ = 1;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Command> queue_;
-
-  // --- engine-thread state (no locks; one owner) ---
-  std::map<std::uint64_t, ClientState> clients_;
-  std::vector<std::uint64_t> rr_order_;  ///< round-robin client ring
-  std::size_t rr_next_ = 0;
+  std::uint64_t rr_next_ = 0;  ///< round-robin: first session id to visit
   std::size_t pending_total_ = 0;
-  std::size_t sessions_open_ = 0;
   bool draining_ = false;
+  bool saw_input_ = false;  ///< a statement, accept or EOF this iteration
+  /// Read statements may be waiting to be handled: the loop then reads
+  /// no session and does not sleep.
+  bool unserved_ = false;
   std::uint64_t next_event_id_ = 0;
 
   obs::MetricsRegistry::Counter connections_, disconnects_, queries_in_,
       queries_out_, inserts_, rejected_, parse_errors_, epochs_;
   obs::MetricsRegistry::Histogram occupancy_;
+
+  std::thread loop_thread_;  ///< last: it uses every member above
 };
 
 }  // namespace poolnet::server

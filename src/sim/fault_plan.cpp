@@ -1,6 +1,7 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -11,9 +12,12 @@ namespace poolnet::sim {
 namespace {
 
 /// A finite number: NaN would slip through every range check below,
-/// since comparisons with it are false.
+/// since comparisons with it are false. Like parse_u64, no leading
+/// whitespace or '+', which strtod alone would skip or accept.
 bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+      s[0] == '+')
+    return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
   if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;

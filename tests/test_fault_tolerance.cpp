@@ -13,6 +13,7 @@
 
 #include "bench_support/testbed.h"
 #include "cli/runner.h"
+#include "common/error.h"
 #include "connected_network.h"
 #include "net/fault_injector.h"
 #include "query/query_gen.h"
@@ -90,7 +91,9 @@ TEST(FaultSpec, RejectsMalformedClauses) {
         "degrade:nan@1-2", "degrade:0.1@1-inf", "blackout:0,0,inf@2",
         "blackout:nan,0,5@2", "node:3@inf", "node:-1@1", "node:+3@1",
         "node: 3@1", "node:4294967298@1", "node:99999999999999999999@1",
-        "seed:-1", "seed:+5", "seed: 5", "seed:123456789012345678901"}) {
+        "seed:-1", "seed:+5", "seed: 5", "seed:123456789012345678901",
+        "kill: 0.2@1", "kill:+0.2@1", "degrade:+0.1@1-2",
+        "blackout: 1,2,3@4"}) {
     sim::FaultPlan plan;
     std::string err;
     EXPECT_FALSE(sim::parse_fault_spec(bad, &plan, &err)) << bad;
@@ -104,6 +107,11 @@ TEST(FaultSpec, RejectsMalformedClauses) {
       << err;
   EXPECT_EQ(plan.actions.at(0).node, 4294967295u);
   EXPECT_EQ(plan.seed, 18446744073709551615u);
+  // Plain decimals still parse.
+  ASSERT_TRUE(sim::parse_fault_spec("kill:0.2@1;kill:0.25@1.5", &plan, &err))
+      << err;
+  EXPECT_DOUBLE_EQ(plan.actions.at(1).fraction, 0.25);
+  EXPECT_DOUBLE_EQ(plan.actions.at(1).at, 1.5);
 }
 
 // --- the injector ------------------------------------------------------
@@ -127,6 +135,24 @@ TEST(FaultInjector, ScheduledKillHitsEveryNetworkExactlyOnce) {
   EXPECT_TRUE(injector.exhausted());
   EXPECT_TRUE(injector.advance(6.0).empty()) << "kill is one-shot";
   EXPECT_EQ(injector.total_killed(), 1u);
+}
+
+TEST(FaultInjector, RejectsANodePastTheNetwork) {
+  auto net = line_net();  // 4 nodes
+  sim::FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(sim::parse_fault_spec("node:3@1;node:4@2", &plan, &err));
+  try {
+    net::FaultInjector injector(plan, {&net});
+    FAIL() << "node 4 of a 4-node network was accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("4-node"), std::string::npos) << what;
+  }
+  ASSERT_TRUE(sim::parse_fault_spec("node:3@1", &plan, &err));
+  net::FaultInjector injector(plan, {&net});
+  EXPECT_EQ(injector.advance(1.0).size(), 1u);
 }
 
 TEST(FaultInjector, FractionKillsRoundedShareOfSurvivors) {

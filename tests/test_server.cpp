@@ -1,14 +1,18 @@
 // End-to-end tests for the poolnetd server core: byte-identical results,
-// admission control, drain-on-shutdown, live metrics and protocol errors
-// — all over real loopback sockets.
+// admission control, drain-on-shutdown, live metrics, protocol errors,
+// connection churn and slow readers — all over real loopback sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "server/client.h"
@@ -34,6 +38,67 @@ std::string tight_select(double lo0, double hi0) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "SELECT WHERE a0 IN [%.6f, %.6f]", lo0, hi0);
   return buf;
+}
+
+/// A raw loopback connection to `port`, or -1. A positive `rcvbuf`
+/// shrinks its receive buffer before the handshake.
+int connect_raw(std::uint16_t port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (rcvbuf > 0)
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads one frame from `fd`; false if none is whole within `timeout`.
+bool read_frame_within(int fd, std::chrono::milliseconds timeout,
+                       Frame* frame) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  FrameDecoder decoder;
+  while (!decoder.next(frame)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0)
+      return false;
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    decoder.feed(buf, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// This process's mapping count and virtual size, from /proc/self.
+struct Footprint {
+  std::size_t mappings = 0;
+  std::size_t vm_kb = 0;
+};
+
+Footprint footprint() {
+  Footprint f;
+  std::string line;
+  std::ifstream maps("/proc/self/maps");
+  while (std::getline(maps, line)) ++f.mappings;
+  std::ifstream status("/proc/self/status");
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) f.vm_kb = std::stoull(line.substr(7));
+  return f;
+}
+
+/// One counter's value in a SUBSCRIBE_METRICS JSON snapshot.
+std::uint64_t scraped(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const auto at = json.find(key);
+  return at == std::string::npos ? 0 : std::stoull(json.substr(at + key.size()));
 }
 
 TEST(ServerTest, ResultsAreByteIdenticalToDirectExecution) {
@@ -324,6 +389,86 @@ TEST(ServerTest, CorruptStreamGetsBadFrameErrorThenClose) {
 
   server.stop();
   EXPECT_EQ(server.stats().parse_errors, 1u);
+}
+
+TEST(ServerTest, ConnectionChurnFreesEverySession) {
+  Server server(small_config());
+  server.start();
+  const auto round_trip = [&] {
+    Client client;
+    client.connect("127.0.0.1", server.port());
+    (void)client.query("SELECT WHERE a0 IN [0.2, 0.4]");
+    client.close();
+  };
+  round_trip();  // first-use allocations land before the baseline
+
+  const Footprint before = footprint();
+  for (int i = 0; i < 300; ++i) round_trip();  // never more than one open
+  const Footprint after = footprint();
+  EXPECT_LT(after.mappings, before.mappings + 16)
+      << before.mappings << " -> " << after.mappings << " mappings";
+  EXPECT_LT(after.vm_kb, before.vm_kb + 64 * 1024)
+      << before.vm_kb << " -> " << after.vm_kb << " kB VmSize";
+
+  // Every churned session is closed while the server runs. The scraping
+  // session itself is the one still open; the last close may still be in
+  // flight, so give it a moment.
+  Client scraper;
+  scraper.connect("127.0.0.1", server.port());
+  std::string json;
+  for (int tries = 0; tries < 500; ++tries) {
+    json = scraper.subscribe_metrics();
+    if (scraped(json, "server.disconnects") + 1 ==
+        scraped(json, "server.connections"))
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(scraped(json, "server.connections"), 302u) << json;
+  EXPECT_EQ(scraped(json, "server.disconnects"), 301u) << json;
+  scraper.close();
+  server.stop();
+  EXPECT_EQ(server.stats().connections, server.stats().disconnects);
+}
+
+TEST(ServerTest, ClientThatNeverReadsStallsNoOtherConnection) {
+  ServerConfig config = small_config();
+  config.backend.events_per_node = 100;  // a full-space answer is ~270 KB
+  Server server(config);
+  server.start();
+
+  // Client A pipelines 100 full-space SELECTs (about 27 MB of answers)
+  // through a small receive buffer and never reads. Its requests fit the
+  // socket buffers, so sending them cannot block.
+  const int a = connect_raw(server.port(), 4096);
+  ASSERT_GE(a, 0);
+  std::vector<std::uint8_t> requests;
+  for (std::uint64_t id = 1; id <= 100; ++id) {
+    const std::vector<std::uint8_t> frame =
+        encode_request(FrameType::Query, id, "SELECT");
+    requests.insert(requests.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::send(a, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+
+  // Client B still gets its answer.
+  const int b = connect_raw(server.port());
+  ASSERT_GE(b, 0);
+  const std::vector<std::uint8_t> query =
+      encode_request(FrameType::Query, 7, "SELECT WHERE a0 IN [0.2, 0.4]");
+  ASSERT_EQ(::send(b, query.data(), query.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(query.size()));
+  Frame reply;
+  const bool answered =
+      read_frame_within(b, std::chrono::seconds(10), &reply);
+
+  // Close A first: a server stuck writing to it would otherwise never stop.
+  ::close(a);
+  ::close(b);
+  server.stop();
+  ASSERT_TRUE(answered) << "no reply to B within 10 s";
+  EXPECT_EQ(reply.type, FrameType::Result);
+  PayloadReader r(reply.payload);
+  EXPECT_EQ(r.u64(), 7u);
 }
 
 }  // namespace
