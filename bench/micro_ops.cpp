@@ -156,8 +156,9 @@ void BM_TransmitPath(benchmark::State& state) {
 BENCHMARK(BM_TransmitPath);
 
 void BM_CachedRouteAcrossField(benchmark::State& state) {
-  // Same cross-field route through a RouteCache: after the first miss every
-  // iteration is a hash lookup plus a RouteResult copy. (max_hops = 0
+  // Same cross-field route through a RouteCache: after the second miss
+  // (admission stores a route on its second sighting) every iteration is
+  // a hash lookup plus a RouteResult copy. (max_hops = 0
   // stores everything — the default declines long routes, which would
   // leave this bench measuring recomputation.)
   auto& tb = shared_testbed();
@@ -174,7 +175,7 @@ void BM_CachedRouteAcrossField(benchmark::State& state) {
 BENCHMARK(BM_CachedRouteAcrossField);
 
 void BM_CachedRouteIntoScratch(benchmark::State& state) {
-  // The scratch-handle form of the same cached route: after the first
+  // The scratch-handle form of the same cached route: after the second
   // miss every iteration is a hash lookup plus a capacity-reusing
   // copy-assign into the warm out-parameter — no allocation at all. The
   // argument is the byte budget (0 = unbounded): a budgeted hit takes the

@@ -60,7 +60,10 @@ bool parse_route_cache_spec(const std::string& spec, RouteCacheConfig* config,
 
 RouteCache::RouteCache(const Router& inner, RouteCacheConfig config,
                        obs::MetricsRegistry* metrics, const std::string& prefix)
-    : inner_(inner), net_(inner.network()), config_(config) {
+    : inner_(inner),
+      net_(inner.network()),
+      config_(config),
+      window_(kWindowKeys, 0) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -123,6 +126,12 @@ void RouteCache::route_to_node_into(net::NodeId src, net::NodeId dst,
   inner_.route_to_node_into(src, dst, out);
   if (config_.max_hops != 0 && out.hops() > config_.max_hops)
     return;  // one-shot long leg: storing it costs more than it saves
+  std::uint64_t& seen = window_[mix64(key) & (kWindowKeys - 1)];
+  if (seen != ~key) {
+    seen = ~key;  // first sighting: remember the key, not the route
+    return;
+  }
+  seen = 0;
   store(slot, key, out);
 }
 

@@ -132,7 +132,7 @@ std::uint64_t all_systems_hash(const CliConfig& config) {
 
 // Pins every system's numbers and the rendered report across the run
 // shapes that exercise deployment: plain, the query-class mix, live
-// faults, a non-default α (route-cache quantum) and parallel seeds.
+// faults, a non-default α (Pool's cell size) and parallel seeds.
 // Recorded when GHT and central were still hand-built per caller.
 TEST(CliRunner, AllSystemsMatchParentFingerprint) {
   CliConfig base = small_config();

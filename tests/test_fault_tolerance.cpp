@@ -275,9 +275,11 @@ TEST(ReliableDelivery, StaleCachedRouteThroughDeadNodeIsNeverReplayed) {
   }
   ASSERT_NE(victim, net::kNoNode) << "no multi-hop pair found";
 
-  // Warm the cache with the route that traverses the victim, then crash
-  // the victim behind the cache's back.
+  // Warm the cache with the route that traverses the victim (its second
+  // sighting stores it), then crash the victim behind the cache's back.
+  cache.route_to_node(src, dst);
   const auto cached = cache.route_to_node(src, dst);
+  ASSERT_EQ(cache.stats().entries, 1u);
   ASSERT_NE(std::find(cached.path.begin(), cached.path.end(), victim),
             cached.path.end());
   net.kill(victim);
@@ -295,16 +297,21 @@ TEST(ReliableDelivery, StaleCachedRouteThroughDeadNodeIsNeverReplayed) {
   EXPECT_GE(cache.stats().invalidated, 1u);
   EXPECT_EQ(net.traffic().lost, lost_before);
 
-  // Second send: the refreshed route is served from the cache, still
+  // Second send: the dropped key is sighted again, so the refreshed
+  // route is stored. Third send: it is served from the cache, still
   // around the corpse, still with zero lost frames.
-  const auto second = routing::send_reliable(net, cache, src, dst,
-                                             net::MessageKind::Query, 64);
-  EXPECT_TRUE(second.delivered);
-  EXPECT_EQ(second.retries, 0u);
+  routing::send_reliable(net, cache, src, dst, net::MessageKind::Query, 64);
+  ASSERT_EQ(cache.stats().entries, 1u);
+  const auto hits_before = cache.stats().hits;
+  const auto third = routing::send_reliable(net, cache, src, dst,
+                                            net::MessageKind::Query, 64);
+  EXPECT_EQ(cache.stats().hits, hits_before + 1);
+  EXPECT_TRUE(third.delivered);
+  EXPECT_EQ(third.retries, 0u);
   EXPECT_EQ(net.traffic().lost, lost_before);
-  EXPECT_EQ(std::find(second.route.path.begin(), second.route.path.end(),
+  EXPECT_EQ(std::find(third.route.path.begin(), third.route.path.end(),
                       victim),
-            second.route.path.end());
+            third.route.path.end());
 }
 
 // --- per-system failover -----------------------------------------------

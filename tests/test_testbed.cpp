@@ -203,7 +203,8 @@ TEST(Testbed, RunsIdenticalAtOneAndFourThreads) {
 
 /// GHT or central built the way every caller did before Testbed::deploy:
 /// its own Network over the testbed's topology with the Network defaults,
-/// Gpsr, an unquantized RouteCache, then the oracle replayed in.
+/// Gpsr, a RouteCache with the testbed's config, then the oracle replayed
+/// in.
 struct HandBuilt {
   HandBuilt(Testbed& tb, SystemKind kind, const storage::StoreConfig& store)
       : net(tb.topology()),
