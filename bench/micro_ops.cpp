@@ -21,6 +21,7 @@
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "storage/column/column_store.h"
+#include "storage/query_request.h"
 
 namespace {
 
@@ -261,6 +262,32 @@ void BM_DimQueryExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DimQueryExact);
+
+/// The skyline on each of the 7 nonempty masks over 3 attributes, in turn.
+storage::SkylineQuery rotating_skyline(unsigned& mask) {
+  mask = mask % 7 + 1;
+  FixedVec<bool, storage::kMaxDims> attrs;
+  for (std::size_t d = 0; d < 3; ++d) attrs.push_back((mask >> d) & 1u);
+  return storage::SkylineQuery(3, attrs);
+}
+
+void BM_PoolSkyline(benchmark::State& state) {
+  // One skyline walk from sink 0: the mask's visit order, the pruned cell
+  // visits and their replies.
+  auto& tb = shared_testbed();
+  unsigned mask = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(tb.pool().execute(0, rotating_skyline(mask)));
+}
+BENCHMARK(BM_PoolSkyline);
+
+void BM_DimSkyline(benchmark::State& state) {
+  auto& tb = shared_testbed();
+  unsigned mask = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(tb.dim().execute(0, rotating_skyline(mask)));
+}
+BENCHMARK(BM_DimSkyline);
 
 void BM_ResultCacheInvalidate(benchmark::State& state) {
   // One engine insert's cache work at store_churn's steady state: 530

@@ -546,54 +546,41 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   // messages: events in cell (HO,VO) of pool d1 have their d1 value
   // below (HO+1)/l and every OTHER attribute below the second-greatest
   // bound (VO+1)(HO+1)/l². Visit cells best-corner-first so collected
-  // skyline points prune the rest.
-  struct Candidate {
-    double key;  ///< Σ corner over selected attrs (descending visit order)
-    PlanStep step;
-    storage::Values corner;
-  };
-  std::vector<Candidate> cands;
-  cands.reserve(cells_.size());
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    for (std::uint32_t vo = 0; vo < config_.side; ++vo) {
-      for (std::uint32_t ho = 0; ho < config_.side; ++ho) {
-        Candidate c{0.0, {pool_dim, {ho, vo}}, {}};
-        const double top_h = range_h(ho, config_.side).hi;
-        const double top_v = range_v(ho, vo, config_.side).hi;
-        for (std::size_t d = 0; d < dims_; ++d)
-          c.corner.push_back(d == pool_dim ? top_h : top_v);
-        for (std::size_t d = 0; d < dims_; ++d)
-          if (q.on(d)) c.key += c.corner[d];
-        cands.push_back(std::move(c));
-      }
-    }
+  // skyline points prune the rest. The corners depend on l and dims
+  // alone, so one order per mask serves for good.
+  const std::uint32_t side = config_.side;
+  if (skyline_order_.empty()) {
+    std::vector<double> corners;
+    corners.reserve(cells_.size() * dims_);
+    for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim)
+      for (std::uint32_t ho = 0; ho < side; ++ho)
+        for (std::uint32_t vo = 0; vo < side; ++vo)
+          for (std::size_t d = 0; d < dims_; ++d)
+            corners.push_back(d == pool_dim ? range_h(ho, side).hi
+                                            : range_v(ho, vo, side).hi);
+    skyline_order_ = storage::CornerOrder(dims_, std::move(corners));
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.key != b.key) return a.key > b.key;
-              if (a.step.pool_dim != b.step.pool_dim)
-                return a.step.pool_dim < b.step.pool_dim;
-              if (a.step.off.ho != b.step.off.ho)
-                return a.step.off.ho < b.step.off.ho;
-              return a.step.off.vo < b.step.off.vo;
-            });
+  const std::vector<std::uint32_t>& order = skyline_order_.order(q);
   Plan plan;
-  plan.reserve(cands.size());
-  for (const Candidate& c : cands) plan.push_back(c.step);
+  plan.reserve(order.size());
+  for (const std::uint32_t unit : order)
+    plan.push_back({unit / (side * side), {unit / side % side, unit % side}});
 
   struct Visitor : CellVisitor {
     // Candidates flow back cell → splitter → sink immediately: the sink
     // needs them to prune the NEXT visit.
     static constexpr bool flush_each_cell() { return true; }
     const storage::SkylineQuery& q;
-    const std::vector<Candidate>& cands;
+    const storage::CornerOrder& corners;
+    const std::vector<std::uint32_t>& order;
     std::vector<Event> collected;
 
     // The pruning rule: a cell whose corner is dominated by an already-
     // collected point can only hold dominated events (strictness against
     // the corner carries to every event at or below it).
     bool admit(std::size_t step) const {
-      return storage::skyline_admits(q, collected, cands[step].corner);
+      return storage::skyline_admits(q, collected,
+                                     corners.corner(order[step]));
     }
     // The cell reduces its residents to their LOCAL skyline before
     // replying — an event dominated within its own cell is dominated
@@ -612,7 +599,7 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
   };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  Visitor v{{}, q, cands, {}};
+  Visitor v{{}, q, skyline_order_, order, {}};
   receipt.index_nodes_visited = visit_relevant(sink, plan, v);
   storage::skyline_filter(q, v.collected);
   receipt.events = std::move(v.collected);

@@ -182,9 +182,9 @@ class PoolSystem final : public storage::DcsSystem {
   /// derives every cell's best-possible corner from Equation 1 —
   /// corner[d1] = (HO+1)/l in the pool dimension, (VO+1)(HO+1)/l² in
   /// every other (all bounded by the second-greatest value) — visits
-  /// cells in descending corner order, and NEVER contacts a cell whose
-  /// corner is already dominated by a collected event. Visited cells
-  /// reply with their local skyline only.
+  /// cells in the mask's cached descending corner order, and NEVER
+  /// contacts a cell whose corner is already dominated by a collected
+  /// event. Visited cells reply with their local skyline only.
   storage::QueryReceipt skyline(net::NodeId sink,
                                 const storage::SkylineQuery& query) override;
 
@@ -283,6 +283,9 @@ class PoolSystem final : public storage::DcsSystem {
   /// static layout and the sink position, so the l² index-node scan runs
   /// once per (pool, sink) and replays thereafter.
   mutable std::vector<net::NodeId> splitter_cache_;
+
+  /// Cells in (pool, ho, vo) order; the skyline's visit order per mask.
+  storage::CornerOrder skyline_order_;
 
   /// Nodes whose failure has already been absorbed (failover is
   /// idempotent per node). Allocated lazily on the first failure.

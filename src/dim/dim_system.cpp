@@ -197,40 +197,29 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
   // The zone code fixes every leaf's value-range box, so the sink knows
   // each zone's best possible point — the top of its box — without a
   // single message. Visit leaves best-corner-first; collected skyline
-  // points then veto later (worse-cornered) zones outright.
-  struct Candidate {
-    double key;  ///< Σ corner over selected attrs (descending visit order)
-    ZoneIndex leaf;
-    storage::Values corner;
-  };
-  std::vector<Candidate> cands;
-  cands.reserve(tree_.leaf_count());
-  for (const ZoneIndex leaf : tree_.leaves()) {
-    const ZoneNode& z = tree_.zone(leaf);
-    Candidate c{0.0, leaf, {}};
-    for (std::size_t d = 0; d < dims(); ++d) {
-      c.corner.push_back(z.ranges[d].hi);
-      if (q.on(d)) c.key += z.ranges[d].hi;
-    }
-    cands.push_back(std::move(c));
+  // points then veto later (worse-cornered) zones outright. Adoption
+  // moves owners, never boxes, so one order per mask serves for good.
+  if (skyline_order_.empty()) {
+    std::vector<double> corners;
+    corners.reserve(tree_.leaf_count() * dims());
+    for (const ZoneIndex leaf : tree_.leaves())
+      for (std::size_t d = 0; d < dims(); ++d)
+        corners.push_back(tree_.zone(leaf).ranges[d].hi);
+    skyline_order_ = storage::CornerOrder(dims(), std::move(corners));
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.key != b.key) return a.key > b.key;
-              return a.leaf < b.leaf;
-            });
 
   QueryReceipt receipt;
   const auto before = net_.traffic();
   std::vector<Event> collected;
-  for (const Candidate& c : cands) {
+  for (const std::uint32_t unit : skyline_order_.order(q)) {
     // A zone whose corner is dominated can only hold dominated events
     // (strictness against the corner carries down to every event at or
     // below it) — prune it before any transmission.
-    if (!storage::skyline_admits(q, collected, c.corner)) continue;
+    if (!storage::skyline_admits(q, collected, skyline_order_.corner(unit)))
+      continue;
     // The owner replies with its LOCAL skyline: an event dominated within
     // its own zone is dominated globally.
-    for (Event& e : visit_leaf(sink, c.leaf, receipt,
+    for (Event& e : visit_leaf(sink, tree_.leaves()[unit], receipt,
                                [&](const auto& cs, auto& rows) {
                                  storage::column::skyline_rows(cs, q, false,
                                                                rows);

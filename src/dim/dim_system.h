@@ -78,8 +78,8 @@ class DimSystem final : public storage::DcsSystem {
   /// Skyline with zone-corner dominance pruning: every leaf zone's best
   /// possible point is the top of its value-range box (known to the sink
   /// from the shared zone code, no messages). Zones are visited
-  /// best-corner-first and a zone whose corner is dominated by an
-  /// already-collected event is never contacted.
+  /// best-corner-first, in the mask's cached order, and a zone whose
+  /// corner is dominated by an already-collected event is never contacted.
   storage::QueryReceipt skyline(net::NodeId sink,
                                 const storage::SkylineQuery& query) override;
 
@@ -130,6 +130,7 @@ class DimSystem final : public storage::DcsSystem {
   mutable storage::column::ScanStats scan_stats_;
   std::size_t stored_count_ = 0;
   mutable std::vector<net::NodeId> rep_cache_;
+  storage::CornerOrder skyline_order_;  ///< units: tree_.leaves(); lazy
 
   /// Nodes whose failure has already been absorbed (failover is
   /// idempotent per node). Allocated lazily on the first failure.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/error.h"
@@ -108,6 +109,43 @@ bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
   for (const Event& e : collected)
     if (q.dominates(e.values, values)) return false;
   return true;
+}
+
+CornerOrder::CornerOrder(std::size_t dims, std::vector<double> corners)
+    : dims_(dims), corners_(std::move(corners)) {
+  POOLNET_ASSERT(dims > 0 && dims <= kMaxDims);
+  POOLNET_ASSERT(corners_.size() % dims == 0);
+}
+
+Values CornerOrder::corner(std::size_t unit) const {
+  const double* c = corners_.data() + unit * dims_;
+  Values v;
+  for (std::size_t d = 0; d < dims_; ++d) v.push_back(c[d]);
+  return v;
+}
+
+const std::vector<std::uint32_t>& CornerOrder::order(const SkylineQuery& q) {
+  POOLNET_ASSERT(q.dims() == dims_);
+  std::size_t mask = 0;
+  for (std::size_t d = 0; d < dims_; ++d)
+    if (q.on(d)) mask |= std::size_t{1} << d;
+  if (orders_.empty()) orders_.resize(std::size_t{1} << dims_);
+  std::vector<std::uint32_t>& order = orders_[mask];
+  if (!order.empty() || corners_.empty()) return order;
+
+  const std::size_t units = corners_.size() / dims_;
+  std::vector<double> key(units, 0.0);
+  for (std::size_t u = 0; u < units; ++u)
+    for (std::size_t d = 0; d < dims_; ++d)
+      if (q.on(d)) key[u] += corners_[u * dims_ + d];
+  order.resize(units);
+  for (std::size_t u = 0; u < units; ++u)
+    order[u] = static_cast<std::uint32_t>(u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return key[a] > key[b];
+                   });
+  return order;
 }
 
 double knn_kth_distance2(const KNearestQuery& q,

@@ -149,6 +149,37 @@ void skyline_filter(const SkylineQuery& q, std::vector<Event>& candidates);
 bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
                     const Values& values);
 
+/// The best-corner-first visit order of a fixed set of value boxes, one
+/// per selected-attribute mask. A unit (a Pool cell, a DIM leaf) is
+/// represented by its corner, the top of its box: the best point any
+/// event stored there can have. A skyline query visits units by
+/// descending Σ corner[d] over its selected d, ties in unit order, so
+/// collected points veto later (worse-cornered) units outright. Boxes
+/// never move after build, so the order depends on the mask alone; each
+/// mask's order is built on its first query and kept.
+class CornerOrder {
+ public:
+  CornerOrder() = default;
+
+  /// `corners` holds `dims` values per unit, units in tie-break order.
+  CornerOrder(std::size_t dims, std::vector<double> corners);
+
+  bool empty() const { return corners_.empty(); }
+
+  /// Unit `unit`'s corner.
+  Values corner(std::size_t unit) const;
+
+  /// The units in visit order for `q`'s mask. `q.dims()` must equal the
+  /// corners' dims. Builds at most 2^dims − 1 orders over its lifetime.
+  const std::vector<std::uint32_t>& order(const SkylineQuery& q);
+
+ private:
+  std::size_t dims_ = 0;
+  std::vector<double> corners_;  ///< unit-major, flat
+  /// Indexed by mask; an empty order is not built yet.
+  std::vector<std::vector<std::uint32_t>> orders_;
+};
+
 /// Reduces `candidates` to the k nearest to `q.target`, ordered by
 /// (squared distance, id) ascending — nearest first, deterministic ties.
 /// The first candidate of each id is kept; a partial sort selects them.
