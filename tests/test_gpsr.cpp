@@ -1,5 +1,7 @@
 #include "routing/gpsr.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "connected_network.h"
@@ -155,6 +157,107 @@ TEST(Gpsr, PathsAreReasonablyShort) {
     // the straight-line distance in radio ranges at this density.
     const double min_hops = line / net.radio_range();
     EXPECT_LE(static_cast<double>(r.hops()), 4.0 * min_hops + 12.0);
+  }
+}
+
+// The greedy next hop as a spec, read from the Node records: the living
+// neighbor strictly closer to `dest` than `cur` and closest to it, the
+// lowest id among exact ties; kNoNode at a local minimum. `ties` counts
+// the steps where two or more living neighbors share that minimum.
+NodeId reference_greedy_hop(const Network& net, NodeId cur, Point dest,
+                            std::size_t& ties) {
+  const auto& nodes = net.nodes();
+  double next_d2 = distance_sq(nodes[cur].pos, dest);
+  NodeId next = net::kNoNode;
+  std::size_t at_min = 0;
+  for (const NodeId nb : net.neighbors(cur)) {
+    if (!nodes[nb].alive) continue;
+    const double d2 = distance_sq(nodes[nb].pos, dest);
+    if (d2 < next_d2 ||
+        (d2 == next_d2 && next != net::kNoNode && nb < next)) {
+      at_min = d2 < next_d2 ? 1 : at_min + 1;
+      next_d2 = d2;
+      next = nb;
+    } else if (d2 == next_d2 && next != net::kNoNode) {
+      ++at_min;
+    }
+  }
+  if (at_min > 1) ++ties;
+  return next;
+}
+
+// Every greedy hop a route takes is the reference's choice: the whole
+// path of an all-greedy route, and the greedy prefix (up to the first
+// local minimum) of one that enters perimeter mode.
+void expect_greedy_hops_match(const Network& net, const RouteResult& r,
+                              Point dest, std::size_t& ties) {
+  for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
+    const NodeId want = reference_greedy_hop(net, r.path[i], dest, ties);
+    if (want == net::kNoNode) {
+      EXPECT_GT(r.perimeter_hops, 0u) << "greedy left a local minimum";
+      return;
+    }
+    ASSERT_EQ(r.path[i + 1], want) << "hop " << i << " out of " << r.path[i];
+  }
+}
+
+// Routes between random living pairs and to random locations, before and
+// after killing 20% of the nodes; returns the exact ties met.
+std::size_t route_against_reference(Network& net, std::uint64_t seed,
+                                    bool half_integer_locations) {
+  Rng rng(seed);
+  const auto n = static_cast<std::int64_t>(net.size());
+  const auto living = [&] {
+    for (;;) {
+      const auto id = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      if (net.alive(id)) return id;
+    }
+  };
+  std::size_t ties = 0;
+  std::size_t all_greedy = 0;
+  for (const bool killed : {false, true}) {
+    if (killed) {
+      for (std::int64_t k = 0; k < n / 5; ++k) net.kill(living());
+    }
+    const Gpsr gpsr(net);
+    for (int trial = 0; trial < 300; ++trial) {
+      const NodeId src = living();
+      const NodeId dst = living();
+      const auto to_node = gpsr.route_to_node(src, dst);
+      if (to_node.perimeter_hops == 0) ++all_greedy;
+      expect_greedy_hops_match(net, to_node, net.position(dst), ties);
+
+      Point loc{rng.uniform(0, net.field().max_x),
+                rng.uniform(0, net.field().max_y)};
+      if (half_integer_locations) {
+        loc = {std::floor(loc.x / 10.0) * 10.0 + 5.0,
+               std::floor(loc.y / 10.0) * 10.0 + 5.0};
+      }
+      expect_greedy_hops_match(net, gpsr.route_to_location(src, loc), loc,
+                               ties);
+    }
+  }
+  EXPECT_GT(all_greedy, 0u);
+  return ties;
+}
+
+// Pins GPSR's greedy step against the reference where exact distance ties
+// occur: a 10 m integer lattice whose 15 m radio range reaches the
+// diagonals, routed to nodes and to the centres of lattice squares (four
+// corners equidistant). Two random deployments check the general case.
+TEST(Gpsr, GreedyHopsMatchLowestIdTieReference) {
+  std::vector<Point> lattice;
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) lattice.push_back({10.0 * x, 10.0 * y});
+  }
+  Network grid(lattice, Rect{0, 0, 110, 110}, 15.0);
+  ASSERT_TRUE(grid.is_connected());
+  EXPECT_GT(route_against_reference(grid, 31, true), 0u)
+      << "the lattice must produce exact distance ties";
+
+  for (const std::uint64_t seed : {11ull, 12ull}) {
+    auto net = random_connected_net(seed, 300);
+    route_against_reference(net, seed, false);
   }
 }
 
