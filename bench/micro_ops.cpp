@@ -125,6 +125,35 @@ void BM_GpsrRouteAcrossField(benchmark::State& state) {
 }
 BENCHMARK(BM_GpsrRouteAcrossField);
 
+void BM_GpsrGreedyRoutes(benchmark::State& state) {
+  // Routes between seeded random node pairs, like the inserts' legs to
+  // hashed homes. The destinations walk a random permutation of every
+  // node, so none recurs within the memo's 8-route window and each greedy
+  // hop is a full neighbor scan. `hop_time` is the time per hop.
+  auto& tb = shared_testbed();
+  const auto n = static_cast<net::NodeId>(tb.pool_network().size());
+  Rng rng(31);
+  std::vector<net::NodeId> dsts(n);
+  for (net::NodeId i = 0; i < n; ++i) dsts[i] = i;
+  for (net::NodeId i = n - 1; i > 0; --i)
+    std::swap(dsts[i], dsts[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+  std::vector<net::NodeId> srcs(n);
+  for (auto& src : srcs) src = tb.random_node(rng);
+  routing::RouteResult scratch;
+  std::size_t i = 0;
+  std::size_t hops = 0;
+  for (auto _ : state) {
+    tb.pool_gpsr().route_to_node_into(srcs[i], dsts[i], scratch);
+    hops += scratch.hops();
+    i = (i + 1) % n;
+    benchmark::DoNotOptimize(scratch.path.data());
+  }
+  state.counters["hop_time"] = benchmark::Counter(
+      static_cast<double>(hops),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GpsrGreedyRoutes);
+
 void BM_TransmitPath(benchmark::State& state) {
   // The per-hop ledger every routed message pays: one fixed cross-field
   // GPSR path on the paper's largest (2700-node) deployment, charged hop

@@ -82,8 +82,7 @@ NodeId Gpsr::first_ccw_neighbor(NodeId at, double ref_angle,
     } else {
       sweep = ccw_sweep(ref_angle, angle_of(p, net_.position(nb)));
     }
-    if (sweep < best_sweep ||
-        (sweep == best_sweep && best != net::kNoNode && nb < best)) {
+    if (sweep < best_sweep) {  // the row ascends: lowest id wins ties
       best_sweep = sweep;
       best = nb;
     }
@@ -189,8 +188,9 @@ void Gpsr::route_impl(NodeId src, Point dest, NodeId exact_target,
         for (const NodeId nb : net_.neighbors(cur)) {
           if (!net_.alive(nb)) continue;  // beacons stopped: not a candidate
           const double d2 = distance_sq(net_.position(nb), dest);
-          if (d2 < next_d2 ||
-              (d2 == next_d2 && next != net::kNoNode && nb < next)) {
+          // The row ascends by id, so the first strict minimum is the
+          // lowest id among exact ties.
+          if (d2 < next_d2) {
             next_d2 = d2;
             next = nb;
           }

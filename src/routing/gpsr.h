@@ -2,8 +2,13 @@
 //
 // The routing substrate shared by Pool, DIM, and GHT-style schemes. Routes
 // a packet toward a geographic destination:
-//  * greedy mode: forward to the neighbor strictly closest to the
-//    destination, while one exists;
+//  * greedy mode: forward to the living neighbor closest to the
+//    destination, while one is strictly closer than the current node.
+//    Exact distance ties go to the lowest id. Neighbor rows ascend by id
+//    (Topology::build_rows), so the scan keeps the first strict minimum
+//    with a bare `<`: no tie clause, and the compiler emits the min
+//    without a branch. The perimeter sweep breaks its angle ties the
+//    same way over the planar rows, which also ascend;
 //  * perimeter mode: on a local minimum, walk faces of the planarized
 //    graph with the right-hand rule, changing faces where edges cross the
 //    line from the perimeter-entry point to the destination, until a node

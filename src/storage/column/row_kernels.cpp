@@ -66,6 +66,7 @@ struct Scratch {
   std::vector<std::uint32_t> keep;   ///< the skyline found so far
   std::vector<KnnKey> keys;
   std::vector<std::uint32_t> picked;  ///< the Event entry points' answer
+  std::vector<Event> kept;  ///< take_rows' output buffer, swapped in
 };
 
 Scratch& scratch() {
@@ -199,13 +200,18 @@ void knn_core(const Rows& in, const KNearestQuery& q,
   }
 }
 
-/// Replaces `events` with the events at `rows`, in that order.
+/// Replaces `events` with the events at `rows`, in that order. The rows
+/// move through the thread's `kept` buffer, which then swaps with
+/// `events`: a running top-k that calls this per holder reuses the two
+/// buffers instead of allocating one per call.
 void take_rows(std::vector<Event>& events,
                const std::vector<std::uint32_t>& rows) {
-  std::vector<Event> kept;
+  std::vector<Event>& kept = scratch().kept;
+  kept.clear();
   kept.reserve(rows.size());
   for (const std::uint32_t r : rows) kept.push_back(std::move(events[r]));
   events.swap(kept);
+  kept.clear();
 }
 
 }  // namespace

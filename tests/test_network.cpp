@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <span>
 #include <tuple>
 
 #include "common/assert.h"
@@ -73,15 +74,24 @@ TEST(Network, PredicateMatchesTableOnEveryPair) {
   cases.push_back(
       {deploy_grid_jitter(25, grid_field, 0.0, grid_rng), grid_field, 20.0});
 
+  const auto ascending = [](std::span<const NodeId> nb) {
+    return std::adjacent_find(nb.begin(), nb.end(),
+                              std::greater_equal<NodeId>()) == nb.end();
+  };
   for (const Case& c : cases) {
     const Network net(c.pts, c.field, c.range);
+    // GPSR's greedy and perimeter scans keep the first strict minimum,
+    // which is the lowest id among ties only over ascending rows.
+    const PlanarGraph rng_graph(net.topology(),
+                                PlanarizationRule::RelativeNeighborhood);
     std::size_t links = 0;
     for (NodeId a = 0; a < net.size(); ++a) {
       const auto nb = net.neighbors(a);
-      EXPECT_TRUE(std::adjacent_find(nb.begin(), nb.end(),
-                                     std::greater_equal<NodeId>()) ==
-                  nb.end())
-          << "row " << a << " not strictly ascending";
+      EXPECT_TRUE(ascending(nb)) << "row " << a << " not strictly ascending";
+      EXPECT_TRUE(ascending(net.topology().planar().neighbors(a)))
+          << "Gabriel row " << a << " not strictly ascending";
+      EXPECT_TRUE(ascending(rng_graph.neighbors(a)))
+          << "RNG row " << a << " not strictly ascending";
       for (NodeId b = 0; b < net.size(); ++b) {
         const bool in_row = std::binary_search(nb.begin(), nb.end(), b);
         ASSERT_EQ(net.are_neighbors(a, b), in_row) << a << " " << b;
