@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
                     "parallel deployments (0 = hardware concurrency, "
                     "1 = serial)");
   parser.add_option("route-cache", "on",
-                    "route memoization: on, off or lru:<bytes> (byte-bounded, "
-                    "k/m/g suffixes ok)");
+                    "Pool's route memoization: on, off or lru:<bytes> "
+                    "(byte-bounded, k/m/g suffixes ok)");
   cli::add_engine_options(parser);
   cli::add_fault_options(parser);
   cli::add_telemetry_options(parser);

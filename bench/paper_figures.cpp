@@ -112,7 +112,8 @@ Options parse_options(int argc, char** argv) {
   cli::ArgParser parser(argv[0], "every paper figure and ablation, one ledger");
   parser.add_option("threads", "0", "worker threads (0 = all cores)");
   parser.add_option("route-cache", "on",
-                    "on, off or lru:<bytes> (byte-bounded)");
+                    "Pool's route cache: on, off or lru:<bytes> "
+                    "(byte-bounded)");
   parser.add_option("json", "", "write the integer ledger to this path");
   Options opts;
   std::string error;

@@ -53,12 +53,11 @@ struct SweepOutcome {
   std::vector<PairedRun> totals;
   double wall_ms = 0;
   double pool_hit_rate = 0;  ///< mean over testbeds; 0 when cache off
-  double dim_hit_rate = 0;
 };
 
 struct SeedRun {
   PairedRun run;
-  routing::RouteCacheStats pool_cache, dim_cache;
+  routing::RouteCacheStats pool_cache;
 };
 
 SweepOutcome run_sweep(std::size_t threads,
@@ -92,8 +91,6 @@ SweepOutcome run_sweep(std::size_t threads,
         out.run = run_paired_queries(tb, queries, j.seed * 7 + 1);
         if (const auto* c = tb.route_cache(SystemKind::Pool))
           out.pool_cache = c->stats();
-        if (const auto* c = tb.route_cache(SystemKind::Dim))
-          out.dim_cache = c->stats();
         return out;
       });
   const auto end = std::chrono::steady_clock::now();
@@ -102,14 +99,12 @@ SweepOutcome run_sweep(std::size_t threads,
   out.wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
   out.totals.resize(kSizes.size());
-  double pool_hits = 0, dim_hits = 0;
+  double pool_hits = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     merge_into(out.totals[grid[i].group], runs[i].run);
     pool_hits += runs[i].pool_cache.hit_rate();
-    dim_hits += runs[i].dim_cache.hit_rate();
   }
   out.pool_hit_rate = pool_hits / static_cast<double>(grid.size());
-  out.dim_hit_rate = dim_hits / static_cast<double>(grid.size());
   return out;
 }
 
@@ -530,20 +525,16 @@ int main(int argc, char** argv) {
   const double speedup =
       ratio(serial_uncached.wall_ms, parallel_cached.wall_ms);
 
-  TablePrinter table({"configuration", "wall ms", "Pool hit rate",
-                      "DIM hit rate"});
+  TablePrinter table({"configuration", "wall ms", "Pool hit rate"});
   const std::string xt = "x" + std::to_string(opts.threads);
-  table.add_row({"serial, cache off", fmt(serial_uncached.wall_ms, 1), "-",
-                 "-"});
+  table.add_row({"serial, cache off", fmt(serial_uncached.wall_ms, 1), "-"});
   table.add_row({"serial, cache on", fmt(serial_cached.wall_ms, 1),
-                 fmt(serial_cached.pool_hit_rate, 3),
-                 fmt(serial_cached.dim_hit_rate, 3)});
+                 fmt(serial_cached.pool_hit_rate, 3)});
   table.add_row({"parallel " + xt + ", cache off",
-                 fmt(parallel_uncached.wall_ms, 1), "-", "-"});
+                 fmt(parallel_uncached.wall_ms, 1), "-"});
   table.add_row({"parallel " + xt + ", cache on",
                  fmt(parallel_cached.wall_ms, 1),
-                 fmt(parallel_cached.pool_hit_rate, 3),
-                 fmt(parallel_cached.dim_hit_rate, 3)});
+                 fmt(parallel_cached.pool_hit_rate, 3)});
   table.print();
   std::printf(
       "\nspeedup: cache %.2fx, parallel %.2fx (%zu threads), combined "
@@ -647,13 +638,12 @@ int main(int argc, char** argv) {
         "  \"speedup_parallel\": %.3f,\n"
         "  \"speedup\": %.3f,\n"
         "  \"pool_cache_hit_rate\": %.4f,\n"
-        "  \"dim_cache_hit_rate\": %.4f,\n"
         "  \"pool_messages_per_query_900\": %.2f,\n"
         "  \"stats_identical\": %s,\n",
         opts.threads, serial_uncached.wall_ms, serial_cached.wall_ms,
         parallel_uncached.wall_ms, parallel_cached.wall_ms, speedup_cache,
         speedup_parallel, speedup, parallel_cached.pool_hit_rate,
-        parallel_cached.dim_hit_rate, msgs_per_query,
+        msgs_per_query,
         identical ? "true" : "false");
     if (!tiers.empty()) {
       const ScaleTier& top = tiers.back();

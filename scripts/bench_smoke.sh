@@ -81,7 +81,7 @@ if [[ -x "$QUERY_CLASSES" ]]; then
 fi
 
 if [[ -x "$CLI" ]]; then
-  "$CLI" --nodes 300 --queries 20 --systems pool,dim \
+  "$CLI" --nodes 300 --queries 20 --systems all \
     --workload exponential --metrics json:BENCH_metrics.json >/dev/null
   python3 scripts/check_metrics_schema.py BENCH_perf.json BENCH_metrics.json
 else

@@ -13,8 +13,11 @@ Checks two documents:
 
 * metrics.json (optional): a full `--metrics json` Snapshot document.
   Must parse, have the four sections, and contain the namespaced keys
-  every instrumented component registers (route cache, query engine,
-  per-node network lanes, storage load report).
+  every instrumented component registers (Pool's route cache, query
+  engine, per-node network lanes, storage load report). It must not
+  carry a route cache under DIM, GHT or central: each routes faster
+  through GPSR's greedy memo alone, so a cache that comes back under one
+  of them fails the check.
 
 Exits nonzero with a message on the first violation, so the CI step
 fails loudly instead of uploading a silently-empty artifact.
@@ -44,6 +47,13 @@ SNAPSHOT_COUNTERS = [
     "pool.store.scan.blocks_skipped",
     "pool.store.scan.bytes_touched",
     "dim.store.scan.rows_scanned",
+]
+
+# Route caches of the kinds that route through Gpsr alone (DESIGN.md §7).
+SNAPSHOT_ABSENT_COUNTERS = [
+    "dim.route_cache.hits",
+    "ght.route_cache.hits",
+    "central.route_cache.hits",
 ]
 
 SNAPSHOT_GAUGES = [
@@ -101,6 +111,10 @@ def check_snapshot(path):
     for key in SNAPSHOT_COUNTERS:
         if key not in doc["counters"]:
             fail(f"{path}: counters missing '{key}'")
+    for key in SNAPSHOT_ABSENT_COUNTERS:
+        if key in doc["counters"]:
+            fail(f"{path}: counters carry '{key}', a route cache under a "
+                 "system that routes through GPSR alone")
     for key in SNAPSHOT_GAUGES:
         if key not in doc["gauges"]:
             fail(f"{path}: gauges missing '{key}'")

@@ -109,8 +109,8 @@ BenchOptions parse_bench_options(int argc, char** argv) {
   parser.add_option("threads", "0",
                     "worker threads (0 = hardware concurrency)");
   parser.add_option("route-cache", "on",
-                    "route memoization: on, off or lru:<bytes> (byte-bounded, "
-                    "k/m/g suffixes ok)");
+                    "Pool's route memoization: on, off or lru:<bytes> "
+                    "(byte-bounded, k/m/g suffixes ok)");
   cli::add_engine_options(parser);
   cli::add_telemetry_options(parser);
   cli::add_store_options(parser);

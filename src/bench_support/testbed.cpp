@@ -74,7 +74,9 @@ Testbed::Deployment& Testbed::wire(SystemKind kind) {
       topology_, config_.sizes, sim::EnergyModel{}, config_.loss,
       config_.seed * 3 + 1 + static_cast<std::uint64_t>(kind));
   d.gpsr = std::make_unique<routing::Gpsr>(*d.network);
-  if (config_.route_cache.enabled) {
+  // Only Pool's legs recur often enough for a stored route to beat the
+  // greedy memo; DIM, GHT and central route through Gpsr alone.
+  if (kind == SystemKind::Pool && config_.route_cache.enabled) {
     d.cache = std::make_unique<routing::RouteCache>(
         *d.gpsr, config_.route_cache, metrics_.get(),
         std::string(to_string(kind)) + ".route_cache");

@@ -59,7 +59,8 @@ struct TestbedConfig {
   net::MessageSizes sizes;          ///< packet size model
   net::LinkLossModel loss;          ///< per-hop loss + ARQ (default ideal)
 
-  /// Route memoization over every system's GPSR instance.
+  /// Route memoization over Pool's GPSR instance; the other kinds route
+  /// through their Gpsr and its greedy memo alone (DESIGN.md §7).
   routing::RouteCacheConfig route_cache;
 
   /// Hop-trace ring size attached to every network; 0 (default) leaves
@@ -102,8 +103,8 @@ class Testbed {
     return slot(kind).insert_traffic;
   }
 
-  /// `kind`'s route cache; null when caching is disabled or `kind` is
-  /// not deployed.
+  /// `kind`'s route cache; null for every kind but Pool, and for Pool when
+  /// caching is disabled.
   const routing::RouteCache* route_cache(SystemKind kind) const {
     return slot(kind).cache.get();
   }
@@ -142,8 +143,8 @@ class Testbed {
   /// Uniformly random node id (query sinks).
   net::NodeId random_node(Rng& rng) const;
 
-  /// The deployment-wide metrics registry: the route caches register
-  /// under "<kind>.route_cache", and callers (query engines, benches)
+  /// The deployment-wide metrics registry: Pool's route cache registers
+  /// under "pool.route_cache", and callers (query engines, benches)
   /// should register their own instruments here so one scrape sees the
   /// whole testbed.
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -155,12 +156,12 @@ class Testbed {
   struct Deployment {
     std::unique_ptr<net::Network> network;
     std::unique_ptr<routing::Gpsr> gpsr;
-    std::unique_ptr<routing::RouteCache> cache;  ///< null when disabled
+    std::unique_ptr<routing::RouteCache> cache;  ///< Pool's, when enabled
     std::unique_ptr<obs::RingTraceSink> trace;   ///< null when disabled
     std::unique_ptr<storage::DcsSystem> system;
     net::TrafficTally insert_traffic;
 
-    /// The router the system sees: the cache when enabled, else Gpsr.
+    /// The router the system sees: the cache when there is one, else Gpsr.
     const routing::Router& router() const {
       if (cache) return *cache;
       return *gpsr;
@@ -175,13 +176,13 @@ class Testbed {
   }
 
   /// Fills `kind`'s slot: its own Network over the shared topology (the
-  /// config's sizes and loss, loss seed seed*3+1+kind), Gpsr, then the
-  /// route cache under "<kind>.route_cache" (when enabled), then the
-  /// trace ring (when trace_capacity > 0).
+  /// config's sizes and loss, loss seed seed*3+1+kind), Gpsr, then, for
+  /// Pool, the route cache under "pool.route_cache" (when enabled), then
+  /// the trace ring (when trace_capacity > 0).
   Deployment& wire(SystemKind kind);
 
   /// Heap-held (registry owns a mutex) so Testbed stays movable; declared
-  /// before its users so the caches can register in the ctor.
+  /// before its users so Pool's cache can register in the ctor.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   TestbedConfig config_;
   std::shared_ptr<const net::Topology> topology_;

@@ -46,7 +46,7 @@ struct CliConfig {
   core::PoolConfig pool;
   std::string csv_path;  // empty = no CSV
   std::size_t threads = 1;  // deployments run in parallel when > 1
-  routing::RouteCacheConfig route_cache;  // route memoization (default on)
+  routing::RouteCacheConfig route_cache;  // Pool's route cache (default on)
 
   /// Query-engine serving layer (batching + result cache). The default —
   /// batching off, cache off — routes every query through the engine

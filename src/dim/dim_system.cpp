@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
@@ -150,9 +151,9 @@ void DimSystem::disseminate(net::NodeId sink, const RangeQuery& q,
 }
 
 template <typename Reduce>
-std::vector<Event> DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
-                                         QueryReceipt& receipt,
-                                         Reduce&& reduce) {
+void DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
+                           QueryReceipt& receipt, std::vector<Event>& out,
+                           Reduce&& reduce) {
   // The sink addresses the leaf's owner directly (the zone tree is global
   // knowledge, like insert's event-to-zone addressing); best-first and
   // ring orders have no use for the recursive split walk.
@@ -160,17 +161,13 @@ std::vector<Event> DimSystem::visit_leaf(net::NodeId sink, ZoneIndex leaf,
   const net::NodeId owner =
       legs_.reach(sink, net::MessageKind::Query, qbits,
                   [&] { return representative(leaf); });
-  if (owner == net::kNoNode) return {};
+  if (owner == net::kNoNode) return;
   ++receipt.index_nodes_visited;
   const auto& cs = store_[leaf];
-  std::vector<std::uint32_t> rows;
-  reduce(cs, rows);
-  std::vector<Event> local;
-  if (!legs_.reply(owner, sink, static_cast<std::uint32_t>(rows.size())))
-    return local;
-  local.reserve(rows.size());
-  for (const std::uint32_t row : rows) local.push_back(cs.event_at(row));
-  return local;
+  reduce(cs, leaf_rows_);
+  if (!legs_.reply(owner, sink, static_cast<std::uint32_t>(leaf_rows_.size())))
+    return;
+  for (const std::uint32_t row : leaf_rows_) out.push_back(cs.event_at(row));
 }
 
 QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
@@ -218,14 +215,24 @@ QueryReceipt DimSystem::skyline(net::NodeId sink,
     if (!storage::skyline_admits(q, collected, skyline_order_.corner(unit)))
       continue;
     // The owner replies with its LOCAL skyline: an event dominated within
-    // its own zone is dominated globally.
-    for (Event& e : visit_leaf(sink, tree_.leaves()[unit], receipt,
-                               [&](const auto& cs, auto& rows) {
-                                 storage::column::skyline_rows(cs, q, false,
-                                                               rows);
-                               }))
-      if (storage::skyline_admits(q, collected, e.values))
-        collected.push_back(std::move(e));
+    // its own zone is dominated globally. The reply lands after the
+    // collected points and keeps, in order, each event that neither they
+    // nor an earlier kept one dominate.
+    const std::size_t first = collected.size();
+    visit_leaf(sink, tree_.leaves()[unit], receipt, collected,
+               [&](const auto& cs, auto& rows) {
+                 storage::column::skyline_rows(cs, q, false, rows);
+               });
+    std::size_t kept = first;
+    for (std::size_t i = first; i < collected.size(); ++i) {
+      if (!storage::skyline_admits(
+              q, std::span<const Event>(collected.data(), kept),
+              collected[i].values))
+        continue;
+      if (i != kept) collected[kept] = std::move(collected[i]);
+      ++kept;
+    }
+    collected.resize(kept);
   }
 
   storage::skyline_filter(q, collected);
@@ -238,7 +245,7 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
                                   const storage::KNearestQuery& q) {
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  std::vector<char> visited(tree_.size(), 0);  // by leaf ZoneIndex
+  knn_visited_.assign(tree_.size(), 0);  // by leaf ZoneIndex
   std::vector<Event> cand;
 
   double radius = q.initial_radius > 0.0 ? q.initial_radius : 0.05;
@@ -246,16 +253,15 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
     ++receipt.rounds;
     const RangeQuery box = storage::box_around(q.target, radius);
     for (const ZoneIndex leaf : tree_.leaves_overlapping(box)) {
-      if (std::exchange(visited[leaf], 1)) continue;
+      if (std::exchange(knn_visited_[leaf], 1)) continue;
       // The owner answers with its local top-k, box or not — the box
       // only picks WHICH zones to visit, so a visited zone never needs
       // re-querying when the ring later grows.
-      const auto local =
-          visit_leaf(sink, leaf, receipt, [&](const auto& cs, auto& rows) {
-            storage::column::knn_rows(cs, q, false, rows);
-          });
-      if (local.empty()) continue;
-      cand.insert(cand.end(), local.begin(), local.end());
+      const std::size_t held = cand.size();
+      visit_leaf(sink, leaf, receipt, cand, [&](const auto& cs, auto& rows) {
+        storage::column::knn_rows(cs, q, false, rows);
+      });
+      if (cand.size() == held) continue;
       storage::knn_filter(q, cand);  // sink keeps only the running top-k
     }
 

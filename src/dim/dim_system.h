@@ -114,12 +114,12 @@ class DimSystem final : public storage::DcsSystem {
 
   /// Skyline's and k-NN's direct visit: query leg sink → leaf owner, the
   /// owner runs `reduce(store, rows)` over its leaf's ColumnStore to pick
-  /// the rows it replies with, and only those rows become events. Returns
-  /// them once they reached the sink (empty otherwise).
+  /// the rows it replies with, and only those rows become events, appended
+  /// to `out` once they reached the sink (nothing otherwise).
   template <typename Reduce>
-  std::vector<storage::Event> visit_leaf(net::NodeId sink, ZoneIndex leaf,
-                                         storage::QueryReceipt& receipt,
-                                         Reduce&& reduce);
+  void visit_leaf(net::NodeId sink, ZoneIndex leaf,
+                  storage::QueryReceipt& receipt,
+                  std::vector<storage::Event>& out, Reduce&& reduce);
 
   net::Network& net_;
   const routing::Router& router_;
@@ -131,6 +131,11 @@ class DimSystem final : public storage::DcsSystem {
   std::size_t stored_count_ = 0;
   mutable std::vector<net::NodeId> rep_cache_;
   storage::CornerOrder skyline_order_;  ///< units: tree_.leaves(); lazy
+
+  // Query scratch, reused across queries: the rows a visited leaf replies
+  // with, and k-NN's visited flags by ZoneIndex.
+  std::vector<std::uint32_t> leaf_rows_;
+  std::vector<char> knn_visited_;
 
   /// Nodes whose failure has already been absorbed (failover is
   /// idempotent per node). Allocated lazily on the first failure.

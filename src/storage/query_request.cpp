@@ -104,7 +104,7 @@ std::ostream& operator<<(std::ostream& os, const QueryRequest& r) {
   return os;
 }
 
-bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
+bool skyline_admits(const SkylineQuery& q, std::span<const Event> collected,
                     const Values& values) {
   for (const Event& e : collected)
     if (q.dominates(e.values, values)) return false;

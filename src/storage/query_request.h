@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -146,7 +147,7 @@ std::ostream& operator<<(std::ostream& os, const QueryRequest& r);
 void skyline_filter(const SkylineQuery& q, std::vector<Event>& candidates);
 
 /// True when no event in `collected` dominates `values`.
-bool skyline_admits(const SkylineQuery& q, const std::vector<Event>& collected,
+bool skyline_admits(const SkylineQuery& q, std::span<const Event> collected,
                     const Values& values);
 
 /// The best-corner-first visit order of a fixed set of value boxes, one

@@ -340,19 +340,26 @@ TEST(RegistryViews, RouteCacheAndEngineShareOneRegistry) {
             0u);
 }
 
-// One scrape sees the registry's route caches and every deployed kind's
-// network, and nothing for a kind that was never deployed.
+// One scrape sees Pool's route cache and every deployed kind's network,
+// and nothing for a kind that was never deployed. No other kind has a
+// route cache, deployed or not.
 TEST(Telemetry, TestbedScrapeCoversDeployedKinds) {
   benchsup::TestbedConfig config;
   config.nodes = 120;
   config.seed = 9;
   benchsup::Testbed tb(config);
   tb.insert_workload();
+  tb.deploy(benchsup::SystemKind::Central);
   const obs::Snapshot snap = benchsup::scrape_testbed(tb);
-  for (const std::string kind : {"pool", "dim"}) {
-    ASSERT_TRUE(snap.counters.count(kind + ".route_cache.misses")) << kind;
-    EXPECT_GT(snap.counters.at(kind + ".route_cache.misses"), 0u) << kind;
+  ASSERT_TRUE(snap.counters.count("pool.route_cache.misses"));
+  EXPECT_GT(snap.counters.at("pool.route_cache.misses"), 0u);
+  for (const std::string kind : {"pool", "dim", "central"})
     EXPECT_TRUE(snap.counters.count(kind + ".net.messages")) << kind;
+  for (const std::string kind : {"dim", "ght", "central"}) {
+    for (const std::string what :
+         {"hits", "misses", "evictions", "invalidated"})
+      EXPECT_FALSE(snap.counters.count(kind + ".route_cache." + what))
+          << kind << " " << what;
   }
   EXPECT_FALSE(snap.counters.count("ght.net.messages"));
   // The scrape emits through the same deterministic JSON path as every

@@ -134,7 +134,7 @@ TEST(Testbed, DeterministicAcrossRebuilds) {
 }
 
 /// One full Pool+DIM run: insert traffic, per-query receipts, batch and
-/// aggregate receipts, and the route-cache counters.
+/// aggregate receipts, and Pool's route-cache counters.
 Fingerprint run_testbed(std::uint64_t seed) {
   Testbed tb(small_config(seed));
   tb.insert_workload();
@@ -173,10 +173,12 @@ Fingerprint run_testbed(std::uint64_t seed) {
   fp.add(agg.messages);
   fp.add(agg.index_nodes_visited);
 
-  for (const SystemKind kind : {SystemKind::Pool, SystemKind::Dim}) {
-    const auto* cache = tb.route_cache(kind);
-    EXPECT_NE(cache, nullptr) << "route cache should default on";
-    if (!cache) continue;
+  // Pool keeps a route cache (on by default); DIM routes through its
+  // Gpsr alone.
+  EXPECT_EQ(tb.route_cache(SystemKind::Dim), nullptr);
+  const auto* cache = tb.route_cache(SystemKind::Pool);
+  EXPECT_NE(cache, nullptr) << "route cache should default on";
+  if (cache) {
     const auto s = cache->stats();
     fp.add(s.hits);
     fp.add(s.misses);
@@ -201,20 +203,25 @@ TEST(Testbed, RunsIdenticalAtOneAndFourThreads) {
 
 // --- Testbed::deploy against the hand-built copy it replaced -------------
 
-/// GHT or central built the way every caller did before Testbed::deploy:
+/// A system built by hand the way every caller did before Testbed::deploy:
 /// its own Network over the testbed's topology with the Network defaults,
 /// Gpsr, a RouteCache with the testbed's config, then the oracle replayed
-/// in.
+/// in. The twin always routes through the cache, whatever the Testbed
+/// gives the same kind, so equal receipts pin that the cache replays
+/// routes verbatim.
 struct HandBuilt {
   HandBuilt(Testbed& tb, SystemKind kind, const storage::StoreConfig& store)
       : net(tb.topology()),
         gpsr(net),
         cache(gpsr, tb.config().route_cache) {
-    if (kind == SystemKind::Ght)
-      system = std::make_unique<ght::GhtSystem>(net, cache, tb.config().dims);
+    const std::size_t dims = tb.config().dims;
+    if (kind == SystemKind::Dim)
+      system = std::make_unique<dim::DimSystem>(net, cache, dims);
+    else if (kind == SystemKind::Ght)
+      system = std::make_unique<ght::GhtSystem>(net, cache, dims);
     else
-      system = storage::make_central_store(tb.config().dims, store, &net,
-                                           &cache, net::NodeId{0});
+      system = storage::make_central_store(dims, store, &net, &cache,
+                                           net::NodeId{0});
     for (const auto& e : tb.oracle().all()) system->insert(e.source, e);
     insert_traffic = net.traffic();
     net.reset_traffic();
@@ -227,23 +234,39 @@ struct HandBuilt {
   net::TrafficTally insert_traffic;
 };
 
+/// Every field of a ledger, the energy as raw bits.
+Fingerprint traffic_words(const net::TrafficTally& t) {
+  Fingerprint fp;
+  for (const std::uint64_t n : t.by_kind) fp.add(n);
+  fp.add(t.total);
+  fp.add(t.lost);
+  fp.add_bits(t.energy_j);
+  return fp;
+}
+
 /// Receipts (cost, content and order) of a fixed range, skyline, k-NN
-/// and aggregate list, from fixed sinks.
-Fingerprint run_fixed_queries(storage::DcsSystem& system) {
+/// and aggregate list, from fixed sinks; a sink dead on `net` is redrawn
+/// from the same stream.
+Fingerprint run_fixed_queries(storage::DcsSystem& system,
+                              const net::Network& net) {
   query::QueryGenerator gen({.dims = 3}, 91);
   Rng sinks(92);
+  const auto next_sink = [&] {
+    net::NodeId sink;
+    do {
+      sink = static_cast<net::NodeId>(sinks.uniform_int(0, 199));
+    } while (!net.alive(sink));
+    return sink;
+  };
   Fingerprint fp;
   for (int i = 0; i < 4; ++i) {
     for (const auto mix : {query::QueryClassMix::Range,
                            query::QueryClassMix::Skyline,
-                           query::QueryClassMix::Knn}) {
-      const auto sink = static_cast<net::NodeId>(sinks.uniform_int(0, 199));
-      fp.add_receipt(system.execute(sink, gen.next(mix)));
-    }
-    const auto sink = static_cast<net::NodeId>(sinks.uniform_int(0, 199));
+                           query::QueryClassMix::Knn})
+      fp.add_receipt(system.execute(next_sink(), gen.next(mix)));
     const auto agg = system.execute(
-        sink, storage::AggregateQuery{gen.exact_range(),
-                                      storage::AggregateKind::Sum, 1});
+        next_sink(), storage::AggregateQuery{gen.exact_range(),
+                                             storage::AggregateKind::Sum, 1});
     fp.add_cost(agg);
     fp.add_bits(agg.aggregate.value);
     fp.add(agg.aggregate.count);
@@ -251,8 +274,13 @@ Fingerprint run_fixed_queries(storage::DcsSystem& system) {
   return fp;
 }
 
+/// `kind` as the Testbed deploys it against its hand-built twin: insert
+/// ledgers, then the fixed queries' receipts and query ledgers, after
+/// killing `kill_fraction` of the nodes (never node 0, central's base
+/// station) on both networks when it is above zero.
 void expect_deploy_matches_hand_built(SystemKind kind,
-                                      const std::string& store_spec) {
+                                      const std::string& store_spec,
+                                      double kill_fraction = 0.0) {
   SCOPED_TRACE(std::string(to_string(kind)) + " " + store_spec);
   storage::StoreConfig store;
   std::string error;
@@ -260,7 +288,9 @@ void expect_deploy_matches_hand_built(SystemKind kind,
 
   Testbed tb(small_config(8));
   tb.insert_workload();
-  ASSERT_FALSE(tb.deployed(kind));
+  const bool built_at_construction =
+      kind == SystemKind::Pool || kind == SystemKind::Dim;
+  ASSERT_EQ(tb.deployed(kind), built_at_construction);
   storage::DcsSystem& deployed = tb.deploy(kind, store);
   EXPECT_TRUE(tb.deployed(kind));
   EXPECT_EQ(&tb.deploy(kind, store), &deployed) << "second deploy rebuilt";
@@ -268,10 +298,32 @@ void expect_deploy_matches_hand_built(SystemKind kind,
 
   EXPECT_EQ(deployed.stored_count(), tb.oracle().stored_count());
   EXPECT_GT(tb.insert_traffic(kind).total, 0u);
-  EXPECT_EQ(tb.insert_traffic(kind).total, twin.insert_traffic.total);
-  EXPECT_EQ(tb.insert_traffic(kind).lost, twin.insert_traffic.lost);
+  EXPECT_EQ(traffic_words(tb.insert_traffic(kind)),
+            traffic_words(twin.insert_traffic));
   EXPECT_EQ(tb.network(kind).traffic().total, 0u);
-  EXPECT_EQ(run_fixed_queries(deployed), run_fixed_queries(*twin.system));
+
+  net::Network& net = tb.network(kind);
+  if (kill_fraction > 0.0) {
+    // Twice over first, so the twin's cache holds routes (it stores one on
+    // its second sighting) through nodes about to die.
+    for (int pass = 0; pass < 2; ++pass)
+      EXPECT_EQ(run_fixed_queries(deployed, net),
+                run_fixed_queries(*twin.system, twin.net));
+    ASSERT_GT(twin.cache.stats().entries, 0u);
+    Rng victims(88);
+    const auto n = static_cast<std::int64_t>(net.size());
+    const auto kills = static_cast<std::size_t>(kill_fraction * n);
+    while (net.dead_count() < kills) {
+      const auto v = static_cast<net::NodeId>(victims.uniform_int(1, n - 1));
+      if (!net.alive(v)) continue;
+      net.kill(v);
+      twin.net.kill(v);
+    }
+    ASSERT_EQ(twin.net.dead_count(), kills);
+  }
+  EXPECT_EQ(run_fixed_queries(deployed, net),
+            run_fixed_queries(*twin.system, twin.net));
+  EXPECT_EQ(traffic_words(net.traffic()), traffic_words(twin.net.traffic()));
 }
 
 TEST(TestbedDeploy, GhtMatchesHandBuiltCopy) {
@@ -284,6 +336,18 @@ TEST(TestbedDeploy, CentralFlatMatchesHandBuiltCopy) {
 
 TEST(TestbedDeploy, CentralPagedMatchesHandBuiltCopy) {
   expect_deploy_matches_hand_built(SystemKind::Central, "paged:4:512");
+}
+
+TEST(TestbedDeploy, DimMatchesHandBuiltCopy) {
+  expect_deploy_matches_hand_built(SystemKind::Dim, "flat");
+}
+
+// 20% of the nodes die before the queries: each twin learns of them only
+// through failed legs, and its cache drops every stored path through them.
+TEST(TestbedDeploy, MatchesHandBuiltCopyUnderKills) {
+  for (const SystemKind kind :
+       {SystemKind::Dim, SystemKind::Ght, SystemKind::Central})
+    expect_deploy_matches_hand_built(kind, "flat", 0.2);
 }
 
 TEST(TestbedDeploy, PoolAndDimAreTheConstructedSystems) {
@@ -308,7 +372,8 @@ TEST(TestbedDeploy, DeployBeforeWorkloadMatchesDeployAfter) {
   EXPECT_EQ(early.stored_count(), late.stored_count());
   EXPECT_EQ(before.insert_traffic(SystemKind::Ght).total,
             after.insert_traffic(SystemKind::Ght).total);
-  EXPECT_EQ(run_fixed_queries(early), run_fixed_queries(late));
+  EXPECT_EQ(run_fixed_queries(early, before.network(SystemKind::Ght)),
+            run_fixed_queries(late, after.network(SystemKind::Ght)));
 }
 
 TEST(SystemKindNames, RoundTrip) {
